@@ -1,10 +1,10 @@
 package ccsched
 
-// Benchmark harness: one Benchmark per experiment row family of DESIGN.md's
-// per-experiment index (E1–E8, F1–F5). cmd/ccbench regenerates the full
-// tables with ratios; these benchmarks time the same code paths under
-// testing.B so `go test -bench=. -benchmem` reproduces the measurements in
-// EXPERIMENTS.md.
+// Benchmark harness: one Benchmark per experiment row family of the
+// experiment index in the "Paper-to-code map" of docs/ARCHITECTURE.md
+// (E1–E8, F1–F5). cmd/ccbench regenerates the full tables with ratios;
+// these benchmarks time the same code paths under testing.B, so
+// `go test -bench=. -benchmem` reproduces the measurements ccbench reports.
 
 import (
 	"context"
@@ -370,7 +370,7 @@ func BenchmarkE11EngineParallelism(b *testing.B) {
 //     reported metrics, not ns/op, are the signal, and the terminal rung
 //     cost is already gated as E10.
 //
-// The ladder instances are chosen from the gap survey in DESIGN.md: the
+// The ladder instances are chosen from a survey of certified gaps: the
 // non-preemptive uniform row is the strictly-improving case (every
 // published rung shrinks the gap: 2-approx 498 → ε=1 PTAS 468), and the
 // thirds row is the tight-lower-bound case where the first answer is

@@ -13,15 +13,14 @@
 // context cancellation and deadlines down to the individual ILP iteration,
 // and returns the schedule together with the certified lower bound.
 //
-// The underlying algorithm tiers from the paper remain available as thin
-// wrappers:
+// The algorithm tiers from the paper are:
 //
 //   - strongly polynomial constant-factor approximations —
 //     ApproxSplittable and ApproxPreemptive guarantee 2·OPT,
 //     ApproxNonPreemptive guarantees 7/3·OPT;
 //   - polynomial-time approximation schemes (PTAS) with makespan
-//     (1+ε)·OPT — PTASSplittable, PTASPreemptive, PTASNonPreemptive —
-//     built on configuration ILPs with N-fold structure;
+//     (1+ε)·OPT, built on configuration ILPs with N-fold structure —
+//     Solve with TierPTAS;
 //   - exact optima for small instances (ratio measurement) in
 //     ExactNonPreemptive and ExactSplittable.
 //
@@ -216,27 +215,6 @@ func ApproxPreemptive(in *Instance) (*approx.PreemptiveResult, error) {
 // the non-preemptive variant in O(n² log² n).
 func ApproxNonPreemptive(in *Instance) (*approx.NonPreemptiveResult, error) {
 	return approx.SolveNonPreemptive(in)
-}
-
-// PTASSplittable runs the splittable approximation scheme (Theorems 10/11).
-// It is a thin wrapper over the Solve pipeline without a context; use Solve
-// for cancellation, parallel guess search and caching.
-func PTASSplittable(in *Instance, opts PTASOptions) (*ptas.SplitResult, error) {
-	return ptas.SolveSplittable(context.Background(), in, opts)
-}
-
-// PTASPreemptive runs the preemptive approximation scheme (Theorem 19). It
-// is a thin wrapper over the Solve pipeline without a context; use Solve
-// for cancellation, parallel guess search and caching.
-func PTASPreemptive(in *Instance, opts PTASOptions) (*ptas.PreemptiveResult, error) {
-	return ptas.SolvePreemptive(context.Background(), in, opts)
-}
-
-// PTASNonPreemptive runs the non-preemptive approximation scheme
-// (Theorem 14). It is a thin wrapper over the Solve pipeline without a
-// context; use Solve for cancellation, parallel guess search and caching.
-func PTASNonPreemptive(in *Instance, opts PTASOptions) (*ptas.NonPreemptiveResult, error) {
-	return ptas.SolveNonPreemptive(context.Background(), in, opts)
 }
 
 // ExactNonPreemptive computes an optimal non-preemptive schedule for small

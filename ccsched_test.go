@@ -1,6 +1,7 @@
 package ccsched
 
 import (
+	"context"
 	"math/big"
 	"testing"
 )
@@ -110,18 +111,18 @@ func TestFacadeExact(t *testing.T) {
 
 func TestFacadePTAS(t *testing.T) {
 	in := apiInstance()
-	res, err := PTASNonPreemptive(in, PTASOptions{Epsilon: 0.5})
+	res, err := Solve(context.Background(), in, Options{Variant: NonPreemptive, Tier: TierPTAS, Epsilon: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Validate(in); err != nil {
+	if err := res.NonPreemptive.Validate(in); err != nil {
 		t.Error(err)
 	}
 	_, opt, err := ExactNonPreemptive(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Makespan(in); 3*got > 7*opt {
+	if got := res.NonPreemptive.Makespan(in); 3*got > 7*opt {
 		t.Errorf("PTAS result %d above 7/3 x OPT %d", got, opt)
 	}
 }

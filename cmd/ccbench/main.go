@@ -1,7 +1,8 @@
-// Command ccbench regenerates the experiment tables recorded in
-// EXPERIMENTS.md: E1–E8 measure the paper's theorems, E9 measures the
-// PR 2 parallel guess search and feasibility cache, E11 measures the PR 7
-// intra-probe parallelism, F1–F5 execute the paper's figures.
+// Command ccbench regenerates the experiment tables indexed in the
+// "Paper-to-code map" of docs/ARCHITECTURE.md: E1–E8 measure the paper's
+// theorems, E9 measures the parallel guess search and feasibility cache,
+// E11 measures the intra-probe parallelism, F1–F5 execute the paper's
+// figures.
 //
 // Usage:
 //

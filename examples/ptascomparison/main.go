@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -47,14 +48,16 @@ func main() {
 
 	for _, eps := range []float64{1.0, 0.5} {
 		start := time.Now()
-		res, err := ccsched.PTASSplittable(in, ccsched.PTASOptions{Epsilon: eps})
+		res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
+			Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Epsilon: eps,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := res.Compact.Validate(in); err != nil {
+		if err := res.CompactSplit.Validate(in); err != nil {
 			log.Fatal(err)
 		}
-		mf, _ := res.Makespan().Float64()
+		mf, _ := res.Makespan.Float64()
 		fmt.Printf("%-14s %10.2f %10.3f %12d %10s\n",
 			fmt.Sprintf("PTAS ε=%.2f", eps), mf, mf/lf,
 			res.Report.NFold.Vars, time.Since(start).Round(time.Millisecond))

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,15 +64,17 @@ func main() {
 	}
 	fmt.Printf("non-preemptive 7/3-approx: makespan %d\n", np.Makespan(in))
 
-	res, err := ccsched.PTASNonPreemptive(in, ccsched.PTASOptions{Epsilon: 0.5})
+	res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
+		Variant: ccsched.NonPreemptive, Tier: ccsched.TierPTAS, Epsilon: 0.5,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := res.Schedule.Validate(in); err != nil {
+	if err := res.NonPreemptive.Validate(in); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("non-preemptive PTAS ε=.5:  makespan %d (engine %s)\n",
-		res.Makespan(in), res.Report.Engine)
+	fmt.Printf("non-preemptive PTAS ε=.5:  makespan %s (engine %s)\n",
+		res.Makespan.RatString(), res.Report.Engine)
 
 	_, opt, err := ccsched.ExactNonPreemptive(in)
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment in DESIGN.md's per-experiment index (E1–E8 measuring the
-// paper's theorems, F1–F5 executing its figures). Each returns a Table that
-// cmd/ccbench renders and EXPERIMENTS.md records; the root bench_test.go
-// wraps the same functions in testing.B benchmarks.
+// experiment in the experiment index of the "Paper-to-code map" in
+// docs/ARCHITECTURE.md (E1–E8 measuring the paper's theorems, F1–F5
+// executing its figures). Each returns a Table that cmd/ccbench renders; the
+// root bench_test.go wraps the same functions in testing.B benchmarks.
 package experiments
 
 import (

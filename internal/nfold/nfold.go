@@ -10,7 +10,8 @@
 //
 // The paper cites the near-linear theoretical algorithm of [Jansen, Lassota,
 // Rohwedder 2019], for which no public implementation exists; this package
-// is the repository's faithful substitute (see DESIGN.md). The augmentation
+// is the repository's faithful substitute (see the "Paper-to-code map" of
+// docs/ARCHITECTURE.md). The augmentation
 // engine is best-effort (its move set restricts Graver elements to bounded
 // support); Solve verifies its answers and falls back to the exact engine,
 // so feasibility answers are always exact.

@@ -338,7 +338,7 @@ func (st *probeStats) report(rep *Report) {
 	rep.BatchedLPSolves = st.batched.Load()
 }
 
-// fallbackReport is the Report shape shared by every approx-fallback exit.
+// fallbackReport is the Report of runScheme's approx-fallback exit.
 func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 	rep := Report{InvDelta: g, Guess: hi, Guesses: tried, Engine: "approx-fallback"}
 	stats.report(&rep)

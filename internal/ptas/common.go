@@ -3,7 +3,8 @@
 // (Theorems 10/11), non-preemptive (Theorem 14) and preemptive (Theorem 19)
 // Class-Constrained Scheduling.
 //
-// All three follow the paper's dual-approximation shape: pick δ with
+// All three follow the paper's dual-approximation shape, implemented once in
+// runScheme (scheme.go): pick δ with
 // 1/δ ∈ Z from the requested ε, search for the smallest accepted makespan
 // guess T, and per guess (a) simplify the instance by grouping and rounding,
 // (b) encode the existence of a well-structured schedule as a configuration
@@ -11,8 +12,8 @@
 // internal/nfold, and (d) transform a solution back into a feasible
 // schedule with makespan (1+O(δ))T.
 //
-// Deviations from the paper, both documented in DESIGN.md and measured in
-// EXPERIMENTS.md:
+// Deviations from the paper, both recorded in the "Paper-to-code map" of
+// docs/ARCHITECTURE.md:
 //
 //   - The makespan search walks a multiplicative (1+δ) grid between the
 //     certified lower bound and the constant-factor algorithm's makespan

@@ -2,13 +2,14 @@ package ptas
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"math/big"
 	"sort"
 
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
-	"ccsched/internal/trace"
 )
 
 // The non-preemptive PTAS (Section 4.2). Jobs cannot be glued per class, so
@@ -95,10 +96,6 @@ func groupJobs(in *core.Instance, jobs []int, g, t int64) ([]npJob, bool) {
 		}
 	}
 	return out, false
-}
-
-func newNPGuessCtx(in *core.Instance, g, t int64, limit int) (*npGuessCtx, error) {
-	return newNPTemplate(in, g, limit).instantiate(t)
 }
 
 // instantiate performs the per-guess grouping, rounding and enumeration
@@ -197,7 +194,8 @@ func (ctx *npGuessCtx) classList() []int {
 // blocks, and a single B block are shared across all bricks — keeping the
 // augmentation engine's pointer-keyed move cache to one enumeration per
 // distinct shape.
-func (ctx *npGuessCtx) buildNFold(m int64) *nfold.Problem {
+func (ctx *npGuessCtx) buildNFold() *nfold.Problem {
+	m := ctx.in.M
 	nM, nK, nHB, nP := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs), len(ctx.sizes)
 	tWidth := nK + nM + 3*nHB
 	xOff, yOff, zOff, s2Off, s3Off := 0, nK, nK+nM, nK+nM+nHB, nK+nM+2*nHB
@@ -337,114 +335,46 @@ func (r *NonPreemptiveResult) Makespan(in *core.Instance) int64 { return r.Sched
 // so ctx.Err() surfaces within one augmentation iteration or
 // branch-and-bound node.
 func SolveNonPreemptive(ctx context.Context, in *core.Instance, opts Options) (*NonPreemptiveResult, error) {
-	g, err := opts.delta()
+	sched, rep, err := runScheme(ctx, in, opts, npScheme)
 	if err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.CheckFeasible(in); err != nil {
-		return nil, err
-	}
-	// m ≥ n: one job per machine is optimal (p_max).
-	if in.M >= int64(in.N()) {
-		s := &core.NonPreemptiveSchedule{Assign: make([]int64, in.N())}
-		for j := range s.Assign {
-			s.Assign[j] = int64(j)
-		}
-		return &NonPreemptiveResult{Schedule: s, Report: Report{InvDelta: g, Guess: in.PMax()}}, nil
-	}
-	lo, err := lowerBoundInt(in, core.NonPreemptive)
-	if err != nil {
-		return nil, err
-	}
-	apx, err := approx.SolveNonPreemptive(in)
-	if err != nil {
-		return nil, err
-	}
-	hi := apx.Makespan(in)
-	if hi < lo {
-		hi = lo
-	}
-	grid := guessGrid(lo, hi, g)
-	type payload struct {
-		sched  *core.NonPreemptiveSchedule
-		report Report
-	}
-	var stats probeStats
+	return &NonPreemptiveResult{Schedule: sched, Report: rep}, nil
+}
+
+// npScheme never scales: the non-preemptive optimum is integral.
+var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
+	tag: cacheNonPreemptive, variant: core.NonPreemptive,
 	// The non-preemptive template is guess-dependent almost entirely (see
 	// npTemplate), so sessions rebuild it per re-solve — carrying it would
 	// only grow the move cache without reuse — and warm up through the seed,
 	// the certificate and the derived-digest cache instead.
-	tsp := opts.Trace.Child("template_build")
-	tm := newNPTemplate(in, g, opts.maxConfigs())
-	tsp.End()
-	seed, rec := opts.Session.probeSeed(cacheNonPreemptive, g, 1)
-	ssp := opts.Trace.Child("guess_search")
-	opts.Trace = ssp // probes hang their spans off the search span
-	probe := func(pctx context.Context, t int64) (payload, bool, error) {
-		gctx, err := tm.instantiate(t)
+	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
+		return newNPTemplate(in, g, opts.maxConfigs()), nil
+	},
+	approx: func(in *core.Instance) (*core.NonPreemptiveSchedule, error) {
+		apx, err := approx.SolveNonPreemptive(in)
 		if err != nil {
-			return payload{}, false, err
-		}
-		key := probeCacheKey(cacheNonPreemptive,
-			groupedDigest(in.M, in.Slots, g, gctx.sizes, gctx.classList(), gctx.small, gctx.smallUnits, gctx.nUP), g, opts)
-		entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.nf, rec,
-			func() *nfold.Problem { return gctx.buildNFold(in.M) })
-		if err != nil {
-			return payload{}, false, err
-		}
-		if !entry.feasible {
-			return payload{}, false, nil
-		}
-		sched, err := gctx.constructSchedule(entry.x)
-		if err != nil {
-			return payload{}, false, err
-		}
-		return payload{sched, Report{
-			InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
-			TheoreticalCostLog2: entry.costLog2,
-		}}, true, nil
-	}
-	var best payload
-	var guess int64
-	var tried int
-	if opts.Session != nil {
-		best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
-	} else {
-		best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
-	}
-	ssp.End(
-		trace.A("guesses", int64(tried)), trace.A("guess", guess),
-		trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
-		trace.A("seeded", b2i(opts.Session != nil)),
-	)
-	if err == nil {
-		opts.Session.noteSearch(cacheNonPreemptive, g, guess, 1, rec)
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if recoveredPanic(err) {
 			return nil, err
 		}
-		return &NonPreemptiveResult{
-			Schedule: apx.Schedule,
-			Report:   fallbackReport(g, hi, tried, &stats),
-		}, nil
-	}
-	best.report.Guess = guess
-	best.report.Guesses = tried
-	stats.report(&best.report)
-	// Return the better of the PTAS construction and the 7/3 schedule;
-	// both are feasible and the scheme's constants are large for coarse δ.
-	if apx.Makespan(in) < best.sched.Makespan(in) {
-		best.report.Engine = "approx-min"
-		return &NonPreemptiveResult{Schedule: apx.Schedule, Report: best.report}, nil
-	}
-	return &NonPreemptiveResult{Schedule: best.sched, Report: best.report}, nil
+		return apx.Schedule, nil
+	},
+	makespan: func(in *core.Instance, s *core.NonPreemptiveSchedule) *big.Rat {
+		return new(big.Rat).SetInt64(s.Makespan(in))
+	},
+	// m ≥ n: one job per machine is optimal (p_max).
+	shortcut: func(in *core.Instance) *core.NonPreemptiveSchedule {
+		s := &core.NonPreemptiveSchedule{Assign: make([]int64, in.N())}
+		for j := range s.Assign {
+			s.Assign[j] = int64(j)
+		}
+		return s
+	},
+}
+
+// digest keys the feasibility cache (see groupedDigest).
+func (ctx *npGuessCtx) digest() [sha256.Size]byte {
+	return groupedDigest(ctx.in.M, ctx.in.Slots, ctx.g, ctx.sizes, ctx.classList(), ctx.small, ctx.smallUnits, ctx.nUP)
 }
 
 // constructSchedule dissolves configurations into modules into jobs

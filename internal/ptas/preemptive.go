@@ -2,6 +2,7 @@ package ptas
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/big"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
 	"ccsched/internal/rat"
-	"ccsched/internal/trace"
 )
 
 // The preemptive PTAS (Section 4.3). Time is divided into |L| layers of
@@ -109,14 +109,6 @@ func enumerateIntervalConfigs(modules []interval, maxSlots int64, limit int) ([]
 	return out, nil
 }
 
-func newPreGuessCtx(in *core.Instance, g, t int64, limit int) (*preGuessCtx, error) {
-	tm, err := newPreTemplate(in, g, limit)
-	if err != nil {
-		return nil, err
-	}
-	return tm.instantiate(t)
-}
-
 // instantiate performs the per-guess grouping and rounding; the layer
 // geometry and interval-configuration enumeration come from the template.
 func (tm *preTemplate) instantiate(t int64) (*preGuessCtx, error) {
@@ -170,8 +162,6 @@ func (tm *preTemplate) instantiate(t int64) (*preGuessCtx, error) {
 	return ctx, nil
 }
 
-var errGuessTooSmall = fmt.Errorf("ptas: guess below the largest job")
-
 func (ctx *preGuessCtx) classList() []int {
 	var out []int
 	for u := range ctx.jobs {
@@ -188,7 +178,8 @@ func (ctx *preGuessCtx) classList() []int {
 // per-rounded-load small blocks, and one B block are shared by all bricks —
 // and, because the block values reference sizes only by index, by every
 // probe whose distinct-size count matches (see preTemplate.blocksFor).
-func (ctx *preGuessCtx) buildNFold(m int64) *nfold.Problem {
+func (ctx *preGuessCtx) buildNFold() *nfold.Problem {
+	m := ctx.in.M
 	nM, nK, nHB, nP, nL := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs), len(ctx.sizes), ctx.layers
 	// Brick layout: [x_K | y_M | z_hb | s2_hb | s3_hb | a_{p,ℓ}].
 	tWidth := nK + nM + 3*nHB + nP*nL
@@ -267,137 +258,44 @@ func (r *PreemptiveResult) Makespan() *big.Rat { return r.Schedule.Makespan() }
 // makespan-guess search — including in-flight N-fold solves — so ctx.Err()
 // surfaces within one augmentation iteration or branch-and-bound node.
 func SolvePreemptive(ctx context.Context, in *core.Instance, opts Options) (*PreemptiveResult, error) {
-	g, err := opts.delta()
+	sched, rep, err := runScheme(ctx, in, opts, preScheme)
 	if err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.CheckFeasible(in); err != nil {
-		return nil, err
-	}
+	return &PreemptiveResult{Schedule: sched, Report: rep}, nil
+}
+
+// preScheme is the Theorem 19 scheme; its instantiate rejects a guess below
+// the largest job with errGuessTooSmall.
+var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
+	tag: cachePreemptive, variant: core.Preemptive,
+	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
+		return preTemplateFor(opts.Session, in, g, opts.maxConfigs())
+	},
+	approx: func(in *core.Instance) (*core.PreemptiveSchedule, error) {
+		apx, err := approx.SolvePreemptive(in)
+		if err != nil {
+			return nil, err
+		}
+		return apx.Schedule, nil
+	},
+	makespan: func(_ *core.Instance, s *core.PreemptiveSchedule) *big.Rat { return s.Makespan() },
 	// m ≥ n: one job per machine is optimal (p_max).
-	if in.M >= int64(in.N()) {
+	shortcut: func(in *core.Instance) *core.PreemptiveSchedule {
 		sched := &core.PreemptiveSchedule{}
 		for j := range in.P {
 			sched.Pieces = append(sched.Pieces, core.PreemptivePiece{
 				Job: j, Machine: int64(j), Size: rat.FromInt(in.P[j]),
 			})
 		}
-		return &PreemptiveResult{Schedule: sched, Report: Report{InvDelta: g, Guess: in.PMax()}}, nil
-	}
-	// The preemptive optimum is rational; keep the integral guess grid
-	// (1+δ)-fine relative to OPT by scaling small instances up.
-	lbRat, err := core.LowerBound(in, core.Preemptive)
-	if err != nil {
-		return nil, err
-	}
-	if scale := scaleFactor(lbRat, in.PMax(), 4*g*g); scale > 1 {
-		res, err := solvePreemptiveScaled(ctx, scaleInstance(in, scale), g, scale, opts)
-		if err != nil {
-			return nil, err
-		}
-		descalePreemptive(res, scale)
-		return res, nil
-	}
-	return solvePreemptiveScaled(ctx, in, g, 1, opts)
+		return sched
+	},
+	descale: descalePreemptive,
 }
 
-// solvePreemptiveScaled runs the guess search on the (possibly scaled)
-// instance; scale is recorded with session seeds so later re-solves under a
-// different scaling rescale the seed guess.
-func solvePreemptiveScaled(ctx context.Context, in *core.Instance, g, scale int64, opts Options) (*PreemptiveResult, error) {
-	lo, err := lowerBoundInt(in, core.Preemptive)
-	if err != nil {
-		return nil, err
-	}
-	apx, err := approx.SolvePreemptive(in)
-	if err != nil {
-		return nil, err
-	}
-	hi := ceilRat(apx.Makespan())
-	if hi < lo {
-		hi = lo
-	}
-	grid := guessGrid(lo, hi, g)
-	type payload struct {
-		sched  *core.PreemptiveSchedule
-		report Report
-	}
-	var stats probeStats
-	tried := 0
-	tsp := opts.Trace.Child("template_build")
-	tm, err := preTemplateFor(opts.Session, in, g, opts.maxConfigs())
-	tsp.End()
-	var best payload
-	var guess int64
-	if err == nil {
-		seed, rec := opts.Session.probeSeed(cachePreemptive, g, scale)
-		ssp := opts.Trace.Child("guess_search")
-		opts.Trace = ssp // probes hang their spans off the search span
-		probe := func(pctx context.Context, t int64) (payload, bool, error) {
-			gctx, err := tm.instantiate(t)
-			if err == errGuessTooSmall {
-				return payload{}, false, nil
-			}
-			if err != nil {
-				return payload{}, false, err
-			}
-			key := probeCacheKey(cachePreemptive,
-				groupedDigest(in.M, in.Slots, g, gctx.sizes, gctx.classList(), gctx.small, gctx.smallUnits, gctx.nUP), g, opts)
-			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.nf, rec,
-				func() *nfold.Problem { return gctx.buildNFold(in.M) })
-			if err != nil {
-				return payload{}, false, err
-			}
-			if !entry.feasible {
-				return payload{}, false, nil
-			}
-			sched, err := gctx.constructSchedule(entry.x)
-			if err != nil {
-				return payload{}, false, err
-			}
-			return payload{sched, Report{
-				InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
-				TheoreticalCostLog2: entry.costLog2,
-			}}, true, nil
-		}
-		if opts.Session != nil {
-			best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
-		} else {
-			best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
-		}
-		ssp.End(
-			trace.A("guesses", int64(tried)), trace.A("guess", guess),
-			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
-			trace.A("seeded", b2i(opts.Session != nil)),
-		)
-		if err == nil {
-			opts.Session.noteSearch(cachePreemptive, g, guess, scale, rec)
-		}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if recoveredPanic(err) {
-			return nil, err
-		}
-		return &PreemptiveResult{
-			Schedule: apx.Schedule,
-			Report:   fallbackReport(g, hi, tried, &stats),
-		}, nil
-	}
-	best.report.Guess = guess
-	best.report.Guesses = tried
-	stats.report(&best.report)
-	// Return the better of the PTAS construction and the 2-approximation.
-	if apx.Makespan().Cmp(best.sched.Makespan()) < 0 {
-		best.report.Engine = "approx-min"
-		return &PreemptiveResult{Schedule: apx.Schedule, Report: best.report}, nil
-	}
-	return &PreemptiveResult{Schedule: best.sched, Report: best.report}, nil
+// digest keys the feasibility cache (see groupedDigest).
+func (ctx *preGuessCtx) digest() [sha256.Size]byte {
+	return groupedDigest(ctx.in.M, ctx.in.Slots, ctx.g, ctx.sizes, ctx.classList(), ctx.small, ctx.smallUnits, ctx.nUP)
 }
 
 // constructSchedule realizes the N-fold solution: configurations onto

@@ -43,9 +43,6 @@ func scaleInstance(in *core.Instance, s int64) *core.Instance {
 // rat.R values, which are immutable), so it is rebuilt from the descaled
 // explicit schedule when present.
 func descaleSplit(res *SplitResult, s int64) {
-	if s == 1 {
-		return
-	}
 	if res.Schedule != nil {
 		for i := range res.Schedule.Pieces {
 			res.Schedule.Pieces[i].Size = res.Schedule.Pieces[i].Size.DivInt(s)
@@ -60,13 +57,10 @@ func descaleSplit(res *SplitResult, s int64) {
 	}
 }
 
-// descalePreemptive rescales a preemptive result.
-func descalePreemptive(res *PreemptiveResult, s int64) {
-	if s == 1 {
-		return
-	}
-	for i := range res.Schedule.Pieces {
-		res.Schedule.Pieces[i].Start = res.Schedule.Pieces[i].Start.DivInt(s)
-		res.Schedule.Pieces[i].Size = res.Schedule.Pieces[i].Size.DivInt(s)
+// descalePreemptive rescales a preemptive schedule.
+func descalePreemptive(sched *core.PreemptiveSchedule, s int64) {
+	for i := range sched.Pieces {
+		sched.Pieces[i].Start = sched.Pieces[i].Start.DivInt(s)
+		sched.Pieces[i].Size = sched.Pieces[i].Size.DivInt(s)
 	}
 }

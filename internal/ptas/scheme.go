@@ -1,0 +1,186 @@
+package ptas
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math/big"
+
+	"ccsched/internal/core"
+	"ccsched/internal/nfold"
+	"ccsched/internal/trace"
+)
+
+// scheme describes one PTAS variant to runScheme. G is its per-guess state,
+// S the schedule it returns.
+type scheme[G guess[S], S any] struct {
+	// tag separates the variant's cache keys and session seeds.
+	tag byte
+	// variant selects the certified lower bound.
+	variant core.Variant
+	// template builds the guess-independent state of one search.
+	template func(in *core.Instance, g int64, opts Options) (guessTemplate[G], error)
+	// approx is the constant-factor algorithm: it sets the top of the guess
+	// grid and is the fallback and the best-of floor.
+	approx   func(in *core.Instance) (S, error)
+	makespan func(in *core.Instance, s S) *big.Rat
+	// shortcut, when set, returns the optimal one-job-per-machine schedule
+	// for m ≥ n. The splittable scheme has none: its optimum can lie below
+	// p_max.
+	shortcut func(in *core.Instance) S
+	// descale, when set, marks a rational optimum: the instance is scaled
+	// so the integral guess grid is (1+δ)-fine relative to OPT (scale.go),
+	// and descale maps the schedule back.
+	descale func(s S, scale int64)
+}
+
+// guessTemplate is a scheme's guess-independent state.
+type guessTemplate[G any] interface {
+	// instantiate groups and rounds the instance at guess t. It returns
+	// errGuessTooSmall to reject t without building an N-fold.
+	instantiate(t int64) (G, error)
+	// engines is the nfold.Template every probe of the search shares.
+	engines() *nfold.Template
+}
+
+// guess is one instantiated makespan guess.
+type guess[S any] interface {
+	// digest hashes everything buildNFold reads (see cacheKey).
+	digest() [sha256.Size]byte
+	buildNFold() *nfold.Problem
+	// constructSchedule realizes an N-fold solution as a schedule.
+	constructSchedule(x [][]int64) (S, error)
+}
+
+// errGuessTooSmall rejects a guess below which a single job cannot fit.
+var errGuessTooSmall = fmt.Errorf("ptas: guess below the largest job")
+
+// accepted is the outcome of an accepted probe.
+type accepted[S any] struct {
+	sched  S
+	report Report
+}
+
+// runScheme is the dual-approximation driver of every scheme: it brackets
+// the makespan between the certified lower bound and the constant-factor
+// schedule, searches the (1+δ) guess grid with one configuration N-fold per
+// guess, and returns the better of the scheme's schedule and the
+// constant-factor one — or the constant-factor one alone when no guess is
+// accepted within budget. Cancelling ctx stops in-flight N-fold solves at
+// their next iteration boundary and returns ctx.Err(); a recovered engine
+// panic is returned, never masked by the fallback.
+func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S]) (S, Report, error) {
+	var none S
+	g, err := opts.delta()
+	if err != nil {
+		return none, Report{}, err
+	}
+	if err := in.Validate(); err != nil {
+		return none, Report{}, err
+	}
+	if err := core.CheckFeasible(in); err != nil {
+		return none, Report{}, err
+	}
+	if sc.shortcut != nil && in.M >= int64(in.N()) {
+		return sc.shortcut(in), Report{InvDelta: g, Guess: in.PMax()}, nil
+	}
+	// scale is recorded with session seeds, so a re-solve under a different
+	// scaling rescales the seed guess.
+	scale := int64(1)
+	if sc.descale != nil {
+		lb, err := core.LowerBound(in, sc.variant)
+		if err != nil {
+			return none, Report{}, err
+		}
+		if scale = scaleFactor(lb, in.PMax(), 4*g*g); scale > 1 {
+			in = scaleInstance(in, scale)
+		}
+	}
+	lo, err := lowerBoundInt(in, sc.variant)
+	if err != nil {
+		return none, Report{}, err
+	}
+	apx, err := sc.approx(in)
+	if err != nil {
+		return none, Report{}, err
+	}
+	apxMakespan := sc.makespan(in, apx)
+	hi := ceilRat(apxMakespan)
+	if hi < lo {
+		hi = lo
+	}
+	grid := guessGrid(lo, hi, g)
+	var stats probeStats
+	var best accepted[S]
+	var guess int64
+	tried := 0
+	tsp := opts.Trace.Child("template_build")
+	tm, err := sc.template(in, g, opts)
+	tsp.End()
+	if err == nil {
+		seed, rec := opts.Session.probeSeed(sc.tag, g, scale)
+		ssp := opts.Trace.Child("guess_search")
+		opts.Trace = ssp // probes hang their spans off the search span
+		probe := func(pctx context.Context, t int64) (accepted[S], bool, error) {
+			gc, err := tm.instantiate(t)
+			if err == errGuessTooSmall {
+				return accepted[S]{}, false, nil
+			}
+			if err != nil {
+				return accepted[S]{}, false, err
+			}
+			key := probeCacheKey(sc.tag, gc.digest(), g, opts)
+			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.engines(), rec, gc.buildNFold)
+			if err != nil || !entry.feasible {
+				return accepted[S]{}, false, err
+			}
+			sched, err := gc.constructSchedule(entry.x)
+			if err != nil {
+				return accepted[S]{}, false, err
+			}
+			return accepted[S]{sched, Report{
+				InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
+				TheoreticalCostLog2: entry.costLog2,
+			}}, true, nil
+		}
+		if opts.Session != nil {
+			best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
+		} else {
+			best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
+		}
+		ssp.End(
+			trace.A("guesses", int64(tried)), trace.A("guess", guess),
+			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
+			trace.A("seeded", b2i(opts.Session != nil)),
+		)
+		if err == nil {
+			opts.Session.noteSearch(sc.tag, g, guess, scale, rec)
+		}
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			return none, Report{}, ctx.Err()
+		}
+		if recoveredPanic(err) {
+			return none, Report{}, err
+		}
+		// Degrade gracefully: the constant-factor schedule is always
+		// available when every guess is rejected within budget or the
+		// configuration enumeration exceeds its limit.
+		best = accepted[S]{apx, fallbackReport(g, hi, tried, &stats)}
+	} else {
+		best.report.Guess = guess
+		best.report.Guesses = tried
+		stats.report(&best.report)
+		// The accepted guess's schedule may be worse than the
+		// constant-factor one (the scheme's constants are large for coarse
+		// δ); both are feasible, so return the better one.
+		if apxMakespan.Cmp(sc.makespan(in, best.sched)) < 0 {
+			best.sched, best.report.Engine = apx, "approx-min"
+		}
+	}
+	if scale > 1 {
+		sc.descale(best.sched, scale)
+	}
+	return best.sched, best.report, nil
+}

@@ -2,6 +2,7 @@ package ptas
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/big"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
 	"ccsched/internal/rat"
-	"ccsched/internal/trace"
 )
 
 // The splittable PTAS (Section 4.1). Working in units of δ²T/c makes every
@@ -33,6 +33,7 @@ type splitGuessCtx struct {
 	in    *core.Instance
 	g     int64 // 1/δ
 	t     int64 // the guess T
+	m     int64 // machines the N-fold covers (fewer on the huge-m path)
 	cStar int64
 	// loads per class and large/small classification (ξ_u = 1 iff small).
 	loads   []int64
@@ -94,17 +95,6 @@ func enumerateConfigs(modules []int64, maxSize, maxSlots int64, limit int) ([]co
 	return out, nil
 }
 
-// newSplitGuessCtx performs grouping and rounding for one guess on a fresh
-// one-shot template; search loops build one template and instantiate it per
-// guess instead.
-func newSplitGuessCtx(in *core.Instance, g, t int64, limit int) (*splitGuessCtx, error) {
-	tm, err := newSplitTemplate(in, g, limit)
-	if err != nil {
-		return nil, err
-	}
-	return tm.instantiate(t)
-}
-
 // ceilDivBig returns ⌈a·b/d⌉ using big arithmetic to dodge overflow.
 func ceilDivBig(a, b, d int64) int64 {
 	num := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
@@ -121,8 +111,8 @@ func ceilDivBig(a, b, d int64) int64 {
 // classes alias per-rounded-load patched blocks, and all bricks share one B
 // block — so identical bricks are pointer-identical and the augmentation
 // engine's move cache enumerates each distinct shape once per search.
-func (ctx *splitGuessCtx) buildNFold(m int64) *nfold.Problem {
-	tm := ctx.tm
+func (ctx *splitGuessCtx) buildNFold() *nfold.Problem {
+	tm, m := ctx.tm, ctx.m
 	nM, nK, nHB := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs)
 	// Brick layout: [x_K | y_q | z_hb | s2_hb | s3_hb].
 	tWidth := nK + nM + 3*nHB
@@ -196,139 +186,59 @@ const DefaultHugeMThreshold int64 = 1 << 16
 // which poll it at iteration boundaries — making ctx.Err() surface within
 // one augmentation iteration or branch-and-bound node.
 func SolveSplittable(ctx context.Context, in *core.Instance, opts Options) (*SplitResult, error) {
-	g, err := opts.delta()
+	var res *SplitResult
+	var rep Report
+	var err error
+	if in.M > opts.hugeMThreshold() {
+		res, rep, err = runScheme(ctx, in, opts, hugeScheme)
+	} else {
+		res, rep, err = runScheme(ctx, in, opts, splitScheme)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if err := core.CheckFeasible(in); err != nil {
-		return nil, err
-	}
-	// The splittable optimum is rational and may be far below 1 (huge m);
-	// scale so the integral guess grid is (1+δ)-fine relative to OPT.
-	lbRat, err := core.LowerBound(in, core.Splittable)
-	if err != nil {
-		return nil, err
-	}
-	if scale := scaleFactor(lbRat, in.PMax(), 4*g*g); scale > 1 {
-		res, err := solveSplittableAnyM(ctx, scaleInstance(in, scale), g, scale, opts)
+	res.Report = rep
+	return res, nil
+}
+
+// splitScheme is the Theorem 10 scheme. Above the explicit-machine limit the
+// 2-approximation is compact-only, and so are its fallback and best-of exits.
+var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
+	tag: cacheSplit, variant: core.Splittable,
+	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
+		return splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
+	},
+	approx: func(in *core.Instance) (*SplitResult, error) {
+		apx, err := approx.SolveSplittable(in)
 		if err != nil {
 			return nil, err
 		}
-		descaleSplit(res, scale)
-		return res, nil
-	}
-	return solveSplittableAnyM(ctx, in, g, 1, opts)
+		return &SplitResult{Schedule: apx.Explicit, Compact: apx.Compact}, nil
+	},
+	makespan: splitMakespan,
+	descale:  descaleSplit,
 }
 
-func solveSplittableAnyM(ctx context.Context, in *core.Instance, g, scale int64, opts Options) (*SplitResult, error) {
-	if in.M > opts.hugeMThreshold() {
-		return solveSplittableHuge(ctx, in, g, scale, opts)
-	}
-	lo, err := lowerBoundInt(in, core.Splittable)
+func splitMakespan(_ *core.Instance, r *SplitResult) *big.Rat { return r.Makespan() }
+
+// digest keys the feasibility cache (see splitDigest).
+func (ctx *splitGuessCtx) digest() [sha256.Size]byte {
+	return splitDigest(ctx.m, ctx.in.Slots, ctx.g, ctx.tm.classes, ctx.pUnits, ctx.small)
+}
+
+// constructSchedule realizes an N-fold solution as a splittable result.
+func (ctx *splitGuessCtx) constructSchedule(x [][]int64) (*SplitResult, error) {
+	sched, err := ctx.explicitSchedule(x)
 	if err != nil {
 		return nil, err
 	}
-	apx, err := approx.SolveSplittable(in)
-	if err != nil {
-		return nil, err
-	}
-	hi := ceilRat(apx.Makespan())
-	if hi < lo {
-		hi = lo
-	}
-	grid := guessGrid(lo, hi, g)
-	type payload struct {
-		sched  *core.SplitSchedule
-		report Report
-	}
-	var stats probeStats
-	tried := 0
-	tsp := opts.Trace.Child("template_build")
-	tm, err := splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
-	tsp.End()
-	if err == nil {
-		seed, rec := opts.Session.probeSeed(cacheSplit, g, scale)
-		ssp := opts.Trace.Child("guess_search")
-		opts.Trace = ssp // probes hang their spans off the search span
-		probe := func(pctx context.Context, t int64) (payload, bool, error) {
-			gctx, err := tm.instantiate(t)
-			if err != nil {
-				return payload{}, false, err
-			}
-			key := probeCacheKey(cacheSplit, splitDigest(in.M, in.Slots, g, tm.classes, gctx.pUnits, gctx.small), g, opts)
-			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.nf, rec,
-				func() *nfold.Problem { return gctx.buildNFold(in.M) })
-			if err != nil {
-				return payload{}, false, err
-			}
-			if !entry.feasible {
-				return payload{}, false, nil
-			}
-			sched, err := gctx.constructSchedule(entry.x)
-			if err != nil {
-				return payload{}, false, err
-			}
-			return payload{sched, Report{
-				InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
-				TheoreticalCostLog2: entry.costLog2,
-			}}, true, nil
-		}
-		var best payload
-		var guess int64
-		if opts.Session != nil {
-			best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
-		} else {
-			best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
-		}
-		ssp.End(
-			trace.A("guesses", int64(tried)), trace.A("guess", guess),
-			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
-			trace.A("seeded", b2i(opts.Session != nil)),
-		)
-		if err == nil {
-			opts.Session.noteSearch(cacheSplit, g, guess, scale, rec)
-			best.report.Guess = guess
-			best.report.Guesses = tried
-			stats.report(&best.report)
-			// The grid search may accept a guess whose constructed schedule
-			// is worse than the 2-approximation (the scheme's constants are
-			// large for coarse δ); both schedules are feasible, so return
-			// the better one.
-			if apx.Explicit != nil && apx.Makespan().Cmp(best.sched.Makespan()) < 0 {
-				best.report.Engine = "approx-min"
-				return &SplitResult{Schedule: apx.Explicit, Compact: apx.Compact, Report: best.report}, nil
-			}
-			return &SplitResult{
-				Schedule: best.sched,
-				Compact:  core.FromSplit(best.sched),
-				Report:   best.report,
-			}, nil
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
-	}
-	if recoveredPanic(err) {
-		return nil, err
-	}
-	// Degrade gracefully: the 2-approximation schedule is always available
-	// when every guess is rejected within budget (or the configuration
-	// enumeration exceeds its limit).
-	if apx.Explicit != nil {
-		rep := Report{InvDelta: g, Guess: hi, Guesses: tried, Engine: "approx-fallback"}
-		stats.report(&rep)
-		return &SplitResult{Schedule: apx.Explicit, Compact: apx.Compact, Report: rep}, nil
-	}
-	return nil, err
+	return &SplitResult{Schedule: sched, Compact: core.FromSplit(sched)}, nil
 }
 
-// constructSchedule realizes an N-fold solution as an explicit splittable
+// explicitSchedule realizes an N-fold solution as an explicit splittable
 // schedule: configurations onto machines, modules into configuration slots,
 // original job mass into module slots, small classes by round robin.
-func (ctx *splitGuessCtx) constructSchedule(x [][]int64) (*core.SplitSchedule, error) {
+func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, error) {
 	in := ctx.in
 	nM, nK, nHB := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs)
 	xOff, yOff, zOff := 0, nK, nK+nM
@@ -499,9 +409,13 @@ func BuildSplittableNFold(in *core.Instance, epsilon float64) (*nfold.Problem, e
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := newSplitGuessCtx(in, g, lo, Options{}.maxConfigs())
+	tm, err := newSplitTemplate(in, g, Options{}.maxConfigs())
 	if err != nil {
 		return nil, err
 	}
-	return ctx.buildNFold(in.M), nil
+	ctx, err := tm.instantiate(lo)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.buildNFold(), nil
 }

@@ -1,14 +1,11 @@
 package ptas
 
 import (
-	"context"
 	"fmt"
 
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
-	"ccsched/internal/nfold"
 	"ccsched/internal/rat"
-	"ccsched/internal/trace"
 )
 
 // Theorem 11: splittable PTAS for machine counts exponential in n. The
@@ -29,92 +26,45 @@ import (
 // The reserve of (C + 1/δ + 4) machines per class keeps the residual loads
 // large so classification (large/small) is unchanged.
 
-func solveSplittableHuge(ctx context.Context, in *core.Instance, g, scale int64, opts Options) (*SplitResult, error) {
-	lo, err := lowerBoundInt(in, core.Splittable)
-	if err != nil {
-		return nil, err
-	}
-	apx, err := approx.SolveSplittable(in)
-	if err != nil {
-		return nil, err
-	}
-	hi := ceilRat(apx.Makespan())
-	if hi < lo {
-		hi = lo
-	}
-	grid := guessGrid(lo, hi, g)
-	type payload struct {
-		sched  *core.CompactSplitSchedule
-		report Report
-	}
-	var stats probeStats
-	tried := 0
-	tsp := opts.Trace.Child("template_build")
-	tm, err := splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
-	tsp.End()
-	var best payload
-	var guess int64
-	if err == nil {
-		seed, rec := opts.Session.probeSeed(cacheSplitHuge, g, scale)
-		ssp := opts.Trace.Child("guess_search")
-		opts.Trace = ssp // probes hang their spans off the search span
-		probe := func(pctx context.Context, t int64) (payload, bool, error) {
-			sched, rep, ok, err := solveHugeGuess(pctx, in, g, t, opts, tm, rec, &stats)
-			if err != nil || !ok {
-				return payload{}, false, err
-			}
-			return payload{sched, rep}, true, nil
-		}
-		if opts.Session != nil {
-			best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
-		} else {
-			best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
-		}
-		ssp.End(
-			trace.A("guesses", int64(tried)), trace.A("guess", guess),
-			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
-			trace.A("seeded", b2i(opts.Session != nil)),
-		)
-		if err == nil {
-			opts.Session.noteSearch(cacheSplitHuge, g, guess, scale, rec)
-		}
-	}
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if recoveredPanic(err) {
+// hugeScheme is the Theorem 11 treatment: splitScheme's template probed
+// through the peeling above, with compact-only schedules throughout — the
+// 2-approximation's included, even when it has an explicit form.
+var hugeScheme = scheme[*hugeGuess, *SplitResult]{
+	tag: cacheSplitHuge, variant: core.Splittable,
+	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*hugeGuess], error) {
+		tm, err := splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
+		return hugeTemplate{tm}, err
+	},
+	approx: func(in *core.Instance) (*SplitResult, error) {
+		apx, err := approx.SolveSplittable(in)
+		if err != nil {
 			return nil, err
 		}
-		// Degrade gracefully to the 2-approximation's compact schedule.
-		rep := Report{InvDelta: g, Guess: hi, Guesses: tried, Engine: "approx-fallback"}
-		stats.report(&rep)
-		return &SplitResult{Compact: apx.Compact, Report: rep}, nil
-	}
-	best.report.Guess = guess
-	best.report.Guesses = tried
-	stats.report(&best.report)
-	// Best-of floor: never worse than the 2-approximation.
-	if apx.Makespan().Cmp(best.sched.Makespan()) < 0 {
-		best.report.Engine = "approx-min"
-		return &SplitResult{Compact: apx.Compact, Report: best.report}, nil
-	}
-	return &SplitResult{Compact: best.sched, Report: best.report}, nil
+		return &SplitResult{Compact: apx.Compact}, nil
+	},
+	makespan: splitMakespan,
+	descale:  descaleSplit,
 }
 
-func solveHugeGuess(pctx context.Context, in *core.Instance, g, t int64, opts Options, tm *splitTemplate, rec *sessionRecorder, stats *probeStats) (*core.CompactSplitSchedule, Report, bool, error) {
-	ctx, err := tm.instantiate(t)
-	if err != nil {
-		return nil, Report{}, false, err
-	}
-	cUnits := int64(in.Slots)
-	// Trivial machines are filled to exactly T (not T̄): they live outside
-	// the N-fold, so nothing forces the largest module, and a level of T
-	// keeps their contribution to the makespan at the guess itself.
-	fullCap := g * g * cUnits        // T in δ²T/c units
-	unit := rat.Frac(t, g*g*cUnits)  // δ²T/c as an exact rational
-	fullLoad := unit.MulInt(fullCap) // = T
+// hugeTemplate instantiates the splittable template with trivial machines
+// peeled off.
+type hugeTemplate struct{ *splitTemplate }
 
+// hugeGuess is a splittable guess whose N-fold covers only the residual
+// machines; full[u] machines are filled with class u alone.
+type hugeGuess struct {
+	*splitGuessCtx
+	full []int64
+}
+
+func (tm hugeTemplate) instantiate(t int64) (*hugeGuess, error) {
+	ctx, err := tm.splitTemplate.instantiate(t)
+	if err != nil {
+		return nil, err
+	}
+	in, g := tm.in, tm.g
+	cUnits := int64(in.Slots)
+	fullCap := g * g * cUnits // T in δ²T/c units
 	cc := int64(0)
 	for _, pu := range ctx.loads {
 		if pu > 0 {
@@ -140,46 +90,47 @@ func solveHugeGuess(pctx context.Context, in *core.Instance, g, t int64, opts Op
 		residUnits += ctx.pUnits[u]
 	}
 	if fullTotal >= in.M {
-		return nil, Report{}, false, fmt.Errorf("ptas: trivial machines %d exceed m", fullTotal)
+		return nil, fmt.Errorf("ptas: trivial machines %d exceed m", fullTotal)
 	}
 	// Residual machine bound: modules occupy at least δT = g·c units each,
 	// so at most residUnits/(g·c) module slots are usable, plus one machine
 	// per small class and slack for idle configurations.
-	mResid := in.M - fullTotal
-	if cap := residUnits/(g*cUnits) + cc + 2; mResid > cap {
-		mResid = cap
+	ctx.m = in.M - fullTotal
+	if cap := residUnits/(g*cUnits) + cc + 2; ctx.m > cap {
+		ctx.m = cap
 	}
-	// The N-fold (and mResid) is a deterministic function of (in, g, t), so
-	// the verdict caches under the huge-path tag like an ordinary probe; the
-	// digest covers the peeled rounded loads and the residual machine count
-	// the residual N-fold is actually built from.
-	key := probeCacheKey(cacheSplitHuge, splitDigest(mResid, in.Slots, g, tm.classes, ctx.pUnits, ctx.small), g, opts)
-	entry, err := solveGuessCached(pctx, opts, key, t, stats, tm.nf, rec,
-		func() *nfold.Problem { return ctx.buildNFold(mResid) })
-	if err != nil {
-		return nil, Report{}, false, err
-	}
-	if !entry.feasible {
-		return nil, Report{}, false, nil
-	}
+	// The N-fold (and the residual machine count) is a deterministic
+	// function of (in, g, t), so the verdict caches under the huge-path tag
+	// like an ordinary probe; the digest covers the peeled rounded loads and
+	// the residual machine count the residual N-fold is actually built from.
+	return &hugeGuess{splitGuessCtx: ctx, full: full}, nil
+}
+
+// constructSchedule merges the run-length full machines with the residual
+// N-fold's explicit schedule into one compact schedule.
+func (h *hugeGuess) constructSchedule(x [][]int64) (*SplitResult, error) {
+	in := h.in
+	// Trivial machines are filled to exactly T (not T̄): they live outside
+	// the N-fold, so nothing forces the largest module, and a level of T
+	// keeps their contribution to the makespan at the guess itself.
+	fullLoad := rat.FromInt(h.t)
 	// Construct the residual explicit schedule, with job mass reduced by
 	// what the full machines absorb. We fill each class's jobs into the
 	// full machines first and pass the remainder through the ordinary
 	// construction by using a reduced copy of the instance.
 	reduced := in.Clone()
-	reduced.M = mResid
+	reduced.M = h.m
 	sched := &core.CompactSplitSchedule{}
 	byClass := in.ClassJobs()
-	// jobOffsets[j] tracks how much of job j the full machines consumed.
-	for u, f := range full {
+	for u, f := range h.full {
 		if f == 0 {
 			continue
 		}
-		// Fill f*T̄ of class u's mass into run-length full machines.
+		// Fill f*T of class u's mass into run-length full machines.
 		budget := fullLoad.MulInt(f)
 		groups, consumed, err := fillRunLength(in, byClass[u], budget, fullLoad)
 		if err != nil {
-			return nil, Report{}, false, err
+			return nil, err
 		}
 		sched.Groups = append(sched.Groups, groups...)
 		for j, amt := range consumed {
@@ -187,14 +138,14 @@ func solveHugeGuess(pctx context.Context, in *core.Instance, g, t int64, opts Op
 			// keep a zero remainder and are dropped below.
 			rem, ok := rat.FromInt(in.P[j]).Sub(amt).Int64()
 			if !ok {
-				return nil, Report{}, false, fmt.Errorf("ptas: non-integral residual for job %d", j)
+				return nil, fmt.Errorf("ptas: non-integral residual for job %d", j)
 			}
 			reduced.P[j] = rem
 		}
 	}
 	// Drop zero jobs from the residual instance, remembering the mapping.
 	var remap []int
-	resid := &core.Instance{M: mResid, Slots: in.Slots}
+	resid := &core.Instance{M: h.m, Slots: in.Slots}
 	for j := range reduced.P {
 		if reduced.P[j] > 0 {
 			remap = append(remap, j)
@@ -202,29 +153,20 @@ func solveHugeGuess(pctx context.Context, in *core.Instance, g, t int64, opts Op
 			resid.Class = append(resid.Class, reduced.Class[j])
 		}
 	}
-	// The residual construction reuses ctx (its pUnits were reduced), but
-	// job indices must be the residual instance's.
-	rctx := *ctx
+	// The residual construction reuses the guess (its pUnits were reduced),
+	// but job indices must be the residual instance's.
+	rctx := *h.splitGuessCtx
 	rctx.in = resid
 	rctx.loads = resid.ClassLoads()
-	for len(rctx.loads) < len(ctx.loads) {
+	for len(rctx.loads) < len(h.loads) {
 		rctx.loads = append(rctx.loads, 0)
 	}
-	explicit, err := rctx.constructSchedule(entry.x)
+	explicit, err := rctx.explicitSchedule(x)
 	if err != nil {
-		return nil, Report{}, false, err
+		return nil, err
 	}
-	for _, pc := range explicit.Pieces {
-		sched.Groups = append(sched.Groups, core.MachineGroup{
-			Count:  1,
-			Pieces: []core.GroupPiece{{Job: remap[pc.Job], Size: pc.Size}},
-		})
-	}
-	rep := Report{
-		InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
-		TheoreticalCostLog2: entry.costLog2,
-	}
-	return mergeSingletonGroups(sched, explicit, remap, mResid), rep, true, nil
+	appendMachineGroups(sched, explicit, remap)
+	return &SplitResult{Compact: sched}, nil
 }
 
 // fillRunLength cuts the given jobs' mass (up to budget) into machines of
@@ -286,14 +228,10 @@ func fillRunLength(in *core.Instance, jobs []int, budget, machineLoad rat.R) ([]
 	return out, consumed, nil
 }
 
-// mergeSingletonGroups collapses the explicit residual pieces back into
-// per-machine groups (the naive one-group-per-piece form would duplicate
-// machines).
-func mergeSingletonGroups(sched *core.CompactSplitSchedule, explicit *core.SplitSchedule, remap []int, mResid int64) *core.CompactSplitSchedule {
-	// Remove the piece-wise groups appended by the caller (they are the
-	// tail: len(explicit.Pieces) entries) and rebuild them machine-wise.
-	n := len(sched.Groups) - len(explicit.Pieces)
-	sched.Groups = sched.Groups[:n]
+// appendMachineGroups appends the explicit residual pieces to sched as one
+// single-machine group per residual machine, mapping job indices back
+// through remap.
+func appendMachineGroups(sched *core.CompactSplitSchedule, explicit *core.SplitSchedule, remap []int) {
 	perMachine := make(map[int64][]core.GroupPiece)
 	var order []int64
 	for _, pc := range explicit.Pieces {
@@ -307,5 +245,4 @@ func mergeSingletonGroups(sched *core.CompactSplitSchedule, explicit *core.Split
 	for _, mi := range order {
 		sched.Groups = append(sched.Groups, core.MachineGroup{Count: 1, Pieces: perMachine[mi]})
 	}
-	return sched
 }

@@ -197,6 +197,10 @@ type npTemplate struct {
 	nf      *nfold.Template
 }
 
+func (tm *splitTemplate) engines() *nfold.Template { return tm.nf }
+func (tm *npTemplate) engines() *nfold.Template    { return tm.nf }
+func (tm *preTemplate) engines() *nfold.Template   { return tm.nf }
+
 func newNPTemplate(in *core.Instance, g int64, limit int) *npTemplate {
 	return &npTemplate{in: in, g: g, limit: limit, byClass: in.ClassJobs(), nf: nfold.NewTemplate()}
 }
@@ -376,7 +380,7 @@ func newPreTemplate(in *core.Instance, g int64, limit int) (*preTemplate, error)
 // guess-independent structure. The returned context is private to its probe.
 func (tm *splitTemplate) instantiate(t int64) (*splitGuessCtx, error) {
 	ctx := &splitGuessCtx{
-		in: tm.in, g: tm.g, t: t, cStar: tm.cStar,
+		in: tm.in, g: tm.g, t: t, m: tm.in.M, cStar: tm.cStar,
 		loads:   tm.loads,
 		modules: tm.modules, configs: tm.configs,
 		hbPairs: tm.hbPairs, hbIndex: tm.hbIndex,

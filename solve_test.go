@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ccsched"
+	"ccsched/internal/ptas"
 )
 
 // solveTestInstance builds a moderate uniform instance per variant.
@@ -100,9 +101,9 @@ func TestSolveParityWithWrappers(t *testing.T) {
 		}
 	}
 
-	// Legacy wrappers agree with the facade.
+	// The scheme called directly agrees with the facade.
 	in := solveTestInstance(t, 16, 4, 3)
-	ptasSeq, err := ccsched.PTASSplittable(in, ccsched.PTASOptions{Epsilon: 0.5, MaxNodes: 300})
+	ptasSeq, err := ptas.SolveSplittable(context.Background(), in, ptas.Options{Epsilon: 0.5, MaxNodes: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSolveParityWithWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ptasSeq.Makespan().Cmp(uni.Makespan) != 0 {
-		t.Errorf("PTASSplittable %s != Solve %s", ptasSeq.Makespan().RatString(), uni.Makespan.RatString())
+		t.Errorf("ptas.SolveSplittable %s != Solve %s", ptasSeq.Makespan().RatString(), uni.Makespan.RatString())
 	}
 	apxRes, err := ccsched.ApproxSplittable(in)
 	if err != nil {

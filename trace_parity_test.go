@@ -96,8 +96,51 @@ func TestTraceParityAllFamilies(t *testing.T) {
 					if !bytes.Equal(a, b) {
 						t.Errorf("traced result diverges\nuntraced: %s\ntraced:   %s", a, b)
 					}
+					checkSchemeSpans(t, traced.Trace)
 				})
 			}
 		}
+	}
+}
+
+// checkSchemeSpans pins the span tree every PTAS scheme records, whose names
+// perfbench folds into its ptas.*_self_ms rows: template_build and
+// guess_search are sibling children of the root solve span, every probe is a
+// child of guess_search, and guess_search carries exactly the guesses,
+// guess, grid, parallelism and seeded attributes.
+func checkSchemeSpans(t *testing.T, tr *ccsched.SolveTrace) {
+	t.Helper()
+	search := -1
+	templates := 0
+	for i, sp := range tr.Spans {
+		switch sp.Name {
+		case "template_build":
+			templates++
+			if sp.Parent != 0 {
+				t.Errorf("template_build parent %d, want the solve span", sp.Parent)
+			}
+		case "guess_search":
+			if search >= 0 {
+				t.Error("more than one guess_search span")
+			}
+			search = i
+			if sp.Parent != 0 {
+				t.Errorf("guess_search parent %d, want the solve span", sp.Parent)
+			}
+			var keys []string
+			for _, a := range sp.Attrs {
+				keys = append(keys, a.Key)
+			}
+			if got := fmt.Sprint(keys); got != "[guesses guess grid parallelism seeded]" {
+				t.Errorf("guess_search attributes %s, want [guesses guess grid parallelism seeded]", got)
+			}
+		case "probe":
+			if search < 0 || sp.Parent != search {
+				t.Errorf("probe parent %d, want guess_search %d", sp.Parent, search)
+			}
+		}
+	}
+	if templates != 1 || search < 0 {
+		t.Errorf("%d template_build and guess_search at %d, want one of each", templates, search)
 	}
 }
