@@ -286,44 +286,32 @@ func benchE10Fine(b *testing.B, noWarm bool) {
 	}
 }
 
-// E11: intra-probe parallelism (PR 7). Two workloads at EngineParallelism
-// 1/2/4, everything else held fixed:
+// E11: two serial PTAS workloads, everything else held fixed:
 //
 //   - nodeheavy: the E10 δ = 1/2 row (n=60, MaxNodes 1500) where the exact
-//     engine branches for real — the regime the subtree workers and batched
-//     sibling LPs target;
+//     engine branches for real;
 //   - redrawchurn: a deterministic redraw-churn derivative — three drifted
 //     instances from the PR 5 adversarial workload, each solved cold — so
-//     the brick scans and subtree workers run on the augmented shapes churn
-//     actually produces, with identical work every op.
+//     the engines run on the augmented shapes churn actually produces, with
+//     identical work every op.
 //
-// Results are bit-identical at any worker count (the parity tier proves
-// it), so ns/op deltas are pure parallelism effect. Only the ep=1 rows are
-// gated by scripts/benchdiff: speedup rows need real CPUs, and the baseline
-// host may not have them (benchdiff skips rows whose ep exceeds the host's
-// CPU count, with a logged reason). Run with -cpu to pin GOMAXPROCS.
+// Both rows are gated by scripts/benchdiff. The names keep their "/ep=1"
+// suffix from when the benchmark also swept intra-engine worker counts, so
+// BENCH_BASELINE.json and the CI gate regex still match them.
 func BenchmarkE11EngineParallelism(b *testing.B) {
-	for _, ep := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("nodeheavy/ep=%d", ep), func(b *testing.B) {
-			in := benchInstance(60, 101)
-			opts := ptas.Options{Epsilon: 0.5, Parallelism: 1, MaxNodes: 1500, EngineParallelism: ep}
-			var nodes, steals, batched int64
-			for i := 0; i < b.N; i++ {
-				r, err := ptas.SolveSplittable(context.Background(), in, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += r.Report.BBNodes
-				steals += r.Report.BBSubtreeSteals
-				batched += r.Report.BatchedLPSolves
+	b.Run("nodeheavy/ep=1", func(b *testing.B) {
+		in := benchInstance(60, 101)
+		opts := ptas.Options{Epsilon: 0.5, Parallelism: 1, MaxNodes: 1500}
+		var nodes int64
+		for i := 0; i < b.N; i++ {
+			r, err := ptas.SolveSplittable(context.Background(), in, opts)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "bbnodes/op")
-			if ep > 1 {
-				b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-				b.ReportMetric(float64(batched)/float64(b.N), "batched/op")
-			}
-		})
-	}
+			nodes += r.Report.BBNodes
+		}
+		b.ReportMetric(float64(nodes)/float64(b.N), "bbnodes/op")
+	})
 	// Drifted instances are precomputed so every op does identical work —
 	// unlike the live redraw benchmark, whose per-round cost varies too much
 	// to gate (see BenchmarkSessionChurnRedraw).
@@ -341,21 +329,19 @@ func BenchmarkE11EngineParallelism(b *testing.B) {
 		cp.Class = append([]int(nil), base.Class...)
 		drifted[i] = &cp
 	}
-	for _, ep := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("redrawchurn/ep=%d", ep), func(b *testing.B) {
-			opts := Options{
-				Variant: Splittable, Tier: TierPTAS, Epsilon: 1,
-				Parallelism: 1, EngineParallelism: ep, MaxNodes: 400, NoCache: true,
-			}
-			for i := 0; i < b.N; i++ {
-				for _, in := range drifted {
-					if _, err := Solve(context.Background(), in, opts); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("redrawchurn/ep=1", func(b *testing.B) {
+		opts := Options{
+			Variant: Splittable, Tier: TierPTAS, Epsilon: 1,
+			Parallelism: 1, MaxNodes: 400, NoCache: true,
+		}
+		for i := 0; i < b.N; i++ {
+			for _, in := range drifted {
+				if _, err := Solve(context.Background(), in, opts); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // E12: the anytime tier (PR 10). Two figures of merit:

@@ -138,8 +138,7 @@ var ErrCanceled = errors.New("ccsched: solve canceled")
 
 // ErrInternal reports that a panic fired somewhere in the solver and was
 // recovered instead of killing the process: Solve converts panics — its
-// own, and those of every engine worker goroutine (speculative guess
-// probes, branch-and-bound subtree workers, brick-scan workers) — into an
+// own, and those of the speculative guess-probe worker goroutines — into an
 // error wrapping this sentinel. The concrete error is an *InternalError
 // carrying the panic value, the stack captured at the recovery site and
 // the label of the component that panicked; extract it with errors.As.
@@ -313,15 +312,6 @@ type Options struct {
 	// bit-identical schedules — speculation only reorders work, never
 	// which probes decide the outcome.
 	Parallelism int `json:"parallelism,omitempty"`
-	// EngineParallelism is the number of goroutines each N-fold solve may
-	// use internally (PTAS tiers only): concurrent augmentation brick scans
-	// merged deterministically, plus speculative branch-and-bound subtree
-	// workers behind a sequential committer. Orthogonal to Parallelism,
-	// which races whole makespan-guess probes against each other. Zero or
-	// one runs every engine serially (the default — intra-engine parallelism
-	// is opt-in); any value returns bit-identical schedules, probe counts
-	// and reports.
-	EngineParallelism int `json:"engine_parallelism,omitempty"`
 	// Cache overrides the feasibility cache. Nil selects a process-wide
 	// shared cache (see NewFeasibilityCache to isolate workloads); set
 	// NoCache to disable caching entirely. Never serialized: a cache is a
@@ -602,15 +592,14 @@ func solveApprox(in *Instance, opts Options, res *Result) error {
 // enclosing trace span (disabled when the solve is untraced).
 func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState, res *Result, sp trace.Span) error {
 	popts := ptas.Options{
-		Epsilon:           opts.Epsilon,
-		MaxNodes:          opts.MaxNodes,
-		MaxConfigs:        opts.MaxConfigs,
-		HugeMThreshold:    opts.HugeMThreshold,
-		Parallelism:       opts.Parallelism,
-		EngineParallelism: opts.EngineParallelism,
-		NoWarmStart:       opts.NoWarmStart,
-		Session:           st,
-		Trace:             sp,
+		Epsilon:        opts.Epsilon,
+		MaxNodes:       opts.MaxNodes,
+		MaxConfigs:     opts.MaxConfigs,
+		HugeMThreshold: opts.HugeMThreshold,
+		Parallelism:    opts.Parallelism,
+		NoWarmStart:    opts.NoWarmStart,
+		Session:        st,
+		Trace:          sp,
 	}
 	if popts.Epsilon == 0 {
 		popts.Epsilon = 0.5

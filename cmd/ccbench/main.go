@@ -1,8 +1,7 @@
 // Command ccbench regenerates the experiment tables indexed in the
 // "Paper-to-code map" of docs/ARCHITECTURE.md: E1–E8 measure the paper's
 // theorems, E9 measures the parallel guess search and feasibility cache,
-// E11 measures the intra-probe parallelism, F1–F5 execute the paper's
-// figures.
+// F1–F5 execute the paper's figures.
 //
 // Usage:
 //
@@ -93,23 +92,22 @@ func main() {
 		defer cancel()
 	}
 	all := map[string]func() (*experiments.Table, error){
-		"E1":  experiments.E1Splittable,
-		"E2":  experiments.E2Preemptive,
-		"E3":  experiments.E3NonPreemptive,
-		"E4":  experiments.E4Scaling,
-		"E5":  experiments.E5SplittablePTAS,
-		"E6":  experiments.E6NonPreemptivePTAS,
-		"E7":  experiments.E7PreemptivePTAS,
-		"E8":  experiments.E8NFold,
-		"E9":  func() (*experiments.Table, error) { return experiments.E9ParallelGuess(ctx, *parallelism) },
-		"E11": func() (*experiments.Table, error) { return experiments.E11IntraProbe(ctx) },
-		"F1":  experiments.F1RoundRobin,
-		"F2":  experiments.F2Repack,
-		"F3":  experiments.F3PairSwap,
-		"F4":  experiments.F4Dissolve,
-		"F5":  experiments.F5FlowNetwork,
+		"E1": experiments.E1Splittable,
+		"E2": experiments.E2Preemptive,
+		"E3": experiments.E3NonPreemptive,
+		"E4": experiments.E4Scaling,
+		"E5": experiments.E5SplittablePTAS,
+		"E6": experiments.E6NonPreemptivePTAS,
+		"E7": experiments.E7PreemptivePTAS,
+		"E8": experiments.E8NFold,
+		"E9": func() (*experiments.Table, error) { return experiments.E9ParallelGuess(ctx, *parallelism) },
+		"F1": experiments.F1RoundRobin,
+		"F2": experiments.F2Repack,
+		"F3": experiments.F3PairSwap,
+		"F4": experiments.F4Dissolve,
+		"F5": experiments.F5FlowNetwork,
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E11", "F1", "F2", "F3", "F4", "F5"}
+	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "F1", "F2", "F3", "F4", "F5"}
 	var run []string
 	if *exps == "" {
 		run = order

@@ -118,7 +118,6 @@ func main() {
 		logFormat     = flag.String("log-format", "text", "structured log format: text | json")
 		traceRing     = flag.Int("trace-ring", 0, "slowest-traces debug ring capacity at /v1/debug/traces (0 = 16, negative disables tracing unless requested)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. 127.0.0.1:6060); off by default")
-		enginePar     = flag.Int("engine-parallelism", 0, "intra-engine worker count for requests that do not set engine_parallelism (clamped to GOMAXPROCS; 0 keeps engines serial; results are bit-identical at any value)")
 		softTimeout   = flag.Duration("soft-timeout", 0, "degraded-fallback deadline: synchronous solves still running this long are answered with the 2-approx while the full solve continues (0 disables; soft_timeout_ms overrides per request)")
 		refineWorkers = flag.Int("refine-workers", 0, "low-priority worker pool refining anytime sessions through the ε-ladder (0 = 2; negative disables background refinement)")
 		refineBudget  = flag.Float64("refine-budget", 0, "per-tenant refinement budget in ladder rungs per second (X-Tenant-Id header selects the bucket; 0 = unlimited); an exhausted tenant's ladders park, metered, until tokens refill")
@@ -181,7 +180,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		StateDir:           *stateDir,
 		CheckpointInterval: *checkpoint,
-		EngineParallelism:  *enginePar,
 		SoftTimeout:        *softTimeout,
 		RefineWorkers:      *refineWorkers,
 		RefineBudgetPerSec: *refineBudget,

@@ -21,10 +21,10 @@
 // engines at iteration boundaries.
 //
 // -trace records a per-stage span timeline through the pipeline
-// (guess search, probes, N-fold engines, LP batches) and pretty-prints it
-// after the report: the span tree with durations and counters, self time
-// per stage, and the five slowest probes. Tracing never changes verdicts,
-// guesses or makespans.
+// (guess search, probes, N-fold engines, branch-and-bound node batches) and
+// pretty-prints it after the report: the span tree with durations and
+// counters, self time per stage, and the five slowest probes. Tracing never
+// changes verdicts, guesses or makespans.
 package main
 
 import (
@@ -66,7 +66,6 @@ func main() {
 		algo        = flag.String("algo", "approx", "auto | approx | ptas | exact")
 		eps         = flag.Float64("eps", 0.5, "PTAS accuracy ε")
 		parallelism = flag.Int("parallelism", 0, "concurrent PTAS guess probes (0 = all CPUs, 1 = sequential)")
-		enginePar   = flag.Int("engine-parallelism", 0, "intra-engine workers per probe (brick scans, B&B subtrees; ≤1 = serial; results are bit-identical at any value)")
 		timeout     = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
 		traceFlag   = flag.Bool("trace", false, "record a per-stage span timeline and print it after the report")
 	)
@@ -119,12 +118,11 @@ func main() {
 	}
 	start := time.Now()
 	res, err := ccsched.Solve(ctx, in, ccsched.Options{
-		Variant:           v,
-		Tier:              tier,
-		Epsilon:           *eps,
-		Parallelism:       *parallelism,
-		EngineParallelism: *enginePar,
-		Trace:             *traceFlag,
+		Variant:     v,
+		Tier:        tier,
+		Epsilon:     *eps,
+		Parallelism: *parallelism,
+		Trace:       *traceFlag,
 	})
 	if err != nil {
 		fail(err)

@@ -18,10 +18,8 @@
 // The injection points threaded through this repository:
 //
 //	lp.solve               one LP relaxation (SolveBounds)
-//	lp.batch               one batched sibling-pair LP (SolveBatch)
-//	ilp.node               the branch-and-bound walker, per committed node
-//	ilp.worker             a speculative B&B subtree worker, per claimed node
-//	nfold.scan             one brick-scan range (parallel scans: per worker)
+//	ilp.node               the branch-and-bound loop, per explored node
+//	nfold.scan             one augmentation descent step's brick scan
 //	ptas.probe             one makespan-guess feasibility probe
 //	server.worker          the service flight runner, per picked-up flight
 //	server.snapshot.write  one session checkpoint write (incl. disk probes)
@@ -33,7 +31,7 @@
 //	point=panic[:msg]      Check panics (recovered by the resilience layer)
 //	point=shortwrite       ShortWrite truncates the write and fails it
 //
-// Any mode takes an optional *N suffix (e.g. ilp.worker=panic*2) limiting
+// Any mode takes an optional *N suffix (e.g. ilp.node=panic*2) limiting
 // the fault to the first N hits; without it the fault fires on every hit
 // until cleared.
 package faultinject

@@ -87,22 +87,11 @@ type Options struct {
 	// counts), e.g. the previous makespan guess's root. Dimension mismatches
 	// are ignored.
 	RootBasis *lp.Basis
-	// Parallelism ≥ 2 explores the branch-and-bound tree with that many
-	// goroutines: speculative workers solve the LP relaxations of open
-	// nodes ahead of the depth-first walk while a single committer replays
-	// the exact sequential search order, consuming their results. Results —
-	// Status, X, Obj and Nodes — are bit-identical to the sequential engine
-	// at any worker count (see parallel.go for the argument); Pivots and
-	// WarmHits may differ, because which warm-restore path decides a node
-	// depends on solver-state residency. Values ≤ 1 run the sequential
-	// engine unchanged.
-	Parallelism int
 	// Trace is the enclosing trace span (normally the nfold bb span); the
 	// search records bb_nodes batch spans (one per bbTraceBatch explored
-	// nodes, carrying that batch's node/pivot/warm-hit deltas) under it, and
-	// the parallel engine's batched sibling LP solves record lp_batch spans
-	// (see lp.Prepared.SetTraceSpan). The zero Span disables recording at
-	// one flag check per node; results are identical either way.
+	// nodes, carrying that batch's node/pivot/warm-hit deltas) under it. The
+	// zero Span disables recording at one flag check per node; results are
+	// identical either way.
 	Trace trace.Span
 }
 
@@ -131,15 +120,6 @@ type Result struct {
 	// problem infeasible without solving (see
 	// nfold.Problem.CertifiesInfeasible). Nil otherwise.
 	InfeasibleRay []float64
-	// SubtreeSteals counts nodes whose LP relaxation was solved by a
-	// speculative worker rather than the committing walker (zero unless
-	// Options.Parallelism ≥ 2). Diagnostics only: the schedule of steals
-	// varies run to run even though the results never do.
-	SubtreeSteals int
-	// BatchedLPSolves counts node LPs solved through the lp.SolveBatch
-	// sibling kernel (zero unless Options.Parallelism ≥ 2). Diagnostics
-	// only, like SubtreeSteals.
-	BatchedLPSolves int
 }
 
 const intTol = 1e-6
@@ -227,6 +207,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 	first := false
 	warmStart := true
 	var rootHint *lp.Basis
+	var tsp trace.Span
 	if opts != nil {
 		if opts.MaxNodes > 0 {
 			maxNodes = opts.MaxNodes
@@ -236,12 +217,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		if warmStart {
 			rootHint = opts.RootBasis
 		}
-		if opts.Parallelism >= 2 {
-			return solveParallel(ctx, p, maxNodes, first, warmStart, rootHint, opts.Parallelism, opts.Trace)
-		}
-	}
-	var tsp trace.Span
-	if opts != nil {
 		tsp = opts.Trace
 	}
 	tr := newBBTracer(tsp)

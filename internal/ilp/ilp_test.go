@@ -1,11 +1,14 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ccsched/internal/lp"
+	"ccsched/internal/testutil"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -194,4 +197,45 @@ func TestAgainstBruteForce(t *testing.T) {
 			t.Errorf("trial %d: unexpected node limit", trial)
 		}
 	}
+}
+
+// randomOptimizationILP is randomFeasibilityILP with a nonzero objective, so
+// full branch-and-bound runs exercise the incumbent/bound machinery rather
+// than stopping at the first integral point.
+func randomOptimizationILP(rng *rand.Rand, m, n int) *Problem {
+	p := randomFeasibilityILP(rng, m, n)
+	for j := 0; j < n; j++ {
+		p.Obj[j] = float64(rng.Intn(7) - 3)
+	}
+	return p
+}
+
+// TestSolveCtxCancellation proves cancellation lands promptly: the per-node
+// context check aborts the search with ctx.Err() and leaves no goroutine
+// behind.
+func TestSolveCtxCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	leak := testutil.LeakCheck(t)
+	for trial := 0; trial < 10; trial++ {
+		p := randomOptimizationILP(rng, 7, 18)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(trial)*time.Millisecond)
+		start := time.Now()
+		res, err := SolveCtx(ctx, p, &Options{MaxNodes: 1 << 30})
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			// The solve legitimately finished inside the budget; fine.
+			if res == nil {
+				t.Fatal("nil result without error")
+			}
+			continue
+		}
+		if ctx.Err() == nil || err != context.DeadlineExceeded {
+			t.Fatalf("trial %d: err = %v, want %v", trial, err, context.DeadlineExceeded)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("trial %d: cancellation took %v", trial, elapsed)
+		}
+	}
+	leak()
 }

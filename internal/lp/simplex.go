@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"ccsched/internal/faultinject"
-	"ccsched/internal/trace"
 )
 
 const (
@@ -100,16 +99,7 @@ type Prepared struct {
 	// is O(m²); deferring it keeps non-root infeasible nodes, which nobody
 	// asks a ray of, at zero extra cost).
 	rayValid bool
-	// traceSpan, when enabled, parents the lp_batch spans SolveBatch
-	// records (see SetTraceSpan). Purely observational.
-	traceSpan trace.Span
 }
-
-// SetTraceSpan attaches a parent trace span to this Prepared: subsequent
-// SolveBatch calls record an lp_batch child span (batch size, summed pivots,
-// warm-restore hits) under it. The zero Span detaches. Tracing reads only
-// already-computed Solution fields and never alters a solve.
-func (pr *Prepared) SetTraceSpan(sp trace.Span) { pr.traceSpan = sp }
 
 // errReleased is returned when a Prepared is used after Release.
 var errReleased = errors.New("lp: Prepared used after Release")
@@ -244,12 +234,6 @@ func (pr *Prepared) SolveBounds(ctx context.Context, lower, upper []float64, war
 	if err := faultinject.Check("lp.solve"); err != nil {
 		return err
 	}
-	return pr.solveBoundsCached(ctx, lower, upper, warm, nil, sol)
-}
-
-// solveBoundsCached is SolveBounds with an optional warm-restore cache (see
-// tryWarmInfeasible and SolveBatch). A nil rc is exactly SolveBounds.
-func (pr *Prepared) solveBoundsCached(ctx context.Context, lower, upper []float64, warm *Basis, rc *restoreCache, sol *Solution) error {
 	if pr.released {
 		return errReleased
 	}
@@ -293,7 +277,7 @@ func (pr *Prepared) solveBoundsCached(ctx context.Context, lower, upper []float6
 	st.interrupted = false
 
 	if warm != nil && pr.zeroObj && warm.m == m && warm.ncols == pr.ncols {
-		proved, pivots := pr.tryWarmInfeasible(warm, rc)
+		proved, pivots := pr.tryWarmInfeasible(warm)
 		sol.Iterations += pivots
 		if st.interrupted {
 			return st.ctx.Err()

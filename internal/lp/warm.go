@@ -76,15 +76,7 @@ const maxRestorePivots = 64
 // are proven infeasible; any other outcome — primal feasibility reached,
 // pivot budget exhausted, singular refactorization — returns false and the
 // caller falls through to the cold solve. Bounds and b must already be set.
-//
-// rc, when non-nil, memoizes the restored start state across sibling solves
-// (see SolveBatch): the first restore from warm captures the post-refactor
-// basis inverse into rc, and later calls with the same warm copy it back in
-// O(m²) instead of refactoring in O(m³). Refactorization is a deterministic
-// function of the basis columns, so the copied inverse is bit-identical to
-// the one a fresh refactor would build — and the restore stays verdict-only
-// regardless, so caching can never change what any solve returns.
-func (pr *Prepared) tryWarmInfeasible(warm *Basis, rc *restoreCache) (bool, int) {
+func (pr *Prepared) tryWarmInfeasible(warm *Basis) (bool, int) {
 	st := &pr.st
 	m, n := pr.m, pr.n
 	// Artificials stay pinned at zero (the captured basis postdates Phase 1)
@@ -96,18 +88,6 @@ func (pr *Prepared) tryWarmInfeasible(warm *Basis, rc *restoreCache) (bool, int)
 		st.cols[j].val[0] = warm.artSign[i]
 	}
 	switch {
-	case rc != nil && rc.valid:
-		// Sibling fast path: a previous solve in the batch already restored
-		// this warm basis; copy its start state instead of refactoring. The
-		// basic values still depend on this solve's bounds, so they are
-		// always recomputed.
-		pr.liveID = 0
-		copy(st.status, rc.status)
-		copy(st.basis, rc.basis)
-		for i := 0; i < m; i++ {
-			copy(st.binv[i], rc.binv[i*m:(i+1)*m])
-		}
-		st.recomputeXB()
 	case warm == pr.lastCaptured && warm.liveID == pr.liveID && pr.liveID != 0:
 		// Live fast path: st still holds the captured basis, statuses and
 		// basis inverse (depth-first search explores the first child while
@@ -115,18 +95,12 @@ func (pr *Prepared) tryWarmInfeasible(warm *Basis, rc *restoreCache) (bool, int)
 		// refreshing under the new bounds.
 		pr.liveID = 0
 		st.recomputeXB()
-		if rc != nil {
-			rc.capture(st)
-		}
 	default:
 		pr.liveID = 0
 		copy(st.status, warm.status)
 		copy(st.basis, warm.cols)
 		if err := st.refactor(); err != nil {
 			return false, 0 // singular under these columns: no usable start
-		}
-		if rc != nil {
-			rc.capture(st)
 		}
 	}
 	pivots := 0

@@ -3,11 +3,8 @@ package nfold
 import (
 	"context"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ccsched/internal/faultinject"
-	"ccsched/internal/panicsafe"
 )
 
 // The augmentation engine follows the shape of the theoretical N-fold
@@ -89,10 +86,6 @@ type augState struct {
 	// per-brick scans, so cancellation latency is bounded by one brick's
 	// move evaluation rather than a whole descent iteration.
 	ctx context.Context
-	// par is the requested scan parallelism (≤ 1 scans serially);
-	// scanWorkers records the largest worker count actually engaged.
-	par         int
-	scanWorkers int
 	// scanErr is a fault injected at the nfold.scan point; the descent
 	// stops at the next iteration boundary and solveAugment surfaces it.
 	scanErr error
@@ -476,16 +469,13 @@ type scanRes struct {
 }
 
 // better reports whether cand displaces inc under the incumbent rule the
-// sequential scan applies at every (brick, move, λ) it visits. Because the
-// rule is a strict comparison, folding per-range winners in ascending range
-// order reproduces the full scan's winner exactly.
+// scan applies at every (brick, move, λ) it visits.
 func (inc *scanRes) better(gain, lambda int64) bool {
 	return gain > inc.gain || (gain == inc.gain && gain > 0 && lambda > inc.lambda)
 }
 
 // scanRange computes the incumbent over bricks [from, to). The scan reads
-// only pre-move state (x, residuals, bounds, move tables), all immutable
-// while a scan is in flight, so disjoint ranges may run concurrently.
+// only pre-move state (x, residuals, bounds, move tables).
 func (st *augState) scanRange(ctx context.Context, from, to int) scanRes {
 	best := scanRes{brick: -1, move: -1}
 	for i := from; i < to; i++ {
@@ -516,60 +506,14 @@ func (st *augState) scanRange(ctx context.Context, from, to int) scanRes {
 	return best
 }
 
-// scanBest finds the descent's next move. With par ≥ 2 the bricks are split
-// into contiguous ranges scanned concurrently and the per-range winners are
-// merged in ascending range order under the same incumbent rule, so the
-// chosen (brick, move, λ) is bit-identical to the serial scan's at any
-// worker count — worker scheduling can only change timing, never the
-// winner. Moves are still applied serially by the caller.
+// scanBest finds the descent's next move over all bricks. Moves are applied
+// by the caller.
 func (st *augState) scanBest(ctx context.Context) scanRes {
 	if err := faultinject.Check("nfold.scan"); err != nil {
 		st.scanErr = err
 		return scanRes{brick: -1, move: -1}
 	}
-	n := st.p.N
-	workers := st.par
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 {
-		return st.scanRange(ctx, 0, n)
-	}
-	if workers > st.scanWorkers {
-		st.scanWorkers = workers
-	}
-	results := make([]scanRes, workers)
-	var wg sync.WaitGroup
-	// A panic on a scan worker goroutine would kill the process; capture the
-	// first one and re-raise it on the joining goroutine after wg.Wait(), so
-	// it unwinds to the solve boundary like a caller-goroutine panic
-	// (Capture's passthrough keeps the worker's original stack and span).
-	var panicErr atomic.Pointer[panicsafe.Error]
-	for w := 1; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicErr.CompareAndSwap(nil, panicsafe.Capture(v, "brick_scan"))
-				}
-			}()
-			results[w] = st.scanRange(ctx, lo, hi)
-		}(w, lo, hi)
-	}
-	results[0] = st.scanRange(ctx, 0, n/workers)
-	wg.Wait()
-	if pe := panicErr.Load(); pe != nil {
-		panic(pe)
-	}
-	best := scanRes{brick: -1, move: -1}
-	for _, r := range results {
-		if r.brick >= 0 && best.better(r.gain, r.lambda) {
-			best = r
-		}
-	}
-	return best
+	return st.scanRange(ctx, 0, st.p.N)
 }
 
 // descend runs the greedy residual descent until the residual reaches zero,
@@ -654,10 +598,8 @@ func (st *augState) pairStep() bool {
 
 // solveAugment runs the augmentation engine for feasibility (and greedy
 // objective descent when Obj is nonzero). Cancellation is polled once per
-// descent step; a canceled context surfaces as ctx.Err(). par ≥ 2 scans the
-// bricks of each descent iteration concurrently (see scanBest); the chosen
-// moves, and therefore the result, are bit-identical at any par.
-func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *Template, par int) (*Result, error) {
+// descent step; a canceled context surfaces as ctx.Err().
+func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *Template) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -667,7 +609,6 @@ func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *
 	opt := opts.defaults()
 	st := newAugState(p, opt, tmpl)
 	st.ctx = ctx
-	st.par = par
 	if rest := st.descend(ctx, opt); rest != 0 || st.scanErr != nil {
 		if err := st.scanErr; err != nil {
 			return nil, err
@@ -675,7 +616,7 @@ func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return &Result{Status: Unknown, Engine: EngineAugment, Nodes: st.steps, BrickScanWorkers: st.scanWorkers}, nil
+		return &Result{Status: Unknown, Engine: EngineAugment, Nodes: st.steps}, nil
 	}
 	if err := p.Check(st.x); err != nil {
 		return nil, err
@@ -693,12 +634,11 @@ func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *
 		}
 	}
 	return &Result{
-		Status:           Feasible,
-		X:                st.x,
-		Obj:              p.Objective(st.x),
-		Engine:           EngineAugment,
-		Nodes:            st.steps,
-		BrickScanWorkers: st.scanWorkers,
+		Status: Feasible,
+		X:      st.x,
+		Obj:    p.Objective(st.x),
+		Engine: EngineAugment,
+		Nodes:  st.steps,
 	}, nil
 }
 

@@ -88,7 +88,7 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	sp := o.Trace.Child("bb")
 	iopts := &ilp.Options{
 		MaxNodes: maxNodes, FirstFeasible: firstFeasible, NoWarmStart: o.NoWarmStart,
-		RootBasis: o.RootBasis, Parallelism: o.Parallelism, Trace: sp,
+		RootBasis: o.RootBasis, Trace: sp,
 	}
 	res, err := ilp.SolveCtx(ctx, mp, iopts)
 	if err != nil {
@@ -98,12 +98,10 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	sp.End(
 		trace.A("status", int64(res.Status)), trace.A("nodes", int64(res.Nodes)),
 		trace.A("pivots", int64(res.Pivots)), trace.A("warm_hits", int64(res.WarmHits)),
-		trace.A("steals", int64(res.SubtreeSteals)), trace.A("batched_lps", int64(res.BatchedLPSolves)),
 	)
 	out := &Result{
 		Engine: EngineBranchBound, Nodes: res.Nodes, Pivots: res.Pivots, WarmHits: res.WarmHits,
 		RootBasis: res.RootBasis, InfeasibleRay: res.InfeasibleRay,
-		SubtreeSteals: res.SubtreeSteals, BatchedLPSolves: res.BatchedLPSolves,
 	}
 	switch res.Status {
 	case ilp.Infeasible:

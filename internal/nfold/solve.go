@@ -72,13 +72,6 @@ type Options struct {
 	// session). The restore is verdict-only, so results are bit-identical
 	// with or without the hint; dimension mismatches are ignored.
 	RootBasis *lp.Basis
-	// Parallelism ≥ 2 parallelizes inside the engines: the augmentation
-	// descent scans bricks concurrently with a deterministic merge (see
-	// augment.go), and the exact engine explores branch-and-bound subtrees
-	// with a speculative worker pool behind a sequential committer (see
-	// ilp.Options.Parallelism). Results are bit-identical at any value;
-	// ≤ 1 runs both engines serially, unchanged.
-	Parallelism int
 	// Trace is the enclosing trace span (normally the guess probe's);
 	// engine runs record nfold_augment / bb child spans under it. The zero
 	// Span disables recording. Observational only: results are identical
@@ -110,19 +103,6 @@ type Result struct {
 	// with CertifiesInfeasible to prove that problem Infeasible without an
 	// engine run.
 	InfeasibleRay []float64
-	// BrickScanWorkers is the largest number of concurrent brick-scan
-	// workers the augmentation descent engaged (zero when it ran serially
-	// or never ran). Results never depend on it; see Options.Parallelism.
-	BrickScanWorkers int
-	// SubtreeSteals counts exact-engine nodes whose LP relaxation was
-	// solved by a speculative worker (zero unless Options.Parallelism ≥ 2).
-	// Diagnostics only — the schedule of steals varies run to run even
-	// though results never do.
-	SubtreeSteals int
-	// BatchedLPSolves counts exact-engine node LPs solved through the
-	// batched sibling kernel (lp.SolveBatch); diagnostics like
-	// SubtreeSteals.
-	BatchedLPSolves int
 }
 
 // Solve dispatches to the selected engine. With EngineAuto (default), the
@@ -154,14 +134,14 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 	switch o.Engine {
 	case EngineAugment:
 		sp := o.Trace.Child("nfold_augment")
-		res, err := p.solveAugment(ctx, o.Augment, o.Template, o.Parallelism)
+		res, err := p.solveAugment(ctx, o.Augment, o.Template)
 		endEngineSpan(sp, res, err)
 		return res, err
 	case EngineBranchBound:
 		return p.solveBranchBound(ctx, maxNodes, o.FirstFeasible, &o)
 	case EngineAuto:
 		asp := o.Trace.Child("nfold_augment")
-		res, err := p.solveAugment(ctx, o.Augment, o.Template, o.Parallelism)
+		res, err := p.solveAugment(ctx, o.Augment, o.Template)
 		endEngineSpan(asp, res, err)
 		if err != nil {
 			return nil, err
@@ -176,9 +156,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The augmentation attempt ran first either way; keep its scan
-		// diagnostics on whichever result wins.
-		exact.BrickScanWorkers = res.BrickScanWorkers
 		// Prefer the better verified answer when both engines succeeded.
 		if res.Status == Feasible && (exact.Status != Feasible || res.Obj <= exact.Obj) {
 			return res, nil
@@ -202,6 +179,5 @@ func endEngineSpan(sp trace.Span, res *Result, err error) {
 	sp.End(
 		trace.A("status", int64(res.Status)),
 		trace.A("steps", int64(res.Nodes)),
-		trace.A("scan_workers", int64(res.BrickScanWorkers)),
 	)
 }

@@ -1,10 +1,9 @@
 // Package panicsafe converts panics in solver code into typed errors.
 //
 // A panic anywhere in the LP → ILP → N-fold → PTAS pipeline used to kill
-// the whole process: the engines run worker goroutines (speculative guess
-// probes, branch-and-bound subtree workers, brick-scan ranges) and a panic
-// on any of them cannot be recovered by the caller. This package provides
-// the two halves of the containment protocol:
+// the whole process: the guess search runs speculative probes on worker
+// goroutines, and a panic on any of them cannot be recovered by the
+// caller. This package provides the two halves of the containment protocol:
 //
 //   - Worker goroutines recover themselves and convert the panic into an
 //     *Error (Capture), which travels to the joining goroutine through the
@@ -40,8 +39,7 @@ type Error struct {
 	// (not at any later re-panic hop).
 	Stack []byte
 	// Span labels the component that panicked, mirroring the solve-trace
-	// span vocabulary ("guess_probe", "bb_worker", "brick_scan", "solve",
-	// "flight").
+	// span vocabulary ("guess_probe", "solve", "flight").
 	Span string
 }
 

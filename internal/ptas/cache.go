@@ -80,12 +80,7 @@ func (e cacheEntry) size() int64 {
 // — rather than the raw instance. Everything the N-fold depends on beyond
 // the digest is (g, slots, machine count), all inside the digest, so two
 // probes with equal keys build bit-identical N-folds and the deterministic
-// engines return bit-identical verdicts and solutions.
-// Options.EngineParallelism is deliberately NOT part of the key: the
-// intra-engine parallelism is verdict- and solution-preserving by
-// construction (deterministic brick-scan merge, in-order-commit
-// branch-and-bound — see internal/nfold and internal/ilp), so entries solved
-// at any worker count answer probes at any other. The guess T itself is
+// engines return bit-identical verdicts and solutions. The guess T itself is
 // deliberately absent: the schemes work in δ²T/c units, making the N-fold a
 // function of the rounded data only, so neighboring guesses (and re-solves
 // of a mutated session instance whose roundings coincide) share entries.
@@ -309,21 +304,6 @@ type probeStats struct {
 	nodes     atomic.Int64
 	pivots    atomic.Int64
 	warmHits  atomic.Int64
-	// scanWorkers is a running maximum (not a sum): the widest concurrent
-	// brick-scan fan-out any probe's augmentation descent reached.
-	scanWorkers atomic.Int64
-	steals      atomic.Int64
-	batched     atomic.Int64
-}
-
-// maxScanWorkers raises the scan-worker high-water mark to v if larger.
-func (st *probeStats) maxScanWorkers(v int64) {
-	for {
-		cur := st.scanWorkers.Load()
-		if v <= cur || st.scanWorkers.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // report fills the aggregate counter fields of a Report.
@@ -333,9 +313,6 @@ func (st *probeStats) report(rep *Report) {
 	rep.BBNodes = st.nodes.Load()
 	rep.BBPivots = st.pivots.Load()
 	rep.WarmHits = st.warmHits.Load()
-	rep.BrickScanWorkers = int(st.scanWorkers.Load())
-	rep.BBSubtreeSteals = st.steals.Load()
-	rep.BatchedLPSolves = st.batched.Load()
 }
 
 // fallbackReport is the Report of runScheme's approx-fallback exit.
@@ -416,9 +393,6 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	stats.nodes.Add(int64(res.Nodes))
 	stats.pivots.Add(int64(res.Pivots))
 	stats.warmHits.Add(int64(res.WarmHits))
-	stats.maxScanWorkers(int64(res.BrickScanWorkers))
-	stats.steals.Add(int64(res.SubtreeSteals))
-	stats.batched.Add(int64(res.BatchedLPSolves))
 	entry := cacheEntry{
 		feasible: res.Status == nfold.Feasible, x: res.X,
 		params: prob.Params(), engine: res.Engine,
@@ -429,8 +403,7 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	sp.End(
 		trace.A("t", t), trace.A("feasible", b2i(entry.feasible)),
 		trace.A("nodes", int64(res.Nodes)), trace.A("pivots", int64(res.Pivots)),
-		trace.A("warm_hits", int64(res.WarmHits)), trace.A("steals", int64(res.SubtreeSteals)),
-		trace.A("batched_lps", int64(res.BatchedLPSolves)),
+		trace.A("warm_hits", int64(res.WarmHits)),
 	)
 	return entry, nil
 }

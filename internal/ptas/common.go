@@ -61,14 +61,6 @@ type Options struct {
 	// speculation without changing the result — accepted guesses and
 	// schedules are bit-identical for any Parallelism.
 	Parallelism int
-	// EngineParallelism is the number of goroutines each N-fold solve may use
-	// internally: concurrent augmentation brick scans with a deterministic
-	// merge plus speculative branch-and-bound subtree workers behind a
-	// sequential committer (see nfold.Options.Parallelism). Orthogonal to
-	// Parallelism, which races whole guess probes. Values ≤ 1 run every
-	// engine serially; any value yields bit-identical verdicts, schedules and
-	// probe counts.
-	EngineParallelism int
 	// Cache memoizes guess feasibility verdicts (keyed by scaled instance,
 	// guess, δ and engine budgets) across calls, so ε-refinement sweeps and
 	// repeated solves of identical workloads skip already-decided N-fold
@@ -131,7 +123,7 @@ func (o Options) nfoldOptions(tmpl *nfold.Template) *nfold.Options {
 	}
 	return &nfold.Options{
 		Engine: o.Engine, MaxNodes: maxNodes, FirstFeasible: true,
-		NoWarmStart: o.NoWarmStart, Template: tmpl, Parallelism: o.EngineParallelism,
+		NoWarmStart: o.NoWarmStart, Template: tmpl,
 	}
 }
 
@@ -165,14 +157,6 @@ type Report struct {
 	BBNodes  int64 `json:"bb_nodes,omitempty"`
 	BBPivots int64 `json:"bb_pivots,omitempty"`
 	WarmHits int64 `json:"warm_hits,omitempty"`
-	// BrickScanWorkers is the largest number of concurrent augmentation
-	// brick-scan workers any probe engaged; BBSubtreeSteals and
-	// BatchedLPSolves aggregate the exact engine's speculative-worker node
-	// solves and batched sibling LP solves across all probes. All three are
-	// zero unless Options.EngineParallelism ≥ 2, and none influence results.
-	BrickScanWorkers int   `json:"brick_scan_workers,omitempty"`
-	BBSubtreeSteals  int64 `json:"bb_subtree_steals,omitempty"`
-	BatchedLPSolves  int64 `json:"batched_lp_solves,omitempty"`
 }
 
 // guessGrid returns the multiplicative (1+δ)-grid of integral makespan

@@ -238,7 +238,7 @@ func (s *Server) degradeEligible(opts ccsched.Options) bool {
 // pipeline (which just refused it) and answers with the degraded 2-approx.
 func (s *Server) respondDegradedDirect(w http.ResponseWriter, in *ccsched.Instance, opts ccsched.Options, trace bool) {
 	canon := canonicalize(in)
-	opts = sanitizeOptions(opts, s.cfg.EngineParallelism, s.traces != nil)
+	opts = sanitizeOptions(opts, s.traces != nil)
 	if !opts.NoCache {
 		opts.Cache = s.cfg.Cache
 	} else {

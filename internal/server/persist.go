@@ -171,7 +171,7 @@ func (s *Server) restoreSnapshots() {
 		sv := &svcSession{
 			id:      id,
 			sess:    sess,
-			opts:    sanitizeOptions(sess.Options(), s.cfg.EngineParallelism, s.traces != nil),
+			opts:    sanitizeOptions(sess.Options(), s.traces != nil),
 			timeout: s.cfg.DefaultTimeout,
 		}
 		sv.ckptGen.Store(sess.Generation())
@@ -440,7 +440,7 @@ func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {
 	sv := &svcSession{
 		id:      id,
 		sess:    sess,
-		opts:    sanitizeOptions(sess.Options(), s.cfg.EngineParallelism, s.traces != nil),
+		opts:    sanitizeOptions(sess.Options(), s.traces != nil),
 		timeout: s.cfg.DefaultTimeout,
 	}
 	s.mu.Lock()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"testing"
 	"time"
 
@@ -127,35 +126,18 @@ func TestSanitizeOptionsClampsResourceKnobs(t *testing.T) {
 		Variant:              ccsched.Splittable,
 		Tier:                 ccsched.TierPTAS,
 		Parallelism:          1 << 30,
-		EngineParallelism:    1 << 30,
 		ExplicitMachineLimit: 1 << 40,
 		HugeMThreshold:       1 << 40,
 	}
-	got := sanitizeOptions(hostile, 0, false)
+	got := sanitizeOptions(hostile, false)
 	if got.Parallelism == hostile.Parallelism || got.ExplicitMachineLimit != 1<<20 || got.HugeMThreshold != 1<<20 {
 		t.Fatalf("sanitize left resource knobs unbounded: %+v", got)
 	}
-	if got.EngineParallelism == hostile.EngineParallelism {
-		t.Fatalf("sanitize left EngineParallelism unbounded: %+v", got)
-	}
 	in := canonicalize(genInstance(t, "uniform", 12, 3, 2, 2, 3)).in
 	tame := hostile
-	tame.Parallelism, tame.EngineParallelism = got.Parallelism, got.EngineParallelism
+	tame.Parallelism = got.Parallelism
 	tame.ExplicitMachineLimit, tame.HugeMThreshold = 1<<20, 1<<20
-	if requestKey(in, sanitizeOptions(hostile, 0, false)) != requestKey(in, tame) {
+	if requestKey(in, sanitizeOptions(hostile, false)) != requestKey(in, tame) {
 		t.Fatal("sanitized hostile options do not share the tame request key")
-	}
-	// The server-config default fills only unset EngineParallelism (then the
-	// GOMAXPROCS clamp applies to it too), and an explicit 1 (force-serial)
-	// survives the default.
-	wantDefault := 2
-	if mp := runtime.GOMAXPROCS(0); mp < wantDefault {
-		wantDefault = mp
-	}
-	if got := sanitizeOptions(ccsched.Options{}, 2, false); got.EngineParallelism != wantDefault {
-		t.Fatalf("config default not applied to unset EngineParallelism: %+v", got)
-	}
-	if got := sanitizeOptions(ccsched.Options{EngineParallelism: 1}, 2, false); got.EngineParallelism != 1 {
-		t.Fatalf("explicit EngineParallelism=1 overridden by config default: %+v", got)
 	}
 }

@@ -67,12 +67,6 @@ type Config struct {
 	MaxSessions int
 	// MaxBodyBytes bounds request bodies. Zero selects 32 MiB.
 	MaxBodyBytes int64
-	// EngineParallelism is the intra-engine worker count applied to requests
-	// that do not set engine_parallelism themselves (see
-	// ccsched.Options.EngineParallelism). Explicit request values win, and
-	// both are clamped to GOMAXPROCS at admission. Zero (the default) keeps
-	// the engines serial; results are bit-identical at any setting.
-	EngineParallelism int
 	// StateDir, when non-empty, makes sessions durable: every readable
 	// session snapshot in the directory is restored on boot (unreadable or
 	// stale ones are skipped with a logged reason), dirty sessions are
@@ -401,30 +395,20 @@ type submission struct {
 }
 
 // sanitizeOptions clamps the wire-settable Options fields that control
-// resource consumption rather than results. Parallelism and
-// EngineParallelism bound goroutines per solve (an unchecked huge value
-// would fork that many speculative-probe or subtree workers);
-// ExplicitMachineLimit and HugeMThreshold bound how many machines a
-// schedule materializes explicitly. Requests that leave EngineParallelism
-// unset inherit defaultEnginePar (the server's -engine-parallelism
-// configuration); explicit values — including 1 to force serial engines —
-// are kept, clamped. Clamping happens before the request key is computed,
-// so equally-sanitized requests share one solve. forceTrace (the trace
-// ring's doing) turns tracing on regardless of the request — responses
-// still strip the trace unless the client asked for it.
-func sanitizeOptions(opts ccsched.Options, defaultEnginePar int, forceTrace bool) ccsched.Options {
+// resource consumption rather than results. Parallelism bounds goroutines
+// per solve (an unchecked huge value would fork that many speculative-probe
+// workers); ExplicitMachineLimit and HugeMThreshold bound how many machines
+// a schedule materializes explicitly. Clamping happens before the request
+// key is computed, so equally-sanitized requests share one solve.
+// forceTrace (the trace ring's doing) turns tracing on regardless of the
+// request — responses still strip the trace unless the client asked for it.
+func sanitizeOptions(opts ccsched.Options, forceTrace bool) ccsched.Options {
 	if forceTrace {
 		opts.Trace = true
 	}
 	maxPar := runtime.GOMAXPROCS(0)
 	if opts.Parallelism > maxPar {
 		opts.Parallelism = maxPar
-	}
-	if opts.EngineParallelism == 0 {
-		opts.EngineParallelism = defaultEnginePar
-	}
-	if opts.EngineParallelism > maxPar {
-		opts.EngineParallelism = maxPar
 	}
 	const maxExplicitMachines = 1 << 20
 	if opts.ExplicitMachineLimit > maxExplicitMachines {
@@ -453,7 +437,7 @@ func (s *Server) submit(in *ccsched.Instance, opts ccsched.Options, timeout time
 		return nil, fmt.Errorf("%w: %d jobs > %d", ErrInstanceTooLarge, in.N(), s.cfg.MaxJobs)
 	}
 	canon := canonicalize(in)
-	opts = sanitizeOptions(opts, s.cfg.EngineParallelism, s.traces != nil)
+	opts = sanitizeOptions(opts, s.traces != nil)
 	// Workers share the server's feasibility cache unless the request
 	// explicitly opted out of caching.
 	if !opts.NoCache {

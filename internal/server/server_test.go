@@ -207,6 +207,31 @@ func TestResultCacheHit(t *testing.T) {
 	if m := s.Metrics(); m.ResultCacheHitsTotal != 1 {
 		t.Fatalf("result cache hits %d, want 1", m.ResultCacheHitsTotal)
 	}
+	// A body carrying the removed engine_parallelism option still decodes
+	// (unknown fields are ignored) and answers from the same cache entry.
+	body, err := json.Marshal(server.SolveRequest{Instance: in, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"engine_parallelism":2,`), 1)
+	if bytes.Equal(legacy, body) {
+		t.Fatalf("request body has no options object: %s", body)
+	}
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var legacyResp server.SolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&legacyResp); err != nil {
+		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusOK || !legacyResp.Cached {
+		t.Fatalf("engine_parallelism body: HTTP %d cached=%v, want cache hit", resp.StatusCode, legacyResp.Cached)
+	}
+	if m := s.Metrics(); m.ResultCacheHitsTotal != 2 || g.calls.Load() != 1 {
+		t.Fatalf("result cache hits %d, solver invocations %d; want 2 and 1", m.ResultCacheHitsTotal, g.calls.Load())
+	}
 }
 
 // TestQueueOverflow checks admission control: with one busy worker and a

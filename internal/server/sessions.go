@@ -75,7 +75,7 @@ func (s *Server) createSession(in *ccsched.Instance, opts ccsched.Options, timeo
 	if in.N() > s.cfg.MaxJobs {
 		return nil, fmt.Errorf("%w: %d jobs > %d", ErrInstanceTooLarge, in.N(), s.cfg.MaxJobs)
 	}
-	opts = sanitizeOptions(opts, s.cfg.EngineParallelism, s.traces != nil)
+	opts = sanitizeOptions(opts, s.traces != nil)
 	// Sessions carry their own feasibility cache (created by NewSession) so
 	// guess verdicts stay hot under the session key and die with it; the
 	// wire cannot name a cache, so clear whatever decoding left.

@@ -29,7 +29,7 @@ func TestFaultInjectedPanicBecomesErrInternal(t *testing.T) {
 	}{
 		{
 			point: "ptas.probe",
-			opts:  Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 0.5, EngineParallelism: 4},
+			opts:  Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 0.5},
 			in:    generator.Uniform(generator.Config{N: 30, Classes: 5, Machines: 4, Slots: 2, PMax: 60, Seed: 7}),
 		},
 		{

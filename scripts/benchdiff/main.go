@@ -56,11 +56,8 @@ type baselineFile struct {
 	// CalibrationNs is the reference host's calibration time (see
 	// calibrate).
 	CalibrationNs float64 `json:"calibration_ns"`
-	// NumCPU is the reference host's CPU count. Rows that need more CPUs
-	// than the comparing host has (an ep=<k> benchmark name component with
-	// k beyond NumCPU) are skipped with a logged reason instead of passing
-	// vacuously — a 1-CPU runner executes parallel code serially and would
-	// otherwise green-light any multi-core regression.
+	// NumCPU is the reference host's CPU count; informational, it
+	// documents the host the baseline was recorded on.
 	NumCPU int `json:"num_cpu,omitempty"`
 	// Benchmarks maps benchmark names (GOMAXPROCS suffix stripped) to their
 	// reference numbers.
@@ -237,15 +234,9 @@ func main() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	failed, skipped := 0, 0
+	failed := 0
 	for _, name := range names {
 		want := base.Benchmarks[name]
-		if k := epWorkers(name); k > runtime.NumCPU() {
-			fmt.Printf("skip %s: needs %d CPUs, host has %d — a time-shared run cannot gate a parallel row\n",
-				name, k, runtime.NumCPU())
-			skipped++
-			continue
-		}
 		got, ok := run[name]
 		if !ok {
 			fmt.Printf("FAIL %s: gated benchmark missing from the run\n", name)
@@ -272,27 +263,5 @@ func main() {
 	if failed > 0 {
 		fatalf("%d of %d gated benchmarks regressed", failed, len(names))
 	}
-	if skipped > 0 {
-		fmt.Printf("benchdiff: %d gated benchmarks within budget, %d skipped (insufficient CPUs)\n",
-			len(names)-skipped, skipped)
-		return
-	}
 	fmt.Printf("benchdiff: all %d gated benchmarks within budget\n", len(names))
-}
-
-// epWorkers extracts the worker count from an `ep=<k>` component of a
-// benchmark name (the E11 convention for EngineParallelism sub-rows); 0
-// when the name has none.
-var epRow = regexp.MustCompile(`\bep=(\d+)\b`)
-
-func epWorkers(name string) int {
-	m := epRow.FindStringSubmatch(name)
-	if m == nil {
-		return 0
-	}
-	k, err := strconv.Atoi(m[1])
-	if err != nil {
-		return 0
-	}
-	return k
 }

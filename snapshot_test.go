@@ -112,6 +112,33 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	requireColdParity(t, restored)
+
+	// Snapshots written while Options had an engine_parallelism field carry
+	// it; such a snapshot must still restore and re-solve to the makespan
+	// of a fresh session on the same instance.
+	legacy := bytes.Replace(data, []byte(`"options":{`), []byte(`"options":{"engine_parallelism":4,`), 1)
+	if bytes.Equal(legacy, data) {
+		t.Fatal("snapshot has no options object to extend")
+	}
+	old, err := RestoreSession(legacy)
+	if err != nil {
+		t.Fatalf("RestoreSession of a snapshot with engine_parallelism: %v", err)
+	}
+	fresh, err := NewSession(sess.Instance(), sess.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := old.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Makespan.Cmp(want.Makespan) != 0 {
+		t.Fatalf("legacy snapshot makespan %s != fresh session %s", got.Makespan.RatString(), want.Makespan.RatString())
+	}
 }
 
 // TestSessionSnapshotEncodeFixedPoint checks that encode(decode(encode(s)))

@@ -211,33 +211,28 @@ func cancelInstance(t *testing.T) *ccsched.Instance {
 
 // TestSolveCancellation proves Solve honors context cancellation promptly —
 // within one N-fold iteration boundary, not after the full multi-second
-// solve — for each variant, sequentially, with parallel probes, and with
-// intra-engine parallelism (subtree workers in flight must not delay the
-// abort: the committing walker sees ctx, cancels its claim context and joins
-// the workers before returning).
+// solve — for each variant, sequentially and with parallel probes.
 func TestSolveCancellation(t *testing.T) {
 	in := cancelInstance(t)
 	for _, variant := range []ccsched.Variant{ccsched.Splittable, ccsched.Preemptive, ccsched.NonPreemptive} {
 		for _, par := range []int{1, 4} {
-			for _, engPar := range []int{1, 4} {
-				ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-				start := time.Now()
-				_, err := ccsched.Solve(ctx, in, ccsched.Options{
-					Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 0.5,
-					Parallelism: par, EngineParallelism: engPar, NoCache: true,
-				})
-				elapsed := time.Since(start)
-				cancel()
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("variant %v par=%d engpar=%d: err %v, want DeadlineExceeded", variant, par, engPar, err)
-				}
-				// Generous bound for slow CI and the race detector's overhead:
-				// the solve runs tens of seconds uncancelled, so returning this
-				// fast proves promptness.
-				if elapsed > 10*time.Second {
-					t.Errorf("variant %v par=%d engpar=%d: returned after %s, cancellation not prompt",
-						variant, par, engPar, elapsed)
-				}
+			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+			start := time.Now()
+			_, err := ccsched.Solve(ctx, in, ccsched.Options{
+				Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 0.5,
+				Parallelism: par, NoCache: true,
+			})
+			elapsed := time.Since(start)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("variant %v par=%d: err %v, want DeadlineExceeded", variant, par, err)
+			}
+			// Generous bound for slow CI and the race detector's overhead:
+			// the solve runs tens of seconds uncancelled, so returning this
+			// fast proves promptness.
+			if elapsed > 10*time.Second {
+				t.Errorf("variant %v par=%d: returned after %s, cancellation not prompt",
+					variant, par, elapsed)
 			}
 		}
 	}

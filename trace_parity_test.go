@@ -2,9 +2,9 @@
 // not the makespan, not the certified lower bound, not the schedule, not a
 // single deterministic report counter. The span collector only observes; a
 // divergence here means tracing leaked into control flow. The differential
-// below runs traced and untraced solves across every generator family,
-// all three variants, and both serial and parallel engines, and requires
-// the normalized results to be bit-identical.
+// below runs traced and untraced solves across every generator family and
+// all three variants, and requires the normalized results to be
+// bit-identical.
 package ccsched_test
 
 import (
@@ -12,14 +12,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ccsched"
 )
 
 // normalizedJSON serializes a result with the trace and the run-to-run
-// nondeterministic diagnostics removed (speculative-probe and intra-engine
-// counters vary with scheduling regardless of tracing), leaving exactly the
+// nondeterministic diagnostics removed (speculative-probe counters vary
+// with scheduling regardless of tracing), leaving exactly the
 // deterministic surface: makespan, lower bound, tier, schedules, accepted
 // guess, probe count, N-fold parameters.
 func normalizedJSON(t *testing.T, res *ccsched.Result) []byte {
@@ -30,9 +31,6 @@ func normalizedJSON(t *testing.T, res *ccsched.Result) []byte {
 	r.Report.BBPivots = 0
 	r.Report.WarmHits = 0
 	r.Report.CacheHits = 0
-	r.Report.BrickScanWorkers = 0
-	r.Report.BBSubtreeSteals = 0
-	r.Report.BatchedLPSolves = 0
 	data, err := json.Marshal(&r)
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +38,40 @@ func normalizedJSON(t *testing.T, res *ccsched.Result) []byte {
 	return data
 }
 
+// legacyOptions round-trips opts through JSON with the engine_parallelism
+// field that requests and snapshots carried while the engines had an opt-in
+// intra-engine parallel mode. The field is ignored now: the legacy JSON
+// must decode to exactly opts.
+func legacyOptions(t *testing.T, opts ccsched.Options, engPar int) ccsched.Options {
+	t.Helper()
+	data, err := json.Marshal(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["engine_parallelism"] = engPar
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var got ccsched.Options
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("legacy options %s: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, opts) {
+		t.Fatalf("legacy options %s decoded to %+v, want %+v", data, got, opts)
+	}
+	return got
+}
+
 // TestTraceParityAllFamilies is the tracing differential: for every
-// generator family × variant × EngineParallelism ∈ {1, 4}, a traced solve
-// must be bit-identical to the untraced solve of the same instance, and the
-// traced result must actually carry a root span.
+// generator family × variant, a traced solve must be bit-identical to the
+// untraced solve of the same instance, and the traced result must actually
+// carry a root span. The engpar=4 arm decodes its options from legacy JSON
+// carrying "engine_parallelism":4 (see legacyOptions), which must decode to
+// the engpar=1 arm's options.
 func TestTraceParityAllFamilies(t *testing.T) {
 	for _, family := range ccsched.GeneratorFamilies() {
 		// Per-variant sizes and node budgets mirror variantCases: each PTAS
@@ -72,7 +100,10 @@ func TestTraceParityAllFamilies(t *testing.T) {
 					// runs this whole matrix.
 					opts := ccsched.Options{
 						Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 1,
-						MaxNodes: vc.maxNodes, Parallelism: 1, EngineParallelism: engPar, NoCache: true,
+						MaxNodes: vc.maxNodes, Parallelism: 1, NoCache: true,
+					}
+					if engPar > 1 {
+						opts = legacyOptions(t, opts, engPar)
 					}
 					plain, err := ccsched.Solve(context.Background(), in, opts)
 					if err != nil {
