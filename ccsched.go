@@ -340,12 +340,6 @@ type Options struct {
 	// single nil check per would-be span. Span cardinality per solve is
 	// bounded; overflow aggregates into summary rows.
 	Trace bool `json:"trace,omitempty"`
-	// NoWarmStart disables the PTAS pipeline's warm-start reuse (LP basis
-	// reuse across branch-and-bound nodes and probes). Results are
-	// bit-identical either way — warm starts only recognize provably
-	// infeasible subproblems faster — so this is a measurement baseline and
-	// determinism escape hatch, not a semantic knob.
-	NoWarmStart bool `json:"no_warm_start,omitempty"`
 	// FallbackTier, when set to TierApprox, arms degraded fallback: if the
 	// requested PTAS or exact tier is canceled by its context (deadline
 	// expiry or cancellation) before producing a schedule, Solve runs the
@@ -597,7 +591,6 @@ func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.Session
 		MaxConfigs:     opts.MaxConfigs,
 		HugeMThreshold: opts.HugeMThreshold,
 		Parallelism:    opts.Parallelism,
-		NoWarmStart:    opts.NoWarmStart,
 		Session:        st,
 		Trace:          sp,
 	}

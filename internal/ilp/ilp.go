@@ -77,16 +77,11 @@ type Options struct {
 	// FirstFeasible stops at the first integral solution; natural for the
 	// zero-objective feasibility ILPs of the PTAS.
 	FirstFeasible bool
-	// NoWarmStart disables basis reuse between nodes (and the RootBasis
-	// hint). Results are bit-identical either way — warm starts only prune
-	// provably infeasible nodes faster — so this exists as a measurement
-	// baseline and determinism escape hatch.
+	// NoWarmStart disables basis reuse between nodes. Results are
+	// bit-identical either way — warm starts only prune provably infeasible
+	// nodes faster — so this exists as a measurement baseline and
+	// determinism escape hatch.
 	NoWarmStart bool
-	// RootBasis optionally warm-starts the root relaxation from a basis
-	// captured on a structurally compatible problem (same row and variable
-	// counts), e.g. the previous makespan guess's root. Dimension mismatches
-	// are ignored.
-	RootBasis *lp.Basis
 	// Trace is the enclosing trace span (normally the nfold bb span); the
 	// search records bb_nodes batch spans (one per bbTraceBatch explored
 	// nodes, carrying that batch's node/pivot/warm-hit deltas) under it. The
@@ -110,9 +105,6 @@ type Result struct {
 	// WarmHits counts nodes pruned by the warm dual restore without a cold
 	// LP solve.
 	WarmHits int
-	// RootBasis is the root relaxation's terminal basis when it solved to
-	// optimality, for cross-solve warm-start hints (nil otherwise).
-	RootBasis *lp.Basis
 	// InfeasibleRay is the root relaxation's Farkas ray when the whole
 	// problem was refuted at the root by a cold LP solve: a row-price
 	// vector (in row order) certifying the root LP infeasible. Callers can
@@ -206,7 +198,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 	maxNodes := 200000
 	first := false
 	warmStart := true
-	var rootHint *lp.Basis
 	var tsp trace.Span
 	if opts != nil {
 		if opts.MaxNodes > 0 {
@@ -214,9 +205,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		}
 		first = opts.FirstFeasible
 		warmStart = !opts.NoWarmStart
-		if warmStart {
-			rootHint = opts.RootBasis
-		}
 		tsp = opts.Trace
 	}
 	tr := newBBTracer(tsp)
@@ -240,7 +228,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 			upper[j] = math.Floor(upper[j] + intTol)
 		}
 	}
-	stack := []node{{patchVar: -1, parent: rootHint}}
+	stack := []node{{patchVar: -1}}
 	var path []applied
 	res := &Result{Status: Infeasible}
 	var sol lp.Solution
@@ -288,9 +276,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 			res.WarmHits++
 		}
 		tr.tick(res)
-		if nd.patchVar < 0 && sol.Status == lp.Optimal && warmStart {
-			res.RootBasis = prep.CaptureBasis()
-		}
 		if nd.patchVar < 0 && sol.Status == lp.Infeasible {
 			res.InfeasibleRay = prep.InfeasibilityRay()
 		}

@@ -74,41 +74,3 @@ func TestWarmStartParity(t *testing.T) {
 		t.Fatal("no branch-and-bound node was ever warm-pruned; parity test is vacuous")
 	}
 }
-
-// TestRootBasisHintRoundTrip verifies that a solve publishes its root basis
-// and that feeding it back (even from a structurally different problem of
-// matching dimensions) never changes the result.
-func TestRootBasisHintRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	p := randomFeasibilityILP(rng, 5, 10)
-	first, err := Solve(p, &Options{FirstFeasible: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.RootBasis == nil {
-		t.Fatal("no root basis published by a solve whose root was optimal")
-	}
-	q := randomFeasibilityILP(rng, 5, 10) // same dims, different data
-	hinted, err := Solve(q, &Options{FirstFeasible: true, RootBasis: first.RootBasis})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Solve(q, &Options{FirstFeasible: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hinted.Status != plain.Status || hinted.Nodes != plain.Nodes {
-		t.Fatalf("hinted (%v, %d nodes) != plain (%v, %d nodes)",
-			hinted.Status, hinted.Nodes, plain.Status, plain.Nodes)
-	}
-	for j := range plain.X {
-		if hinted.X[j] != plain.X[j] {
-			t.Fatalf("X[%d] = %v != %v", j, hinted.X[j], plain.X[j])
-		}
-	}
-	// A dimension-mismatched hint must be ignored, not crash.
-	small := randomFeasibilityILP(rng, 3, 6)
-	if _, err := Solve(small, &Options{FirstFeasible: true, RootBasis: first.RootBasis}); err != nil {
-		t.Fatal(err)
-	}
-}

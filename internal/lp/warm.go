@@ -34,8 +34,8 @@ type Basis struct {
 	m, ncols int
 	// liveID links the snapshot to the solve that produced it; the owning
 	// Prepared remembers its most recent capture (lastCaptured) instead of
-	// the Basis pointing back at the Prepared, so a long-lived Basis (the
-	// cross-probe root hint) never pins a released solver or its problem.
+	// the Basis pointing back at the Prepared, so a Basis that outlives its
+	// solve never pins a released solver or its problem.
 	liveID uint64
 }
 

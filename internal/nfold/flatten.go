@@ -72,14 +72,12 @@ func (p *Problem) lpRelaxationInfeasible(ctx context.Context) (bool, error) {
 }
 
 // solveBranchBound runs the exact fallback engine and converts the answer
-// back to brick form. Basis reuse across the probes of a family was tried
-// here (warm-starting each root from the previous probe's terminal root
-// basis via Options.Template) and measured a wash-to-loss: a cross-solve
-// restore must refactorize from scratch (O(m³)), which on the mostly
-// feasible probes of a guess search costs more than the few dozen pivots
-// the cold root solve needs. Warm starts therefore stay within one solve
-// (parent → child), where the factorization is live; callers with
-// workload knowledge can still pass ilp.Options.RootBasis themselves.
+// back to brick form. Warm starts stay within one solve (parent → child),
+// where the factorization is live. Carrying a root basis across solves —
+// between the probes of a guess search, or between the re-solves of a
+// scheduling session — was measured twice and never paid: a cross-solve
+// restore must refactorize from scratch (O(m³)), which costs more than the
+// few dozen pivots the cold root solve needs, and it never pruned a root.
 func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible bool, o *Options) (*Result, error) {
 	mp, err := p.Flatten()
 	if err != nil {
@@ -88,7 +86,7 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	sp := o.Trace.Child("bb")
 	iopts := &ilp.Options{
 		MaxNodes: maxNodes, FirstFeasible: firstFeasible, NoWarmStart: o.NoWarmStart,
-		RootBasis: o.RootBasis, Trace: sp,
+		Trace: sp,
 	}
 	res, err := ilp.SolveCtx(ctx, mp, iopts)
 	if err != nil {
@@ -101,7 +99,7 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	)
 	out := &Result{
 		Engine: EngineBranchBound, Nodes: res.Nodes, Pivots: res.Pivots, WarmHits: res.WarmHits,
-		RootBasis: res.RootBasis, InfeasibleRay: res.InfeasibleRay,
+		InfeasibleRay: res.InfeasibleRay,
 	}
 	switch res.Status {
 	case ilp.Infeasible:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"ccsched/internal/lp"
 	"ccsched/internal/trace"
 )
 
@@ -58,20 +57,14 @@ type Options struct {
 	// FirstFeasible stops branch and bound at the first integral solution;
 	// the right choice for the PTAS's zero-objective feasibility ILPs.
 	FirstFeasible bool
-	// NoWarmStart disables LP basis reuse inside (and across) the exact
-	// engine's branch-and-bound solves. Results are bit-identical either
-	// way; see ilp.Options.NoWarmStart.
+	// NoWarmStart disables LP basis reuse inside the exact engine's
+	// branch-and-bound solves. Results are bit-identical either way; see
+	// ilp.Options.NoWarmStart.
 	NoWarmStart bool
 	// Template shares the augmentation move-set cache across a family of
 	// related solves (the probes of one PTAS guess search). Nil disables
 	// cross-solve sharing.
 	Template *Template
-	// RootBasis optionally warm-starts the exact engine's root relaxation
-	// from a basis captured on a structurally compatible flattened problem
-	// (e.g. the same probe shape in the previous solve of a scheduling
-	// session). The restore is verdict-only, so results are bit-identical
-	// with or without the hint; dimension mismatches are ignored.
-	RootBasis *lp.Basis
 	// Trace is the enclosing trace span (normally the guess probe's);
 	// engine runs record nfold_augment / bb child spans under it. The zero
 	// Span disables recording. Observational only: results are identical
@@ -93,10 +86,6 @@ type Result struct {
 	// WarmHits counts branch-and-bound nodes pruned by the warm dual
 	// restore (see internal/lp); zero with NoWarmStart.
 	WarmHits int
-	// RootBasis is the exact engine's terminal root-relaxation basis when
-	// it solved to optimality (nil otherwise); pass it back through
-	// Options.RootBasis to warm-start a related later solve.
-	RootBasis *lp.Basis
 	// InfeasibleRay is a Farkas certificate of this problem's LP-relaxation
 	// infeasibility when the exact engine refuted it at the root with a
 	// cold LP solve (nil otherwise). Re-verify it against a related problem

@@ -300,7 +300,6 @@ func probeCacheKey(variant byte, digest [sha256.Size]byte, g int64, opts Options
 // can vary run to run, so these are diagnostics, never solver inputs.
 type probeStats struct {
 	cacheHits atomic.Int64
-	certHits  atomic.Int64
 	nodes     atomic.Int64
 	pivots    atomic.Int64
 	warmHits  atomic.Int64
@@ -309,7 +308,6 @@ type probeStats struct {
 // report fills the aggregate counter fields of a Report.
 func (st *probeStats) report(rep *Report) {
 	rep.CacheHits = int(st.cacheHits.Load())
-	rep.CertHits = int(st.certHits.Load())
 	rep.BBNodes = st.nodes.Load()
 	rep.BBPivots = st.pivots.Load()
 	rep.WarmHits = st.warmHits.Load()
@@ -324,19 +322,14 @@ func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 
 // solveGuessCached runs one guess probe's N-fold through the feasibility
 // cache — the shared step of all four probe shapes. A hit returns the
-// memoized verdict (counted in stats.cacheHits); a miss builds the N-fold
-// and, in a session re-solve (rec non-nil), first tries to refute it with
-// the previous round's Farkas certificate — a sparse re-verification that
-// can never flip a verdict, only skip the engines (see
-// nfold.Problem.CertifiesInfeasible). Otherwise it solves under pctx with
-// the search's shared nfold.Template and memoizes the verdict. Errors —
-// including cancellation of a losing speculative probe — are never cached.
-// The warm-start caches in tmpl, the session root-basis hint and the
-// certificate never change a verdict (restores and certificates are
-// verdict-only and the augment move cache is content-deterministic), so
-// cached entries stay valid across NoWarmStart settings and between session
-// and cold solves.
-func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, rec *sessionRecorder, build func() *nfold.Problem) (cacheEntry, error) {
+// memoized verdict (counted in stats.cacheHits); a miss builds the N-fold,
+// solves it under pctx with the search's shared nfold.Template and
+// memoizes the verdict. Errors — including cancellation of a losing
+// speculative probe — are never cached. Neither the warm restore nor the
+// move cache in tmpl ever changes a verdict (restores are verdict-only and
+// the augment move cache is content-deterministic), so cached entries stay
+// valid across NoWarmStart settings and between session and cold solves.
+func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem) (cacheEntry, error) {
 	// Chaos hook: one injection point per feasibility probe. A delay here
 	// pushes a solve past its soft deadline; a panic exercises the search
 	// workers' recovery; an error must surface as a clean typed failure.
@@ -355,7 +348,7 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 		// it against the N-fold built from the live data before trusting
 		// it. Feasible entries re-check their stored solution exactly
 		// (nfold.Problem.Check); infeasible entries re-verify their Farkas
-		// ray, the same sparse pass session certificates use. Either way a
+		// ray (nfold.Problem.CertifiesInfeasible). Either way a
 		// restored entry cannot flip a verdict — a failed re-verification
 		// drops the entry and the cold solve below runs as if it had never
 		// existed.
@@ -371,25 +364,13 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	if prob == nil {
 		prob = build()
 	}
-	if rec.tryCertificate(prob, stats) {
-		entry := cacheEntry{
-			feasible: false, ray: rec.ray,
-			params: prob.Params(), engine: engineCertificate,
-			costLog2: prob.TheoreticalCostLog2(),
-		}
-		opts.Cache.store(key, entry)
-		sp.End(trace.A("t", t), trace.A("cert_hit", 1), trace.A("feasible", 0))
-		return entry, nil
-	}
 	no := opts.nfoldOptions(tmpl)
-	no.RootBasis = rec.rootHint(t)
 	no.Trace = sp
 	res, err := nfold.SolveCtx(pctx, prob, no)
 	if err != nil {
 		sp.End(trace.A("t", t), trace.A("err", 1))
 		return cacheEntry{}, err
 	}
-	rec.note(res)
 	stats.nodes.Add(int64(res.Nodes))
 	stats.pivots.Add(int64(res.Pivots))
 	stats.warmHits.Add(int64(res.WarmHits))

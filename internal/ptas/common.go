@@ -67,16 +67,15 @@ type Options struct {
 	// ILPs. Nil disables caching. A single Cache is safe to share between
 	// concurrent solves.
 	Cache *Cache
-	// NoWarmStart disables LP basis reuse inside and across the exact
-	// engine's branch-and-bound solves. Warm starts are verdict-only (see
+	// NoWarmStart disables LP basis reuse inside the exact engine's
+	// branch-and-bound solves. Warm starts are verdict-only (see
 	// internal/lp), so accepted guesses, probe counts and schedules are
 	// bit-identical either way; this is the measurement baseline and
 	// determinism escape hatch checked by the warm-parity tests.
 	NoWarmStart bool
 	// Session carries warm state across the re-solves of a scheduling
-	// session: guess templates, the previous accepted guess (seeding the
-	// search window), the boundary reject's Farkas certificate and the root
-	// basis hint. All reuse is verdict-preserving, so results are
+	// session: guess templates and the previous accepted guess (seeding the
+	// search window). All reuse is verdict-preserving, so results are
 	// bit-identical to a cold solve of the same instance; solves with a
 	// Session run the sequential guess search regardless of Parallelism.
 	// A SessionState must not be shared by concurrent solves.
@@ -145,9 +144,9 @@ type Report struct {
 	// CacheHits counts guess probes answered from the feasibility cache
 	// during this search.
 	CacheHits int `json:"cache_hits,omitempty"`
-	// CertHits counts guess probes refuted by re-verifying a session-carried
-	// Farkas certificate instead of running the engines (session re-solves
-	// only).
+	// CertHits is always zero. It counted probes refuted by a Farkas
+	// certificate carried between session re-solves, a mechanism that never
+	// fired and was removed; the field stays for readers of the report.
 	CertHits int `json:"cert_hits,omitempty"`
 	// BBNodes, BBPivots and WarmHits aggregate the exact engine's
 	// branch-and-bound nodes, simplex pivots, and warm-restore prunes across

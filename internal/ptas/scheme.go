@@ -118,7 +118,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	tm, err := sc.template(in, g, opts)
 	tsp.End()
 	if err == nil {
-		seed, rec := opts.Session.probeSeed(sc.tag, g, scale)
+		seed := opts.Session.seedFor(sc.tag, g, scale)
 		ssp := opts.Trace.Child("guess_search")
 		opts.Trace = ssp // probes hang their spans off the search span
 		probe := func(pctx context.Context, t int64) (accepted[S], bool, error) {
@@ -130,7 +130,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 				return accepted[S]{}, false, err
 			}
 			key := probeCacheKey(sc.tag, gc.digest(), g, opts)
-			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.engines(), rec, gc.buildNFold)
+			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.engines(), gc.buildNFold)
 			if err != nil || !entry.feasible {
 				return accepted[S]{}, false, err
 			}
@@ -154,7 +154,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 			trace.A("seeded", b2i(opts.Session != nil)),
 		)
 		if err == nil {
-			opts.Session.noteSearch(sc.tag, g, guess, scale, rec)
+			opts.Session.noteSearch(sc.tag, g, guess, scale)
 		}
 	}
 	if err != nil {

@@ -4,8 +4,6 @@ import (
 	"math/big"
 
 	"ccsched/internal/core"
-	"ccsched/internal/lp"
-	"ccsched/internal/nfold"
 )
 
 // Session state. A scheduling session re-solves a slowly mutating instance
@@ -19,19 +17,19 @@ import (
 //     job partitions) are re-derived by retarget on every reuse;
 //   - the previous accepted guess per probe shape, seeding the next search's
 //     boundary window (searchGuessesSeeded) before it falls back to the
-//     full binary search over the [LB, hi] grid;
-//   - the previous boundary reject's Farkas certificate, re-verified against
-//     each new reject-candidate N-fold (nfold.Problem.CertifiesInfeasible)
-//     so unchanged rejects skip the engines entirely;
-//   - the previous search's terminal root basis, passed as a verdict-only
-//     warm hint to expected-infeasible probes (nfold.Options.RootBasis).
+//     full binary search over the [LB, hi] grid.
 //
-// Every mechanism is verdict-preserving by construction — certificates are
-// re-verified from scratch, restores are verdict-only, cache keys are
-// derived-data-exact, and the seeded window returns the same bracketed
-// boundary the binary search finds — so a session re-solve returns a
-// makespan bit-identical to a cold Solve on the mutated instance. The
-// end-to-end guarantee is proven by the session differential tests.
+// No LP state crosses re-solves: a carried Farkas certificate and a carried
+// root basis were both tried and never refuted a probe or pruned a root on
+// the session workloads, so warm starts stay inside one branch-and-bound
+// solve (see internal/lp). The session's feasibility cache lives beside
+// this state, in the Options.Cache of its solves.
+//
+// Both mechanisms are verdict-preserving by construction — templates are
+// retargeted at the live instance and the seeded window returns the same
+// bracketed boundary the binary search finds — so a session re-solve
+// returns a makespan bit-identical to a cold Solve on the mutated instance.
+// The end-to-end guarantee is proven by the session differential tests.
 //
 // A SessionState is NOT safe for concurrent use: it belongs to exactly one
 // session, whose re-solves are serialized by the owner. Solves carrying a
@@ -57,10 +55,6 @@ type sessionSeed struct {
 	guess int64
 	g     int64
 	scale int64
-	// ray is the Farkas certificate of the previous boundary reject.
-	ray []float64
-	// root is the previous search's last captured root-relaxation basis.
-	root *lp.Basis
 }
 
 // NewSessionState returns empty warm state for one scheduling session.
@@ -68,69 +62,37 @@ func NewSessionState() *SessionState {
 	return &SessionState{seeds: make(map[byte]*sessionSeed)}
 }
 
-// seedFor returns the seed guess (rescaled into the current scale when the
-// previous solve ran under a different power-of-two scaling), certificate
-// and root hint for one probe shape. A zero guess means "no seed". A seed
-// recorded under a different accuracy g contributes only its certificate
-// and root basis (both verdict-preserving under any g — the ray is
-// re-verified against each candidate, the basis is a verdict-only hint);
-// its guess stays out of the search, which falls back to the cold binary
-// search over the new grid.
-func (st *SessionState) seedFor(tag byte, g, scale int64) (guess int64, ray []float64, root *lp.Basis) {
+// seedFor returns the seed guess for one probe shape, rescaled into the
+// current scale when the previous solve ran under a different power-of-two
+// scaling. A zero guess means "no seed": a nil state, no previous search of
+// this shape, or one at a different accuracy g, in which case the search
+// falls back to the cold binary search over the new grid.
+func (st *SessionState) seedFor(tag byte, g, scale int64) int64 {
 	if st == nil {
-		return 0, nil, nil
+		return 0
 	}
 	s := st.seeds[tag]
-	if s == nil {
-		return 0, nil, nil
+	if s == nil || s.g != g {
+		return 0
 	}
-	if s.g != g {
-		return 0, s.ray, s.root
+	if s.scale == scale || s.scale <= 0 {
+		return s.guess
 	}
-	guess = s.guess
-	if s.scale != scale && s.scale > 0 {
-		q := new(big.Int).Mul(big.NewInt(s.guess), big.NewInt(scale))
-		q.Quo(q, big.NewInt(s.scale))
-		guess = q.Int64()
-		if guess < 1 {
-			guess = 1
-		}
+	q := new(big.Int).Mul(big.NewInt(s.guess), big.NewInt(scale))
+	q.Quo(q, big.NewInt(s.scale))
+	if guess := q.Int64(); guess >= 1 {
+		return guess
 	}
-	return guess, s.ray, s.root
+	return 1
 }
 
-// probeSeed builds one re-solve's seed guess and recorder for a probe
-// shape; a nil state returns a zero seed and nil recorder, which select the
-// cold search behavior everywhere downstream.
-func (st *SessionState) probeSeed(tag byte, g, scale int64) (int64, *sessionRecorder) {
-	if st == nil {
-		return 0, nil
-	}
-	guess, ray, root := st.seedFor(tag, g, scale)
-	return guess, &sessionRecorder{seedGuess: guess, ray: ray, root: root}
-}
-
-// noteSearch records a completed search's accepted guess and the recorder's
-// certificate and root basis for the next re-solve. When this search
-// produced no fresh certificate or basis (every probe answered from the
-// cache), the previous ones are kept as long as the scale still matches.
-func (st *SessionState) noteSearch(tag byte, g, guess, scale int64, rec *sessionRecorder) {
+// noteSearch records a completed search's accepted guess for the next
+// re-solve.
+func (st *SessionState) noteSearch(tag byte, g, guess, scale int64) {
 	if st == nil {
 		return
 	}
-	s := &sessionSeed{guess: guess, g: g, scale: scale}
-	if rec != nil {
-		s.ray, s.root = rec.newRay, rec.newRoot
-	}
-	if prev := st.seeds[tag]; prev != nil && prev.scale == scale {
-		if s.ray == nil {
-			s.ray = prev.ray
-		}
-		if s.root == nil {
-			s.root = prev.root
-		}
-	}
-	st.seeds[tag] = s
+	st.seeds[tag] = &sessionSeed{guess: guess, g: g, scale: scale}
 }
 
 // splitTemplateFor returns the carried splittable template retargeted at in
@@ -182,67 +144,4 @@ func (tm *splitTemplate) retarget(in *core.Instance) {
 func (tm *preTemplate) retarget(in *core.Instance) {
 	tm.in = in
 	tm.byClass = in.ClassJobs()
-}
-
-// engineCertificate marks a cache entry whose Infeasible verdict came from
-// re-verifying a session-carried Farkas certificate instead of an engine
-// run. Reject verdicts never surface an engine name in results, so the
-// marker is diagnostic only.
-const engineCertificate nfold.Engine = "session-certificate"
-
-// sessionRecorder threads one re-solve's warm hints into its probes and
-// collects the next round's. It is used only by the sequential seeded
-// search, so no locking.
-type sessionRecorder struct {
-	// seedGuess gates the root hint: only probes strictly below the seed —
-	// the expected-infeasible side of the boundary — try the warm restore,
-	// where a certified prune skips a whole branch-and-bound run. (On the
-	// feasible side a cross-solve restore can only waste its refactor; see
-	// the measurement note in nfold.solveBranchBound.)
-	seedGuess int64
-	ray       []float64
-	root      *lp.Basis
-
-	// Collected for the next round.
-	newRay  []float64
-	newRoot *lp.Basis
-}
-
-// tryCertificate re-verifies the carried Farkas certificate against prob.
-// On success the certificate stays valid and is carried forward.
-func (r *sessionRecorder) tryCertificate(prob *nfold.Problem, stats *probeStats) bool {
-	if r == nil || r.ray == nil {
-		return false
-	}
-	if !prob.CertifiesInfeasible(r.ray) {
-		return false
-	}
-	stats.certHits.Add(1)
-	if r.newRay == nil {
-		r.newRay = r.ray
-	}
-	return true
-}
-
-// rootHint returns the carried root basis for probes below the seed guess.
-func (r *sessionRecorder) rootHint(t int64) *lp.Basis {
-	if r == nil || r.seedGuess <= 0 || t >= r.seedGuess {
-		return nil
-	}
-	return r.root
-}
-
-// note collects a solved probe's certificate and root basis. Later probes
-// overwrite earlier ones, so the search ends holding the boundary reject's
-// ray (the last reject solved) and the most recent captured basis.
-func (r *sessionRecorder) note(res *nfold.Result) {
-	if r == nil {
-		return
-	}
-	if res.InfeasibleRay != nil {
-		r.newRay = res.InfeasibleRay
-	}
-	if res.RootBasis != nil {
-		r.newRoot = res.RootBasis
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ccsched/internal/core"
-	"ccsched/internal/lp"
 	"ccsched/internal/nfold"
 )
 
@@ -18,11 +17,10 @@ import (
 //   - templates persist only their parameters (g, limit, slot budget) — the
 //     enumerations, shared blocks and move-set caches are deterministic
 //     functions of those and are rebuilt from the live instance on restore;
-//   - search seeds persist the accepted guess, its scale, the Farkas ray and
-//     the root basis — the ray is re-verified from scratch on every use
-//     (nfold.Problem.CertifiesInfeasible) and the basis restore is
-//     verdict-only (lp.RestoreBasis + the dual restore's contract), so a
-//     stale seed can cost time but never change a verdict;
+//   - search seeds persist the accepted guess and its scale — a seed only
+//     narrows where the search looks first, so a stale seed can cost probes
+//     but never change a verdict (snapshots written before the seeds lost
+//     their "ray" and "root" sections still decode; those are ignored);
 //   - cache entries persist their key, verdict and evidence (the solution
 //     for feasible entries, the ray for infeasible ones) and come back
 //     marked restored: the first hit re-verifies the evidence against a
@@ -49,8 +47,8 @@ func floatBits(fs []float64) []uint64 {
 }
 
 // bitsToFloats decodes IEEE-754 bit patterns, rejecting NaN and ±Inf (no
-// certificate or basis the solver produces contains them, so their presence
-// means corruption).
+// certificate the solver produces contains them, so their presence means
+// corruption).
 func bitsToFloats(bits []uint64) ([]float64, bool) {
 	if bits == nil {
 		return nil, true
@@ -88,10 +86,6 @@ type SeedSnapshot struct {
 	// power-of-two scale it was found under.
 	Guess int64 `json:"guess"`
 	Scale int64 `json:"scale"`
-	// Ray is the boundary reject's Farkas certificate, as IEEE-754 bits.
-	Ray []uint64 `json:"ray,omitempty"`
-	// Root is the last captured root-relaxation basis.
-	Root *lp.BasisSnapshot `json:"root,omitempty"`
 }
 
 // StateSnapshot is the serializable warm state of one scheduling session.
@@ -121,11 +115,7 @@ func (st *SessionState) Export() *StateSnapshot {
 		if s == nil {
 			continue
 		}
-		out.Seeds = append(out.Seeds, SeedSnapshot{
-			Tag: tag, Guess: s.guess, Scale: s.scale,
-			Ray:  floatBits(s.ray),
-			Root: s.root.Snapshot(),
-		})
+		out.Seeds = append(out.Seeds, SeedSnapshot{Tag: tag, Guess: s.guess, Scale: s.scale})
 	}
 	sort.Slice(out.Seeds, func(a, b int) bool { return out.Seeds[a].Tag < out.Seeds[b].Tag })
 	if out.Split == nil && out.Pre == nil && len(out.Seeds) == 0 {
@@ -138,10 +128,10 @@ func (st *SessionState) Export() *StateSnapshot {
 // degrading component-by-component: a template whose parameters are invalid
 // or whose slot budget no longer matches the instance is dropped (the next
 // solve rebuilds cold); a seed with an out-of-range tag or non-positive
-// guess/scale is dropped; a seed's ray or basis that fails validation is
-// dropped individually while the guess itself is kept. Restored rays and
-// bases are re-verified on every use anyway, so nothing restored here is
-// ever trusted with a verdict. A nil snapshot restores empty state.
+// guess/scale is dropped. Seeds do not record the accuracy g they were
+// found at, so a restored seed steers no search (see seedFor) until the
+// next search of its shape replaces it. A nil snapshot restores empty
+// state.
 func RestoreState(snap *StateSnapshot, in *core.Instance) *SessionState {
 	st := NewSessionState()
 	if snap == nil {
@@ -164,16 +154,7 @@ func RestoreState(snap *StateSnapshot, in *core.Instance) *SessionState {
 		if _, dup := st.seeds[s.Tag]; dup {
 			continue
 		}
-		seed := &sessionSeed{guess: s.Guess, scale: s.Scale}
-		if ray, ok := bitsToFloats(s.Ray); ok && len(ray) > 0 {
-			seed.ray = ray
-		}
-		if s.Root != nil {
-			if root, err := lp.RestoreBasis(s.Root); err == nil {
-				seed.root = root
-			}
-		}
-		st.seeds[s.Tag] = seed
+		st.seeds[s.Tag] = &sessionSeed{guess: s.Guess, scale: s.Scale}
 	}
 	return st
 }

@@ -107,7 +107,7 @@ func checkWatchEvents(t *testing.T, evs []server.WatchEvent) {
 // to a final result bit-identical to a cold TierPTAS solve at the terminal
 // ε, and a GET afterwards serves the refined best.
 func TestAnytimeWatchStream(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
 	in := anytimeInstance(t)
 	opts := ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierAnytime, Epsilon: 0.5}
 
@@ -156,7 +156,7 @@ func TestAnytimeWatchStream(t *testing.T) {
 // replayed tail starts after the acknowledged generation, with no
 // duplicates — plus the watch endpoint's error mapping.
 func TestAnytimeWatchReplay(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
 	in := anytimeInstance(t)
 	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
 		Instance: in,
@@ -219,7 +219,7 @@ func TestAnytimeWatchReplay(t *testing.T) {
 // new ladder — higher generations, rung 0 again, a new final matching a cold
 // solve of the patched instance.
 func TestAnytimePatchRestartsLadder(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
 	in := anytimeInstance(t)
 	opts := ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierAnytime, Epsilon: 1}
 	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
@@ -266,7 +266,7 @@ func TestAnytimePatchRestartsLadder(t *testing.T) {
 // near-zero per-tenant rate the bucket holds one token, so the ladder runs
 // one rung and parks, metered.
 func TestAnytimeBudgetExhaustionParks(t *testing.T) {
-	s, ts := startServer(t, server.Config{Workers: 1, RefineBudgetPerSec: 1e-9, Logf: t.Logf})
+	s, ts := startServer(t, server.Config{Workers: 1, RefineBudgetPerSec: 1e-9, Logger: testLogger(t)})
 	in := anytimeInstance(t)
 	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
 		Instance: in,
@@ -303,7 +303,7 @@ func TestAnytimeBudgetExhaustionParks(t *testing.T) {
 // SSE resume contract with no duplicate generations across restarts.
 func TestAnytimeGenerationsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	cfg := server.Config{Workers: 1, StateDir: dir, Logf: t.Logf}
+	cfg := server.Config{Workers: 1, StateDir: dir, Logger: testLogger(t)}
 
 	s1 := server.New(cfg)
 	ts1 := httptest.NewServer(s1.Handler())

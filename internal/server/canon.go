@@ -97,11 +97,7 @@ type key [sha256.Size]byte
 // result-affecting options. Parallelism and caching knobs are excluded —
 // Solve guarantees bit-identical results for any setting of either — and
 // TierAuto resolves to TierPTAS (and ε to its 0.5 default) so equivalent
-// requests share one entry. NoWarmStart is included even though results are
-// warm/cold-identical too: it is a measurement baseline, and serving a
-// cold-baseline request from a warm flight's cache entry would silently
-// hand back the warm run's diagnostics (bb_pivots, warm_hits) instead of
-// actually running cold.
+// requests share one entry.
 func requestKey(canon *ccsched.Instance, opts ccsched.Options) key {
 	h := sha256.New()
 	var buf [8]byte
@@ -135,9 +131,6 @@ func requestKey(canon *ccsched.Instance, opts ccsched.Options) key {
 	put(int64(opts.MaxConfigs))
 	put(opts.HugeMThreshold)
 	put(opts.ExplicitMachineLimit)
-	if opts.NoWarmStart {
-		put(1)
-	}
 	// Trace changes the Result shape (Result.Trace), not the verdict, but a
 	// traced and an untraced request must not share a cached result: the
 	// untraced flight's entry would answer a ?trace=1 request with no trace.

@@ -10,48 +10,9 @@ package server
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 )
-
-// logfHandler adapts a Printf-style sink (Config.Logf, typically t.Logf in
-// tests) to slog: each record renders as "msg key=val ...".
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-// Enabled reports every level as loggable; the sink decides nothing.
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-// Handle renders the record as one Printf line.
-func (h *logfHandler) Handle(_ context.Context, rec slog.Record) error {
-	var b strings.Builder
-	b.WriteString(rec.Message)
-	emit := func(a slog.Attr) {
-		fmt.Fprintf(&b, " %s=%v", a.Key, a.Value.Any())
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	rec.Attrs(func(a slog.Attr) bool {
-		emit(a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-// WithAttrs accumulates attrs onto a copy of the handler.
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	return &logfHandler{logf: h.logf, attrs: append(append([]slog.Attr{}, h.attrs...), attrs...)}
-}
-
-// WithGroup flattens groups: the adapter's consumers are test logs, where a
-// flat key list reads better than nesting.
-func (h *logfHandler) WithGroup(string) slog.Handler { return h }
 
 // reqInfo is the request-scoped logging state shared between the middleware
 // and the handlers: the request id (also returned to clients) and the

@@ -71,7 +71,7 @@ func createPersistedSession(t *testing.T, url string, seed int64) (string, *ccsc
 // makespan of the mirrored instance with snapshot_restores_total counted.
 func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1 := server.New(server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+	s1 := server.New(server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 	ts1 := httptest1(t, s1)
 	id, mirror := createPersistedSession(t, ts1.URL, 11)
 
@@ -85,7 +85,7 @@ func TestSnapshotRestoreAcrossRestart(t *testing.T) {
 		t.Fatalf("drain left no snapshot: %v", err)
 	}
 
-	s2, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+	s2, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 	code, gr := sessionCall(t, "GET", ts2.URL+"/v1/sessions/"+id, nil)
 	if code != http.StatusOK || gr.Status != server.StatusDone {
 		t.Fatalf("restored GET: %d %+v", code, gr)
@@ -142,7 +142,7 @@ func reframe(payload []byte) []byte {
 // damaged snapshot is simply gone (404), never wrong.
 func TestSnapshotDamageSkippedOnBoot(t *testing.T) {
 	dir := t.TempDir()
-	s1 := server.New(server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+	s1 := server.New(server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 	ts1 := httptest1(t, s1)
 	idA, mirrorA := createPersistedSession(t, ts1.URL, 21)
 	idB, _ := createPersistedSession(t, ts1.URL, 22)
@@ -171,7 +171,7 @@ func TestSnapshotDamageSkippedOnBoot(t *testing.T) {
 			if err := os.WriteFile(pathB, damage.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s2, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+			s2, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 			if m := s2.Metrics(); m.SnapshotCorruptSkipped < 1 {
 				t.Fatalf("snapshot_corrupt_skipped_total = %d, want >= 1", m.SnapshotCorruptSkipped)
 			}
@@ -217,7 +217,7 @@ func versionBump(t *testing.T, framed []byte) []byte {
 // TestSessionExportImport migrates a session between two servers via the
 // export endpoints and checks the import solves warm to cold parity.
 func TestSessionExportImport(t *testing.T) {
-	_, tsA := startServer(t, server.Config{Workers: 2, Logf: t.Logf})
+	_, tsA := startServer(t, server.Config{Workers: 2, Logger: testLogger(t)})
 	id, mirror := createPersistedSession(t, tsA.URL, 31)
 
 	resp, err := http.Get(tsA.URL + "/v1/sessions/" + id + "/export")
@@ -230,7 +230,7 @@ func TestSessionExportImport(t *testing.T) {
 		t.Fatalf("export: %d %v", resp.StatusCode, err)
 	}
 
-	sB, tsB := startServer(t, server.Config{Workers: 2, Logf: t.Logf})
+	sB, tsB := startServer(t, server.Config{Workers: 2, Logger: testLogger(t)})
 	req, err := http.NewRequest("PUT", tsB.URL+"/v1/sessions/migrated-1/export", bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func putRaw(t *testing.T, url string, body []byte) (int, []byte) {
 func TestCheckpointDuringPatch(t *testing.T) {
 	dir := t.TempDir()
 	s1 := server.New(server.Config{
-		Workers: 2, StateDir: dir, CheckpointInterval: time.Millisecond, Logf: t.Logf,
+		Workers: 2, StateDir: dir, CheckpointInterval: time.Millisecond, Logger: testLogger(t),
 	})
 	ts1 := httptest1(t, s1)
 	id, _ := createPersistedSession(t, ts1.URL, 41)
@@ -331,7 +331,7 @@ func TestCheckpointDuringPatch(t *testing.T) {
 	// boot a second server off the directory, exactly what follows kill -9).
 	time.Sleep(50 * time.Millisecond)
 
-	s2 := server.New(server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+	s2 := server.New(server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 	ts2 := httptest1(t, s2)
 	code, gr := sessionCall(t, "GET", ts2.URL+"/v1/sessions/"+id, nil)
 	if code != http.StatusOK || gr.Status != server.StatusDone {
@@ -366,7 +366,7 @@ func TestCheckpointDuringPatch(t *testing.T) {
 // the next boot.
 func TestDeleteRemovesSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s1 := server.New(server.Config{Workers: 2, StateDir: dir, CheckpointInterval: time.Millisecond, Logf: t.Logf})
+	s1 := server.New(server.Config{Workers: 2, StateDir: dir, CheckpointInterval: time.Millisecond, Logger: testLogger(t)})
 	ts1 := httptest1(t, s1)
 	id, _ := createPersistedSession(t, ts1.URL, 51)
 	// Wait for a checkpoint to land, then delete.
@@ -392,7 +392,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1.Close()
-	_, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logf: t.Logf})
+	_, ts2 := startServer(t, server.Config{Workers: 2, StateDir: dir, Logger: testLogger(t)})
 	if code, _ := sessionCall(t, "GET", ts2.URL+"/v1/sessions/"+id, nil); code != http.StatusNotFound {
 		t.Fatalf("deleted session resurrected: GET = %d", code)
 	}
@@ -402,7 +402,7 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 // with their wire names.
 func TestStateDirMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	_, ts := startServer(t, server.Config{Workers: 1, StateDir: dir, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 1, StateDir: dir, Logger: testLogger(t)})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

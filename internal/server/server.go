@@ -124,13 +124,9 @@ type Config struct {
 	// Solver overrides the solver invoked by the workers; nil selects
 	// ccsched.Solve. Tests use it to instrument and gate solves.
 	Solver SolveFunc
-	// Logger receives structured request and lifecycle logs. Nil wraps Logf
-	// when that is set, and discards otherwise.
+	// Logger receives structured request and lifecycle logs. Nil discards
+	// them.
 	Logger *slog.Logger
-	// Logf, when non-nil, receives one line per completed solve and per
-	// lifecycle event (Printf-style). Superseded by Logger; kept because
-	// tests wire t.Logf here.
-	Logf func(format string, args ...any)
 }
 
 // withDefaults fills zero fields.
@@ -182,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Solver == nil {
 		c.Solver = ccsched.Solve
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -329,7 +322,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(&logfHandler{logf: cfg.Logf})
+		logger = slog.New(slog.DiscardHandler)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

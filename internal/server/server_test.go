@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"math/big"
 	"math/rand"
 	"net/http"
@@ -101,6 +102,19 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Ser
 		ts.Close()
 	})
 	return s, ts
+}
+
+// testLogger routes a server's structured logs into the test log.
+func testLogger(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
+}
+
+// testLogWriter writes each log line to t.Log.
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 // postSolve submits one instance and decodes the response. Failures are
@@ -207,30 +221,35 @@ func TestResultCacheHit(t *testing.T) {
 	if m := s.Metrics(); m.ResultCacheHitsTotal != 1 {
 		t.Fatalf("result cache hits %d, want 1", m.ResultCacheHitsTotal)
 	}
-	// A body carrying the removed engine_parallelism option still decodes
-	// (unknown fields are ignored) and answers from the same cache entry.
+	// Bodies carrying the removed engine_parallelism and no_warm_start
+	// options still decode (unknown fields are ignored) and answer from the
+	// same cache entry.
 	body, err := json.Marshal(server.SolveRequest{Instance: in, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"engine_parallelism":2,`), 1)
-	if bytes.Equal(legacy, body) {
-		t.Fatalf("request body has no options object: %s", body)
-	}
-	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var legacyResp server.SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacyResp); err != nil {
-		t.Fatalf("decoding response (HTTP %d): %v", resp.StatusCode, err)
-	}
-	if resp.StatusCode != http.StatusOK || !legacyResp.Cached {
-		t.Fatalf("engine_parallelism body: HTTP %d cached=%v, want cache hit", resp.StatusCode, legacyResp.Cached)
-	}
-	if m := s.Metrics(); m.ResultCacheHitsTotal != 2 || g.calls.Load() != 1 {
-		t.Fatalf("result cache hits %d, solver invocations %d; want 2 and 1", m.ResultCacheHitsTotal, g.calls.Load())
+	for i, field := range []string{`"engine_parallelism":2`, `"no_warm_start":true`} {
+		legacy := bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{`+field+`,`), 1)
+		if bytes.Equal(legacy, body) {
+			t.Fatalf("request body has no options object: %s", body)
+		}
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var legacyResp server.SolveResponse
+		err = json.NewDecoder(resp.Body).Decode(&legacyResp)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s body: decoding response (HTTP %d): %v", field, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusOK || !legacyResp.Cached {
+			t.Fatalf("%s body: HTTP %d cached=%v, want cache hit", field, resp.StatusCode, legacyResp.Cached)
+		}
+		if m := s.Metrics(); m.ResultCacheHitsTotal != int64(2+i) || g.calls.Load() != 1 {
+			t.Fatalf("%s body: result cache hits %d, solver invocations %d; want %d and 1",
+				field, m.ResultCacheHitsTotal, g.calls.Load(), 2+i)
+		}
 	}
 }
 

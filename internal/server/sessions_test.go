@@ -40,7 +40,7 @@ func sessionCall(t *testing.T, method, url string, body any) (int, server.Sessio
 // the real solver and checks every re-solve's makespan against a stateless
 // cold Solve of a mirrored instance.
 func TestSessionLifecycle(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 2, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 2, Logger: testLogger(t)})
 	in, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
 		N: 40, Classes: 6, Machines: 5, Slots: 2, PMax: 200, Seed: 3,
 	})
@@ -130,7 +130,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestSessionDeltaValidation checks the delta surface's error mapping.
 func TestSessionDeltaValidation(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, MaxJobs: 50, Logf: t.Logf})
+	_, ts := startServer(t, server.Config{Workers: 1, MaxJobs: 50, Logger: testLogger(t)})
 	in := testInstance(10, 1)
 	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
 		Instance: in, Options: ccsched.Options{Tier: ccsched.TierApprox},
@@ -170,7 +170,7 @@ func TestSessionDeltaValidation(t *testing.T) {
 // TestSessionCapAndMetrics checks the MaxSessions bound and the
 // session-labeled metrics split.
 func TestSessionCapAndMetrics(t *testing.T) {
-	s, ts := startServer(t, server.Config{Workers: 1, MaxSessions: 2, Logf: t.Logf})
+	s, ts := startServer(t, server.Config{Workers: 1, MaxSessions: 2, Logger: testLogger(t)})
 	opts := ccsched.Options{Tier: ccsched.TierApprox}
 	var ids []string
 	for i := 0; i < 2; i++ {
@@ -220,7 +220,7 @@ func TestSessionCapAndMetrics(t *testing.T) {
 // the same canonical result cache one-shot requests read: a /v1/solve of a
 // job-shuffled copy of a session's instance costs zero additional solves.
 func TestSessionSharesPipelineWithSolve(t *testing.T) {
-	s, ts := startServer(t, server.Config{Workers: 1, Logf: t.Logf})
+	s, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
 	in := testInstance(12, 4)
 	opts := ccsched.Options{Variant: ccsched.NonPreemptive, Tier: ccsched.TierApprox}
 	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{Instance: in, Options: opts})

@@ -22,7 +22,7 @@ type traceEntry struct {
 	Variant string `json:"variant"`
 	N       int    `json:"n"`
 	// Session marks session re-solves (their traces show the delta path:
-	// seeded window vs binary search, certificate re-verifications).
+	// seeded window vs binary search, cache hits).
 	Session bool `json:"session,omitempty"`
 	// Trace is the span timeline.
 	Trace *ccsched.SolveTrace `json:"trace"`

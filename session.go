@@ -10,10 +10,9 @@ import (
 
 // A Session is a live scheduling instance that accepts deltas — jobs
 // arriving, finishing and changing size, machines joining and leaving — and
-// re-solves incrementally: each Solve reuses everything the previous solve
+// re-solves incrementally: each Solve reuses what the previous solve
 // learned (the guess templates with their move-set caches, the accepted
-// makespan guess as the next search's seed, the boundary reject's
-// infeasibility certificate, the root-basis hint, and a session-keyed
+// makespan guess as the next search's seed, and a session-keyed
 // feasibility cache). All reuse is verdict-preserving, so a session
 // re-solve returns a makespan bit-identical to a cold Solve of the mutated
 // instance — only faster; the session differential tests prove the

@@ -82,7 +82,7 @@ func BenchmarkSessionChurn(b *testing.B) {
 		}
 		mirror := sess.Instance()
 		ids := sess.JobIDs()
-		var cacheHits, certHits, probes int64
+		var cacheHits, probes int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -101,12 +101,10 @@ func BenchmarkSessionChurn(b *testing.B) {
 				b.Fatal(err)
 			}
 			cacheHits += int64(res.Report.CacheHits)
-			certHits += int64(res.Report.CertHits)
 			probes += int64(res.Report.Guesses)
 		}
 		b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 		b.ReportMetric(float64(cacheHits)/float64(b.N), "cachehits/op")
-		b.ReportMetric(float64(certHits)/float64(b.N), "certhits/op")
 	})
 	b.Run("cold", func(b *testing.B) {
 		in := churnBase(b)

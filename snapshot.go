@@ -22,11 +22,12 @@ import (
 // (templates, search seeds, cache verdicts) follow the opposite rule —
 // *dropped, never trusted*: each section is validated independently and a
 // stale or corrupt one is discarded, degrading that component to a cold
-// solve. What survives is re-verified at point of use (certificates are
-// re-checked from scratch, basis restores are verdict-only, restored cache
-// verdicts re-verify their evidence against a freshly built N-fold before
-// the first hit counts), so a restored session can never return a makespan
-// different from a cold solve of the same instance — only reach it faster.
+// solve. What survives never decides a verdict unchecked (templates are
+// rebuilt from the live instance, seeds only order the search, restored
+// cache verdicts re-verify their evidence against a freshly built N-fold
+// before the first hit counts), so a restored session can never return a
+// makespan different from a cold solve of the same instance — only reach
+// it faster.
 
 // SnapshotVersion is the schema version written by Session.SnapshotState
 // and required by RestoreSession. Bump it on any incompatible change to the

@@ -113,22 +113,11 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 	requireColdParity(t, restored)
 
-	// Snapshots written while Options had an engine_parallelism field carry
-	// it; such a snapshot must still restore and re-solve to the makespan
-	// of a fresh session on the same instance.
-	legacy := bytes.Replace(data, []byte(`"options":{`), []byte(`"options":{"engine_parallelism":4,`), 1)
-	if bytes.Equal(legacy, data) {
-		t.Fatal("snapshot has no options object to extend")
-	}
-	old, err := RestoreSession(legacy)
-	if err != nil {
-		t.Fatalf("RestoreSession of a snapshot with engine_parallelism: %v", err)
-	}
+	// Snapshots written by older versions carry sections this one no longer
+	// reads: an engine_parallelism option, and search seeds with a Farkas
+	// "ray" and a root-basis "root". Such a snapshot must still restore and
+	// re-solve to the makespan of a fresh session on the same instance.
 	fresh, err := NewSession(sess.Instance(), sess.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := old.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +125,27 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Makespan.Cmp(want.Makespan) != 0 {
-		t.Fatalf("legacy snapshot makespan %s != fresh session %s", got.Makespan.RatString(), want.Makespan.RatString())
+	for _, splice := range []struct{ at, with string }{
+		{`"options":{`, `"options":{"engine_parallelism":4,`},
+		{`"seeds":[{`, `"seeds":[{"ray":[4607182418800017408,0],` +
+			`"root":{"cols":[1],"status":[0,3],"art_sign":[1],"m":1,"ncols":2},`},
+	} {
+		legacy := bytes.Replace(data, []byte(splice.at), []byte(splice.with), 1)
+		if bytes.Equal(legacy, data) {
+			t.Fatalf("snapshot has no %s to extend", splice.at)
+		}
+		old, err := RestoreSession(legacy)
+		if err != nil {
+			t.Fatalf("RestoreSession of a snapshot with %s: %v", splice.with, err)
+		}
+		got, err := old.Solve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Makespan.Cmp(want.Makespan) != 0 {
+			t.Fatalf("legacy snapshot (%s) makespan %s != fresh session %s",
+				splice.with, got.Makespan.RatString(), want.Makespan.RatString())
+		}
 	}
 }
 
@@ -316,8 +324,21 @@ func TestSessionSnapshotDigestMismatchDropsWarmState(t *testing.T) {
 		t.Fatalf("digest-mismatched snapshot must still restore the envelope: %v", err)
 	}
 	res := requireColdParity(t, restored)
-	if res.Report.CertHits != 0 {
-		t.Fatalf("digest mismatch must drop carried certificates, got %d cert hits", res.Report.CertHits)
+	// With the warm sections dropped, the restored session's first solve
+	// must search exactly like a fresh session's on the edited instance:
+	// a surviving cache section would answer probes, a surviving seed would
+	// move the search window.
+	fresh, err := NewSession(&in, sess.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Guesses != want.Report.Guesses || res.Report.CacheHits != want.Report.CacheHits {
+		t.Fatalf("digest-mismatched restore searched with warm state: %d guesses, %d cache hits; a fresh session takes %d and %d",
+			res.Report.Guesses, res.Report.CacheHits, want.Report.Guesses, want.Report.CacheHits)
 	}
 }
 
