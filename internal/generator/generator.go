@@ -15,7 +15,6 @@ package generator
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"ccsched/internal/core"
 )
@@ -234,12 +233,4 @@ func Figure1Instance() *core.Instance {
 		in.Class = append(in.Class, u)
 	}
 	return in
-}
-
-// SortedClassLoads is a reporting helper: class loads in non-ascending
-// order, the order round robin consumes them.
-func SortedClassLoads(in *core.Instance) []int64 {
-	loads := in.ClassLoads()
-	sort.Slice(loads, func(a, b int) bool { return loads[a] > loads[b] })
-	return loads
 }

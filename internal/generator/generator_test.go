@@ -143,7 +143,9 @@ func TestFigure1Instance(t *testing.T) {
 	if in.N() != 10 || in.M != 4 || in.NumClasses() != 10 {
 		t.Errorf("unexpected shape: n=%d m=%d C=%d", in.N(), in.M, in.NumClasses())
 	}
-	loads := SortedClassLoads(in)
+	// Figure 1 numbers its classes in non-ascending load order, the order
+	// round robin consumes them.
+	loads := in.ClassLoads()
 	for i := 1; i < len(loads); i++ {
 		if loads[i] > loads[i-1] {
 			t.Errorf("loads not non-ascending at %d: %v", i, loads)

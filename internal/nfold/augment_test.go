@@ -50,25 +50,6 @@ func TestAugmentSlackCompletion(t *testing.T) {
 	}
 }
 
-func TestLPRelaxationInfeasible(t *testing.T) {
-	p := slackProblem()
-	bad, err := p.LPRelaxationInfeasible()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad {
-		t.Error("feasible problem flagged LP-infeasible")
-	}
-	p.GlobalRHS[0] = 100 // beyond x's upper bound
-	bad, err = p.LPRelaxationInfeasible()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bad {
-		t.Error("infeasible problem not flagged by the LP relaxation")
-	}
-}
-
 func TestAugmentOptionsDefaults(t *testing.T) {
 	d := (*AugmentOptions)(nil).defaults()
 	if d.MaxCoeff != 8 || d.MaxSwapsPerBrick != 4000 || d.MaxSteps != 200000 {

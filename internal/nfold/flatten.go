@@ -48,29 +48,6 @@ func (p *Problem) Flatten() (*ilp.Problem, error) {
 	return mp, nil
 }
 
-// LPRelaxationInfeasible reports whether even the LP relaxation of the
-// N-fold has no solution — a cheap certificate of integral infeasibility.
-// The auto engine no longer calls it (its branch-and-bound root node solves
-// exactly this LP, so the separate pre-check only duplicated work); it
-// remains as a diagnostic for callers that want the certificate without
-// paying for a full exact solve.
-func (p *Problem) LPRelaxationInfeasible() (bool, error) {
-	return p.lpRelaxationInfeasible(context.Background())
-}
-
-// lpRelaxationInfeasible is LPRelaxationInfeasible under a context.
-func (p *Problem) lpRelaxationInfeasible(ctx context.Context) (bool, error) {
-	mp, err := p.Flatten()
-	if err != nil {
-		return false, err
-	}
-	sol, err := lp.SolveCtx(ctx, &mp.Problem)
-	if err != nil {
-		return false, err
-	}
-	return sol.Status == lp.Infeasible, nil
-}
-
 // solveBranchBound runs the exact fallback engine and converts the answer
 // back to brick form. Warm starts stay within one solve (parent → child),
 // where the factorization is live. Carrying a root basis across solves —

@@ -2,12 +2,15 @@ package ptas
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"time"
 
 	"ccsched/internal/core"
 	"ccsched/internal/generator"
+	"ccsched/internal/trace"
 )
 
 func ratioAtMost(t *testing.T, name string, makespan, lb *big.Rat, num, den int64) {
@@ -181,7 +184,7 @@ func TestGuessGrid(t *testing.T) {
 func TestSearchGuessesFindsBoundary(t *testing.T) {
 	grid := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	calls := 0
-	best, guess, _, err := searchGuesses(context.Background(), grid, 1, func(_ context.Context, t int64) (int64, bool, error) {
+	best, guess, _, err := searchGuesses(context.Background(), grid, 1, 0, trace.Span{}, func(_ context.Context, t int64) (int64, bool, error) {
 		calls++
 		return t, t >= 5, nil
 	})
@@ -194,7 +197,7 @@ func TestSearchGuessesFindsBoundary(t *testing.T) {
 }
 
 func TestSearchGuessesAllReject(t *testing.T) {
-	if _, _, _, err := searchGuesses(context.Background(), []int64{1, 2}, 1, func(context.Context, int64) (int, bool, error) {
+	if _, _, _, err := searchGuesses(context.Background(), []int64{1, 2}, 1, 0, trace.Span{}, func(context.Context, int64) (int, bool, error) {
 		return 0, false, nil
 	}); err == nil {
 		t.Error("want error when nothing accepts")
@@ -223,9 +226,9 @@ func TestSearchGuessesParallelIdentical(t *testing.T) {
 		probe := func(_ context.Context, v int64) (int64, bool, error) {
 			return v * 10, pred(v), nil
 		}
-		wantBest, wantGuess, wantTried, wantErr := searchGuesses(context.Background(), grid, 1, probe)
+		wantBest, wantGuess, wantTried, wantErr := searchGuesses(context.Background(), grid, 1, 0, trace.Span{}, probe)
 		for _, par := range []int{2, 3, 8, 64} {
-			best, guess, tried, err := searchGuesses(context.Background(), grid, par, probe)
+			best, guess, tried, err := searchGuesses(context.Background(), grid, par, 0, trace.Span{}, probe)
 			if (err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess || tried != wantTried {
 				t.Errorf("%s par=%d: got (%d,%d,%d,%v) want (%d,%d,%d,%v)",
 					name, par, best, guess, tried, err, wantBest, wantGuess, wantTried, wantErr)
@@ -254,7 +257,7 @@ func TestSearchGuessesSpeculativeOverlap(t *testing.T) {
 		return v, v >= 11, nil
 	}
 	start := time.Now()
-	_, guess, tried, err := searchGuesses(context.Background(), grid, 16, probe)
+	_, guess, tried, err := searchGuesses(context.Background(), grid, 16, 0, trace.Span{}, probe)
 	elapsed := time.Since(start)
 	if err != nil || guess != 11 {
 		t.Fatalf("guess %d err %v", guess, err)
@@ -281,7 +284,7 @@ func TestSearchGuessesParallelCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, len(grid))
-	_, _, _, err := searchGuesses(ctx, grid, 4, func(pctx context.Context, v int64) (int64, bool, error) {
+	_, _, _, err := searchGuesses(ctx, grid, 4, 0, trace.Span{}, func(pctx context.Context, v int64) (int64, bool, error) {
 		started <- struct{}{}
 		cancel()
 		<-pctx.Done()
@@ -292,6 +295,75 @@ func TestSearchGuessesParallelCancel(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("outer context should be canceled")
+	}
+}
+
+// TestSearchGuessesSeedWindow drives the seeded walk over every grid of 1–12
+// guesses, every monotone boundary (including none) and seeds at every grid
+// value, zero, below the bottom and above the top. The seeded search must
+// return the unseeded search's payload and guess; when the window brackets
+// the boundary it must stop there, after at most seedWindow+1 probes; and a
+// failing probe, wherever it sits, must surface as the search error once the
+// walk asks for it.
+func TestSearchGuessesSeedWindow(t *testing.T) {
+	errProbe := errors.New("probe failed")
+	for n := 1; n <= 12; n++ {
+		grid := make([]int64, n)
+		for i := range grid {
+			grid[i] = int64(10 * (i + 1))
+		}
+		seeds := []int64{0, 5, grid[n-1] + 5}
+		seeds = append(seeds, grid...)
+		for b := 0; b <= n; b++ { // grid[b] is the first accepted guess
+			for _, seed := range seeds {
+				name := fmt.Sprintf("n=%d/boundary=%d/seed=%d", n, b, seed)
+				// search runs the seeded search with the probe at index fail
+				// (if any) returning errProbe.
+				search := func(seed int64, fail int) (best int64, guess int64, calls int, failed bool, err error) {
+					best, guess, _, err = searchGuesses(context.Background(), grid, 1, seed, trace.Span{}, func(_ context.Context, v int64) (int64, bool, error) {
+						calls++
+						i := int(v/10) - 1
+						if i == fail {
+							failed = true
+							return 0, false, errProbe
+						}
+						return v * 7, i >= b, nil
+					})
+					return best, guess, calls, failed, err
+				}
+				wantBest, wantGuess, _, _, wantErr := search(0, -1)
+				best, guess, calls, _, err := search(seed, -1)
+				if (err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess {
+					t.Fatalf("%s: seeded (%d, %d, %v), unseeded (%d, %d, %v)",
+						name, best, guess, err, wantBest, wantGuess, wantErr)
+				}
+				i0 := min(n-1, int((seed+9)/10)-1)
+				lo := i0 - seedWindow
+				bracketed := n > 1 && seed > 0 && b < n && b <= i0+seedWindow && (b > lo || b == 0 && lo <= 0)
+				if bracketed {
+					// The walk stops at the first verdict that closes the
+					// bracket: one probe per step from i0 to the boundary's
+					// reject side (or to the grid bottom).
+					want := b - i0 + 1
+					if b <= i0 {
+						want = i0 - max(b-1, 0) + 1
+					}
+					if calls != want || calls > seedWindow+1 {
+						t.Errorf("%s: window brackets the boundary with %d probes, want %d (at most %d)",
+							name, calls, want, seedWindow+1)
+					}
+				}
+				for fail := 0; fail < n; fail++ {
+					best, guess, _, failed, err := search(seed, fail)
+					if failed && !errors.Is(err, errProbe) {
+						t.Fatalf("%s/fail=%d: probe error not surfaced (%d, %d, %v)", name, fail, best, guess, err)
+					}
+					if !failed && ((err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess) {
+						t.Fatalf("%s/fail=%d: unasked failing probe changed the result to (%d, %d, %v)", name, fail, best, guess, err)
+					}
+				}
+			}
+		}
 	}
 }
 

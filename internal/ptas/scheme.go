@@ -143,11 +143,14 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 				TheoreticalCostLog2: entry.costLog2,
 			}}, true, nil
 		}
+		// A session searches sequentially (its template is retargeted
+		// between searches, which speculative stragglers could race) and
+		// traces its seed_window/binary_search path.
+		par, sp := opts.Parallelism, trace.Span{}
 		if opts.Session != nil {
-			best, guess, tried, err = searchGuessesSeeded(ctx, grid, seed, ssp, probe)
-		} else {
-			best, guess, tried, err = searchGuesses(ctx, grid, opts.Parallelism, probe)
+			par, sp = 1, ssp
 		}
+		best, guess, tried, err = searchGuesses(ctx, grid, par, seed, sp, probe)
 		ssp.End(
 			trace.A("guesses", int64(tried)), trace.A("guess", guess),
 			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),

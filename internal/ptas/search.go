@@ -24,17 +24,17 @@ func recoveredPanic(err error) bool {
 
 // The makespan-guess search. Feasibility of a guess T is monotone for the
 // paper's schemes (Lemma 7's dual approximation: any schedule for T is a
-// schedule for T' > T), so the sequential search is a binary search over the
-// (1+δ) guess grid. In practice the predicate the code evaluates is only
-// *almost* monotone — the budgeted augmentation/branch-and-bound engines may
-// reject a feasible guess (nudging the accepted makespan up one grid step) —
-// so a parallel search must not change which probes decide the outcome, or
+// schedule for T' > T), so the search is a binary search over the (1+δ)
+// guess grid. In practice the predicate the code evaluates is only *almost*
+// monotone — the budgeted augmentation/branch-and-bound engines may reject a
+// feasible guess (nudging the accepted makespan up one grid step) — so a
+// parallel search must not change which probes decide the outcome, or
 // results would depend on the worker count.
 //
 // The parallel search therefore speculates on the binary-search probe tree
-// rather than multisecting the interval: a walker follows exactly the
+// rather than multisecting the interval: the walk follows exactly the
 // sequential probe sequence, while a pool of Parallelism workers prefetches
-// the probes the walker could need next (the tree descendants of the current
+// the probes the walk could need next (the tree descendants of the current
 // interval, in breadth-first order — the most-likely-needed first). Verdicts
 // that narrow the interval cancel every in-flight probe outside it via
 // context.Context; cancellation reaches the N-fold engines at iteration
@@ -43,137 +43,18 @@ func recoveredPanic(err error) bool {
 // payload, and the probe count are bit-identical to the sequential search by
 // construction, for any Parallelism.
 
-// searchResult is one probe's outcome, memoized for the walker. done is
-// closed exactly once — after the probe ran, or after a worker drained it
-// as cancelled — so the walker can always wait on it.
-type searchResult[T any] struct {
+// guessProbe is one grid index's verdict, memoized for the walk. In a
+// speculative search done is closed exactly once — after a worker ran the
+// probe, or drained it as cancelled — so the walk can always wait on it; a
+// sequential search leaves done nil and runs the probe when first asked.
+type guessProbe[T any] struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
+	asked   bool // the walk consumed this verdict (counted in tried)
 	payload T
 	ok      bool
 	err     error
-}
-
-// searchGuesses returns the payload of the smallest accepted guess, walking
-// the grid exactly like a sequential binary search. feasibleAt must return
-// (payload, true) when the guess is accepted and honor its context.
-// parallelism ≤ 1 runs strictly sequentially on the calling goroutine;
-// larger values add speculative probes without changing the result.
-func searchGuesses[T any](ctx context.Context, grid []int64, parallelism int, feasibleAt func(context.Context, int64) (T, bool, error)) (T, int64, int, error) {
-	if parallelism <= 1 || len(grid) < 2 {
-		return searchGuessesSeq(ctx, grid, feasibleAt)
-	}
-	return searchGuessesSpec(ctx, grid, parallelism, feasibleAt)
-}
-
-// searchGuessesSeq is the plain sequential binary search (feasibility is
-// monotone in T): it returns the smallest accepted guess's payload.
-func searchGuessesSeq[T any](ctx context.Context, grid []int64, feasibleAt func(context.Context, int64) (T, bool, error)) (T, int64, int, error) {
-	var best T
-	bestGuess := int64(-1)
-	tried := 0
-	lo, hi := 0, len(grid)-1
-	// The top of the grid comes from a feasible schedule, so hi accepts.
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		payload, ok, err := feasibleAt(ctx, grid[mid])
-		tried++
-		if err != nil {
-			var zero T
-			return zero, 0, tried, err
-		}
-		if ok {
-			best = payload
-			bestGuess = grid[mid]
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
-	return finishSearch(grid, best, bestGuess, tried)
-}
-
-// searchGuessesSpec runs the speculative parallel search described in the
-// file comment. It consumes probe results in the exact sequential order, so
-// the outcome (and the probe count `tried`) matches searchGuessesSeq.
-//
-// Scheduling: `parallelism` workers repeatedly claim the lowest-ranked
-// unclaimed probe (rank = breadth-first probe-tree order) off an atomic
-// cursor, so claims happen in strict rank order by construction.
-// A subtree's level order is a subsequence of the full tree's and the
-// subtree root (the walker's next need) has strictly smaller depth than
-// every other pending probe, so the walker's own probe is always the next
-// one a freed worker picks up — speculation never starves the walk.
-// Cancelled probes are drained (done closed with the context error) rather
-// than skipped, so every probe's done channel closes exactly once.
-func searchGuessesSpec[T any](ctx context.Context, grid []int64, parallelism int, feasibleAt func(context.Context, int64) (T, bool, error)) (T, int64, int, error) {
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel() // reap every in-flight probe on exit
-	probes := make([]*searchResult[T], len(grid))
-	for i := range probes {
-		pctx, cancel := context.WithCancel(sctx)
-		probes[i] = &searchResult[T]{ctx: pctx, cancel: cancel, done: make(chan struct{})}
-	}
-	order := probeTreeOrder(0, len(grid)-1)
-	// More workers than probes is pure overhead (and an unbounded
-	// caller-supplied parallelism would fork that many goroutines).
-	if parallelism > len(order) {
-		parallelism = len(order)
-	}
-	var next atomic.Int64 // index into order: probes claimed so far
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				p := probes[order[k]]
-				if p.err = p.ctx.Err(); p.err == nil {
-					p.payload, p.ok, p.err = runProbe(p.ctx, grid[order[k]], feasibleAt)
-				}
-				close(p.done)
-			}
-		}()
-	}
-	var best T
-	bestGuess := int64(-1)
-	tried := 0
-	lo, hi := 0, len(grid)-1
-	// The cancellation frontier: everything in [prevLo, prevHi] is still
-	// live, everything outside was already cancelled by an earlier verdict.
-	// Each verdict therefore cancels only the newly excluded indices —
-	// O(grid) total over the whole search instead of O(grid²) (the old
-	// sweep re-cancelled every out-of-interval probe on every verdict).
-	prevLo, prevHi := lo, hi
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		p := probes[mid]
-		<-p.done
-		tried++
-		if p.err != nil {
-			var zero T
-			return zero, 0, tried, p.err
-		}
-		if p.ok {
-			best = p.payload
-			bestGuess = grid[mid]
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-		// Probes that just left the interval can never be consumed: stop
-		// their speculative ILP solves so the workers move to live branches.
-		for i := prevLo; i < lo && i <= prevHi; i++ {
-			probes[i].cancel()
-		}
-		for i := prevHi; i > hi && i >= prevLo; i-- {
-			probes[i].cancel()
-		}
-		prevLo, prevHi = lo, hi
-	}
-	return finishSearch(grid, best, bestGuess, tried)
 }
 
 // seedWindow bounds how far the seeded search walks from the seed position
@@ -182,124 +63,168 @@ func searchGuessesSpec[T any](ctx context.Context, grid []int64, parallelism int
 // the fallback on the rare large jumps.
 const seedWindow = 3
 
-// searchGuessesSeeded is the session re-solve search: it starts at the grid
-// position of the previous accepted guess and walks outward to bracket the
-// boundary — the smallest accepted guess whose predecessor is rejected —
-// within seedWindow probes, falling back to the plain sequential binary
-// search (re-consuming every verdict already obtained, via the memo) when
-// the window misses. Feasibility is monotone in T for the paper's schemes
-// (Lemma 7), and for a monotone predicate the bracketed boundary IS the
-// binary search's answer, so the session search accepts the same guess a
-// cold Solve accepts; the budgeted engines' rare monotonicity violations
-// are guarded end to end by the session differential tests. A zero seed
-// (first solve of a session) runs the plain binary search directly.
+// searchGuesses returns the payload of the smallest accepted guess, the
+// guess itself and the number of distinct guesses whose verdict the walk
+// consumed (a probe that fails counts). feasibleAt must return (payload,
+// true) when the guess is accepted and honor its context.
 //
-// The search is strictly sequential: a session's probes are few, and its
-// shared template is retargeted between searches, which speculative
-// stragglers could otherwise race.
+// A positive seed (a session re-solve's previous accepted guess) first walks
+// outward from the seed's grid position to bracket the boundary — the
+// smallest accepted guess whose predecessor is rejected — within seedWindow
+// probes; when the window misses, the binary search runs and re-consumes the
+// window's verdicts for free. For a monotone predicate (Lemma 7) the
+// bracketed boundary IS the binary search's answer; the budgeted engines'
+// rare monotonicity violations are guarded end to end by the session
+// differential tests. sp is the enclosing trace span: the seeded walk shows
+// up as a seed_window span (attrs: probes walked, whether it bracketed the
+// boundary) and the binary search as a binary_search span.
 //
-// sp is the enclosing guess_search trace span; the delta path shows up as a
-// seed_window span (attrs: probes walked, whether it bracketed the boundary)
-// and, when the window misses or there is no seed, a binary_search span —
-// so a traced session re-solve makes its re-use visible per request.
-func searchGuessesSeeded[T any](ctx context.Context, grid []int64, seed int64, sp trace.Span, feasibleAt func(context.Context, int64) (T, bool, error)) (T, int64, int, error) {
-	type verdict struct {
-		payload T
-		ok      bool
+// parallelism ≤ 1 runs every probe on the calling goroutine, the first time
+// its verdict is asked for. Larger values start a prefetch pool: workers
+// claim the lowest-ranked unclaimed probe (rank = breadth-first probe-tree
+// order) off an atomic cursor, so claims happen in strict rank order by
+// construction. A subtree's level order is a subsequence of the full tree's
+// and the subtree root (the walk's next need) has strictly smaller depth
+// than every other pending probe, so the walk's own probe is always the
+// next one a freed worker picks up — speculation never starves the walk.
+// Cancelled probes are drained (done closed with the context error) rather
+// than skipped, so every probe's done channel closes exactly once.
+func searchGuesses[T any](ctx context.Context, grid []int64, parallelism int, seed int64, sp trace.Span, feasibleAt func(context.Context, int64) (T, bool, error)) (T, int64, int, error) {
+	var zero T
+	probes := make([]guessProbe[T], len(grid))
+	speculative := parallelism > 1 && len(grid) > 1
+	if speculative {
+		sctx, scancel := context.WithCancel(ctx)
+		defer scancel() // reap every in-flight probe on exit
+		prefetch(sctx, grid, probes, parallelism, feasibleAt)
 	}
-	memo := make(map[int]verdict)
 	tried := 0
-	var evalErr error
-	eval := func(i int) verdict {
-		if v, ok := memo[i]; ok {
-			return v
+	verdict := func(i int) *guessProbe[T] {
+		p := &probes[i]
+		if !p.asked {
+			p.asked = true
+			tried++
+			if p.done != nil {
+				<-p.done
+			} else {
+				p.payload, p.ok, p.err = feasibleAt(ctx, grid[i])
+			}
 		}
-		payload, ok, err := feasibleAt(ctx, grid[i])
-		if err != nil {
-			evalErr = err
-			return verdict{}
-		}
-		tried++
-		v := verdict{payload, ok}
-		memo[i] = v
-		return v
+		return p
 	}
 	if seed > 0 && len(grid) > 1 {
 		wsp := sp.Child("seed_window")
-		i0 := sort.Search(len(grid), func(i int) bool { return grid[i] >= seed })
-		if i0 == len(grid) {
-			i0 = len(grid) - 1
-		}
-		if v0 := eval(i0); evalErr == nil && v0.ok {
-			// Walk down until the reject below the boundary.
-			bottom := i0 - seedWindow
-			if bottom < 0 {
-				bottom = 0
-			}
-			for i := i0 - 1; i >= bottom; i-- {
-				v := eval(i)
-				if evalErr != nil {
-					break
-				}
-				if !v.ok {
-					wsp.End(trace.A("probes", int64(tried)), trace.A("hit", 1))
-					return memo[i+1].payload, grid[i+1], tried, nil
-				}
-			}
-			if evalErr == nil && bottom == 0 {
-				// Accepted all the way down to the grid bottom: minimal.
-				wsp.End(trace.A("probes", int64(tried)), trace.A("hit", 1))
-				return memo[0].payload, grid[0], tried, nil
-			}
-		} else if evalErr == nil {
-			// Walk up to the first accept.
-			top := i0 + seedWindow
-			if top > len(grid)-1 {
-				top = len(grid) - 1
-			}
-			for i := i0 + 1; i <= top; i++ {
-				v := eval(i)
-				if evalErr != nil {
-					break
-				}
-				if v.ok {
-					wsp.End(trace.A("probes", int64(tried)), trace.A("hit", 1))
-					return v.payload, grid[i], tried, nil
-				}
-			}
-		}
-		if evalErr != nil {
+		at, err := seedBoundary(grid, seed, verdict)
+		switch {
+		case err != nil:
 			wsp.End(trace.A("probes", int64(tried)), trace.A("err", 1))
-			var zero T
-			return zero, 0, tried, evalErr
+			return zero, 0, tried, err
+		case at >= 0:
+			wsp.End(trace.A("probes", int64(tried)), trace.A("hit", 1))
+			return probes[at].payload, grid[at], tried, nil
 		}
 		wsp.End(trace.A("probes", int64(tried)), trace.A("hit", 0))
 	}
-	// No seed, or the window missed the boundary: plain sequential binary
-	// search, with window verdicts answered from the memo for free.
-	fsp := sp.Child("binary_search")
+	bsp := sp.Child("binary_search")
 	pre := tried
-	var best T
-	bestGuess := int64(-1)
+	best := -1
 	lo, hi := 0, len(grid)-1
+	// The cancellation frontier: everything in [prevLo, prevHi] is still
+	// live, everything outside was already cancelled by an earlier verdict.
+	// Each verdict therefore cancels only the newly excluded indices —
+	// O(grid) total over the whole search instead of O(grid²).
+	prevLo, prevHi := lo, hi
+	// The top of the grid comes from a feasible schedule, so hi accepts.
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		v := eval(mid)
-		if evalErr != nil {
-			fsp.End(trace.A("probes", int64(tried-pre)), trace.A("err", 1))
-			var zero T
-			return zero, 0, tried, evalErr
+		p := verdict(mid)
+		if p.err != nil {
+			bsp.End(trace.A("probes", int64(tried-pre)), trace.A("err", 1))
+			return zero, 0, tried, p.err
 		}
-		if v.ok {
-			best = v.payload
-			bestGuess = grid[mid]
-			hi = mid - 1
+		if p.ok {
+			best, hi = mid, mid-1
 		} else {
 			lo = mid + 1
 		}
+		if speculative {
+			// Probes that just left the interval can never be consumed: stop
+			// their speculative ILP solves so the workers move to live
+			// branches.
+			for i := prevLo; i < lo && i <= prevHi; i++ {
+				probes[i].cancel()
+			}
+			for i := prevHi; i > hi && i >= prevLo; i-- {
+				probes[i].cancel()
+			}
+			prevLo, prevHi = lo, hi
+		}
 	}
-	fsp.End(trace.A("probes", int64(tried-pre)))
-	return finishSearch(grid, best, bestGuess, tried)
+	bsp.End(trace.A("probes", int64(tried-pre)))
+	if best < 0 {
+		return zero, 0, tried, fmt.Errorf("ptas: no feasible guess in grid (top %d should be feasible)", grid[len(grid)-1])
+	}
+	return probes[best].payload, grid[best], tried, nil
+}
+
+// prefetch starts the speculative pool of searchGuesses: min(parallelism,
+// len(grid)) workers that run the grid's probes in probe-tree order, each
+// under its own context derived from ctx.
+func prefetch[T any](ctx context.Context, grid []int64, probes []guessProbe[T], parallelism int, feasibleAt func(context.Context, int64) (T, bool, error)) {
+	for i := range probes {
+		probes[i].ctx, probes[i].cancel = context.WithCancel(ctx)
+		probes[i].done = make(chan struct{})
+	}
+	order := probeTreeOrder(0, len(grid)-1)
+	// More workers than probes is pure overhead (and an unbounded
+	// caller-supplied parallelism would fork that many goroutines).
+	parallelism = min(parallelism, len(order))
+	var next atomic.Int64 // index into order: probes claimed so far
+	for w := 0; w < parallelism; w++ {
+		go func() {
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				p := &probes[order[k]]
+				if p.err = p.ctx.Err(); p.err == nil {
+					p.payload, p.ok, p.err = runProbe(p.ctx, grid[order[k]], feasibleAt)
+				}
+				close(p.done)
+			}
+		}()
+	}
+}
+
+// seedBoundary walks at most seedWindow probes outward from the seed's grid
+// position: down from an accepted start until a reject, up from a rejected
+// one until an accept. It returns the bracketed boundary's index — an
+// accept whose predecessor rejects, or an accepted grid bottom — or -1 when
+// the window misses it.
+func seedBoundary[T any](grid []int64, seed int64, verdict func(int) *guessProbe[T]) (int, error) {
+	i0 := min(sort.Search(len(grid), func(i int) bool { return grid[i] >= seed }), len(grid)-1)
+	p := verdict(i0)
+	if p.err != nil {
+		return -1, p.err
+	}
+	if p.ok {
+		for i := i0 - 1; i >= max(0, i0-seedWindow); i-- {
+			if p := verdict(i); p.err != nil || !p.ok {
+				return i + 1, p.err
+			}
+		}
+		if i0 <= seedWindow {
+			return 0, nil // accepted all the way down to the grid bottom
+		}
+		return -1, nil
+	}
+	for i := i0 + 1; i <= min(len(grid)-1, i0+seedWindow); i++ {
+		if p := verdict(i); p.err != nil || p.ok {
+			return i, p.err
+		}
+	}
+	return -1, nil
 }
 
 // runProbe evaluates one speculative probe, converting a panic inside the
@@ -354,7 +279,7 @@ func MeasureSpeculativeOverlap(ctx context.Context, gridLen int, latency time.Du
 		return v, v >= boundary, nil
 	}
 	start := time.Now()
-	_, guessSeq, triedSeq, err := searchGuesses(ctx, grid, 1, probe)
+	_, guessSeq, triedSeq, err := searchGuesses(ctx, grid, 1, 0, trace.Span{}, probe)
 	seq = time.Since(start)
 	if err != nil {
 		return seq, nil, false, err
@@ -362,7 +287,7 @@ func MeasureSpeculativeOverlap(ctx context.Context, gridLen int, latency time.Du
 	identical = true
 	for _, par := range parallelisms {
 		start = time.Now()
-		_, guessSpec, triedSpec, err := searchGuesses(ctx, grid, par, probe)
+		_, guessSpec, triedSpec, err := searchGuesses(ctx, grid, par, 0, trace.Span{}, probe)
 		specs = append(specs, time.Since(start))
 		if err != nil {
 			return seq, specs, false, err
@@ -370,13 +295,4 @@ func MeasureSpeculativeOverlap(ctx context.Context, gridLen int, latency time.Du
 		identical = identical && guessSeq == guessSpec && triedSeq == triedSpec
 	}
 	return seq, specs, identical, nil
-}
-
-// finishSearch applies the shared no-accepted-guess check.
-func finishSearch[T any](grid []int64, best T, bestGuess int64, tried int) (T, int64, int, error) {
-	if bestGuess < 0 {
-		var zero T
-		return zero, 0, tried, fmt.Errorf("ptas: no feasible guess in grid (top %d should be feasible)", grid[len(grid)-1])
-	}
-	return best, bestGuess, tried, nil
 }

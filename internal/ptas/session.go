@@ -16,8 +16,8 @@ import (
 //     the configuration limit match; the per-instance pieces (class loads,
 //     job partitions) are re-derived by retarget on every reuse;
 //   - the previous accepted guess per probe shape, seeding the next search's
-//     boundary window (searchGuessesSeeded) before it falls back to the
-//     full binary search over the [LB, hi] grid.
+//     boundary window (the seed argument of searchGuesses) before it falls
+//     back to the full binary search over the [LB, hi] grid.
 //
 // No LP state crosses re-solves: a carried Farkas certificate and a carried
 // root basis were both tried and never refuted a probe or pruned a root on
@@ -75,7 +75,7 @@ func (st *SessionState) seedFor(tag byte, g, scale int64) int64 {
 	if s == nil || s.g != g {
 		return 0
 	}
-	if s.scale == scale || s.scale <= 0 {
+	if s.scale == scale {
 		return s.guess
 	}
 	q := new(big.Int).Mul(big.NewInt(s.guess), big.NewInt(scale))

@@ -17,10 +17,10 @@ import (
 //   - templates persist only their parameters (g, limit, slot budget) — the
 //     enumerations, shared blocks and move-set caches are deterministic
 //     functions of those and are rebuilt from the live instance on restore;
-//   - search seeds persist the accepted guess and its scale — a seed only
-//     narrows where the search looks first, so a stale seed can cost probes
-//     but never change a verdict (snapshots written before the seeds lost
-//     their "ray" and "root" sections still decode; those are ignored);
+//   - search seeds are not persisted: a seed is only valid at the accuracy
+//     g it was found at, so a restored session starts its first search
+//     from the plain binary search (snapshots written with a "seeds"
+//     section still decode; the section is ignored);
 //   - cache entries persist their key, verdict and evidence (the solution
 //     for feasible entries, the ray for infeasible ones) and come back
 //     marked restored: the first hit re-verifies the evidence against a
@@ -78,24 +78,12 @@ type TemplateSnapshot struct {
 	Slots int `json:"slots"`
 }
 
-// SeedSnapshot is the serializable per-probe-shape search seed.
-type SeedSnapshot struct {
-	// Tag is the probe-shape tag (the cacheKey variant byte).
-	Tag byte `json:"tag"`
-	// Guess and Scale are the previously accepted makespan guess and the
-	// power-of-two scale it was found under.
-	Guess int64 `json:"guess"`
-	Scale int64 `json:"scale"`
-}
-
 // StateSnapshot is the serializable warm state of one scheduling session.
 type StateSnapshot struct {
 	// Split and Pre are the carried splittable and preemptive guess
 	// templates, when present.
 	Split *TemplateSnapshot `json:"split,omitempty"`
 	Pre   *TemplateSnapshot `json:"pre,omitempty"`
-	// Seeds are the per-probe-shape search seeds, sorted by tag.
-	Seeds []SeedSnapshot `json:"seeds,omitempty"`
 }
 
 // Export returns the serializable form of the session state (nil for nil
@@ -111,14 +99,7 @@ func (st *SessionState) Export() *StateSnapshot {
 	if st.pre != nil {
 		out.Pre = &TemplateSnapshot{G: st.pre.g, Limit: st.pre.limit, Slots: st.pre.in.Slots}
 	}
-	for tag, s := range st.seeds {
-		if s == nil {
-			continue
-		}
-		out.Seeds = append(out.Seeds, SeedSnapshot{Tag: tag, Guess: s.guess, Scale: s.scale})
-	}
-	sort.Slice(out.Seeds, func(a, b int) bool { return out.Seeds[a].Tag < out.Seeds[b].Tag })
-	if out.Split == nil && out.Pre == nil && len(out.Seeds) == 0 {
+	if out.Split == nil && out.Pre == nil {
 		return nil
 	}
 	return out
@@ -127,11 +108,7 @@ func (st *SessionState) Export() *StateSnapshot {
 // RestoreState rebuilds session warm state for in from a snapshot,
 // degrading component-by-component: a template whose parameters are invalid
 // or whose slot budget no longer matches the instance is dropped (the next
-// solve rebuilds cold); a seed with an out-of-range tag or non-positive
-// guess/scale is dropped. Seeds do not record the accuracy g they were
-// found at, so a restored seed steers no search (see seedFor) until the
-// next search of its shape replaces it. A nil snapshot restores empty
-// state.
+// solve rebuilds cold). A nil snapshot restores empty state.
 func RestoreState(snap *StateSnapshot, in *core.Instance) *SessionState {
 	st := NewSessionState()
 	if snap == nil {
@@ -146,15 +123,6 @@ func RestoreState(snap *StateSnapshot, in *core.Instance) *SessionState {
 		if tm, err := newPreTemplate(in, t.G, t.Limit); err == nil {
 			st.pre = tm
 		}
-	}
-	for _, s := range snap.Seeds {
-		if s.Tag > cachePreemptive || s.Guess < 1 || s.Scale < 1 {
-			continue
-		}
-		if _, dup := st.seeds[s.Tag]; dup {
-			continue
-		}
-		st.seeds[s.Tag] = &sessionSeed{guess: s.Guess, scale: s.Scale}
 	}
 	return st
 }

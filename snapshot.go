@@ -19,15 +19,15 @@ import (
 // The envelope (version, options, instance, job ids) is validated strictly:
 // any defect there fails the restore, because a session with a wrong
 // instance or dangling ids is not degraded, it is wrong. The warm sections
-// (templates, search seeds, cache verdicts) follow the opposite rule —
-// *dropped, never trusted*: each section is validated independently and a
-// stale or corrupt one is discarded, degrading that component to a cold
-// solve. What survives never decides a verdict unchecked (templates are
-// rebuilt from the live instance, seeds only order the search, restored
-// cache verdicts re-verify their evidence against a freshly built N-fold
-// before the first hit counts), so a restored session can never return a
-// makespan different from a cold solve of the same instance — only reach
-// it faster.
+// (templates, cache verdicts) follow the opposite rule — *dropped, never
+// trusted*: each section is validated independently and a stale or corrupt
+// one is discarded, degrading that component to a cold solve. What survives
+// never decides a verdict unchecked (templates are rebuilt from the live
+// instance, restored cache verdicts re-verify their evidence against a
+// freshly built N-fold before the first hit counts), so a restored session
+// can never return a makespan different from a cold solve of the same
+// instance — only reach it faster. Search seeds are not persisted; a
+// restored session's first search is the plain binary search.
 
 // SnapshotVersion is the schema version written by Session.SnapshotState
 // and required by RestoreSession. Bump it on any incompatible change to the
