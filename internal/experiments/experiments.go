@@ -467,7 +467,7 @@ func E8NFold() (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"The augmentation engine is a restricted-Graver heuristic: 'unknown' rows fall back to the exact engine in production (EngineAuto).")
+		"The augmentation engine is a restricted-Graver heuristic. In production (EngineAuto) it runs only when the branch-and-bound root LP is fractional, and 'unknown' rows continue branching from that root.")
 	return t, nil
 }
 

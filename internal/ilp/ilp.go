@@ -1,6 +1,6 @@
 // Package ilp implements a branch-and-bound mixed-integer linear program
 // solver on top of the internal/lp simplex. It is the repository's exact
-// fallback engine for the paper's configuration N-fold ILPs (see
+// engine for the paper's configuration N-fold ILPs (see
 // internal/nfold) and is deliberately simple: LP-relaxation bounding,
 // most-fractional branching, depth-first search with a node budget.
 //
@@ -53,6 +53,9 @@ const (
 	// NodeLimit means the search budget was exhausted; Best may still hold
 	// an incumbent.
 	NodeLimit
+	// Stopped means Options.OnUndecidedRoot ended the search after the
+	// root relaxation; X is nil.
+	Stopped
 )
 
 // String names the status for logs and error messages.
@@ -64,6 +67,8 @@ func (s Status) String() string {
 		return "infeasible"
 	case NodeLimit:
 		return "node-limit"
+	case Stopped:
+		return "stopped"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -88,6 +93,15 @@ type Options struct {
 	// zero Span disables recording at one flag check per node; results are
 	// identical either way.
 	Trace trace.Span
+	// OnUndecidedRoot, when set, runs once after the root relaxation solved
+	// without deciding the problem: its optimum is fractional, or the LP hit
+	// its iteration limit. It lets a caller try a cheaper heuristic only
+	// where the root LP leaves the answer open. Returning true ends the
+	// search with Status Stopped; false continues branching from the same
+	// prepared LP and root solution, so the explored tree is unchanged. An
+	// error aborts the search and is returned as is. An infeasible or
+	// integral root never calls it.
+	OnUndecidedRoot func() (stop bool, err error)
 }
 
 // Result is the solver output.
@@ -165,6 +179,23 @@ func (t *bbTracer) flush(res *Result) {
 	t.inBatch = 0
 }
 
+// hook runs an OnUndecidedRoot callback. The open batch span is closed
+// first, so bb_nodes spans time node work only and never the callback.
+func (t *bbTracer) hook(res *Result, fn func() (bool, error)) (bool, error) {
+	t.flush(res)
+	return fn()
+}
+
+// stopped ends a search that OnUndecidedRoot asked to stop (or that the
+// callback failed).
+func stopped(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	res.Status = Stopped
+	return res, nil
+}
+
 // Solve runs branch and bound. A nil opts uses defaults.
 func Solve(p *Problem, opts *Options) (*Result, error) {
 	return SolveCtx(context.Background(), p, opts)
@@ -199,6 +230,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 	first := false
 	warmStart := true
 	var tsp trace.Span
+	var onRoot func() (bool, error)
 	if opts != nil {
 		if opts.MaxNodes > 0 {
 			maxNodes = opts.MaxNodes
@@ -206,6 +238,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		first = opts.FirstFeasible
 		warmStart = !opts.NoWarmStart
 		tsp = opts.Trace
+		onRoot = opts.OnUndecidedRoot
 	}
 	tr := newBBTracer(tsp)
 	prep, err := lp.Prepare(&p.Problem)
@@ -287,6 +320,11 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		case lp.IterLimit:
 			// Treat as unexplored: conservative, keeps soundness of pruning.
 			hitLimit = true
+			if nd.patchVar < 0 && onRoot != nil {
+				if stop, err := tr.hook(res, onRoot); err != nil || stop {
+					return stopped(res, err)
+				}
+			}
 			continue
 		}
 		if sol.Obj >= bestObj-1e-9 && res.X != nil {
@@ -326,6 +364,11 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 				return res, nil
 			}
 			continue
+		}
+		if nd.patchVar < 0 && onRoot != nil {
+			if stop, err := tr.hook(res, onRoot); err != nil || stop {
+				return stopped(res, err)
+			}
 		}
 		// Branch: explore the side nearest the fractional value first
 		// (pushed last so it pops first). Both children share the parent's

@@ -117,12 +117,21 @@ func TestValidation(t *testing.T) {
 // best objective, or NaN if none is feasible.
 func bruteForceIP(p *Problem) float64 {
 	n := p.NumVars
+	rows := make([][]float64, len(p.B))
+	for i := range rows {
+		rows[i] = make([]float64, n)
+	}
+	for j, c := range p.Cols {
+		for k, i := range c.Rows {
+			rows[i][j] = c.Vals[k]
+		}
+	}
 	best := math.NaN()
 	x := make([]float64, n)
 	var rec func(j int)
 	rec = func(j int) {
 		if j == n {
-			for i, row := range p.A {
+			for i, row := range rows {
 				dot := 0.0
 				for k := 0; k < n; k++ {
 					dot += row[k] * x[k]

@@ -78,15 +78,27 @@ type Problem struct {
 	NumVars int
 	// Obj is the minimization objective, length NumVars.
 	Obj []float64
-	// A holds one dense row per constraint, each of length NumVars.
-	A [][]float64
-	// Rel holds the sense of each row, parallel to A.
+	// Cols holds the constraint matrix column by column, length NumVars:
+	// Cols[j] lists variable j's nonzero coefficients. The sparse form is
+	// what the simplex reads, and it keeps large, mostly-zero models (the
+	// flattened N-fold ILPs) from ever building a dense row.
+	Cols []Column
+	// Rel holds the sense of each row, parallel to B.
 	Rel []Relation
-	// B is the right-hand side, parallel to A.
+	// B is the right-hand side; its length is the number of rows.
 	B []float64
 	// Lower and Upper are variable bounds, length NumVars; use
 	// math.Inf(-1) / math.Inf(1) for free directions.
 	Lower, Upper []float64
+}
+
+// Column is one sparse column of a constraint matrix.
+type Column struct {
+	// Rows lists the rows of the column's coefficients, strictly
+	// increasing.
+	Rows []int32
+	// Vals holds the coefficients, parallel to Rows.
+	Vals []float64
 }
 
 // Validate checks dimensional consistency and bound sanity.
@@ -97,12 +109,18 @@ func (p *Problem) Validate() error {
 	if len(p.Obj) != p.NumVars || len(p.Lower) != p.NumVars || len(p.Upper) != p.NumVars {
 		return fmt.Errorf("lp: objective/bounds length mismatch (n=%d)", p.NumVars)
 	}
-	if len(p.A) != len(p.B) || len(p.A) != len(p.Rel) {
-		return fmt.Errorf("lp: %d rows, %d rhs, %d relations", len(p.A), len(p.B), len(p.Rel))
+	m := len(p.B)
+	if len(p.Cols) != p.NumVars || len(p.Rel) != m {
+		return fmt.Errorf("lp: %d columns (n=%d), %d rhs, %d relations", len(p.Cols), p.NumVars, m, len(p.Rel))
 	}
-	for i, row := range p.A {
-		if len(row) != p.NumVars {
-			return fmt.Errorf("lp: row %d has %d entries, want %d", i, len(row), p.NumVars)
+	for j, c := range p.Cols {
+		if len(c.Rows) != len(c.Vals) {
+			return fmt.Errorf("lp: column %d has %d rows and %d values", j, len(c.Rows), len(c.Vals))
+		}
+		for k, i := range c.Rows {
+			if i < 0 || int(i) >= m || (k > 0 && i <= c.Rows[k-1]) {
+				return fmt.Errorf("lp: column %d row %d out of order or range (m=%d)", j, i, m)
+			}
 		}
 	}
 	for j := 0; j < p.NumVars; j++ {
@@ -119,6 +137,7 @@ func NewProblem(n int) *Problem {
 	p := &Problem{
 		NumVars: n,
 		Obj:     make([]float64, n),
+		Cols:    make([]Column, n),
 		Lower:   make([]float64, n),
 		Upper:   make([]float64, n),
 	}
@@ -128,11 +147,16 @@ func NewProblem(n int) *Problem {
 	return p
 }
 
-// AddRow appends a constraint row (copied).
+// AddRow appends a constraint row given densely; its nonzeros go into the
+// columns. Entries past NumVars are ignored.
 func (p *Problem) AddRow(coef []float64, rel Relation, rhs float64) {
-	row := make([]float64, p.NumVars)
-	copy(row, coef)
-	p.A = append(p.A, row)
+	i := int32(len(p.B))
+	for j, v := range coef[:min(len(coef), p.NumVars)] {
+		if v != 0 {
+			p.Cols[j].Rows = append(p.Cols[j].Rows, i)
+			p.Cols[j].Vals = append(p.Cols[j].Vals, v)
+		}
+	}
 	p.Rel = append(p.Rel, rel)
 	p.B = append(p.B, rhs)
 }

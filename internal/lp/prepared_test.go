@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -214,5 +215,25 @@ func TestCaptureBasisAfterRelease(t *testing.T) {
 	var sol Solution
 	if err := pr.SolveBounds(context.Background(), nil, nil, nil, &sol); err == nil {
 		t.Fatal("SolveBounds after Release should fail")
+	}
+}
+
+// TestAddRowFillsColumns: AddRow stores each row's nonzeros in the columns,
+// in row order, and ignores entries past NumVars.
+func TestAddRowFillsColumns(t *testing.T) {
+	p := NewProblem(3)
+	p.AddRow([]float64{1, 0, -2}, LE, 4)
+	p.AddRow([]float64{0, 3}, EQ, 1)
+	p.AddRow([]float64{5, 0, 0, 7}, GE, 0)
+	want := []Column{
+		{Rows: []int32{0, 2}, Vals: []float64{1, 5}},
+		{Rows: []int32{1}, Vals: []float64{3}},
+		{Rows: []int32{0}, Vals: []float64{-2}},
+	}
+	if !reflect.DeepEqual(p.Cols, want) {
+		t.Fatalf("columns = %+v, want %+v", p.Cols, want)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

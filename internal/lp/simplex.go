@@ -110,13 +110,12 @@ func Prepare(p *Problem) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m, n := len(p.A), p.NumVars
+	m, n := len(p.B), p.NumVars
 	ncols := n + 2*m
 	nnz := 0
-	for i := range p.A {
-		row := p.A[i]
-		for j := 0; j < n; j++ {
-			if row[j] != 0 {
+	for _, c := range p.Cols {
+		for _, v := range c.Vals {
+			if v != 0 {
 				nnz++
 			}
 		}
@@ -151,9 +150,10 @@ func Prepare(p *Problem) (*Prepared, error) {
 	pos := 0
 	for j := 0; j < n; j++ {
 		start := pos
-		for i := 0; i < m; i++ {
-			if v := p.A[i][j]; v != 0 {
-				idxSlab[pos] = int32(i)
+		c := p.Cols[j]
+		for k, v := range c.Vals {
+			if v != 0 {
+				idxSlab[pos] = c.Rows[k]
 				valSlab[pos] = v
 				pos++
 			}

@@ -150,6 +150,20 @@ func TestFixedVariables(t *testing.T) {
 	}
 }
 
+// denseRows expands p's sparse columns into dense rows.
+func denseRows(p *Problem) [][]float64 {
+	rows := make([][]float64, len(p.B))
+	for i := range rows {
+		rows[i] = make([]float64, p.NumVars)
+	}
+	for j, c := range p.Cols {
+		for k, i := range c.Rows {
+			rows[i][j] = c.Vals[k]
+		}
+	}
+	return rows
+}
+
 // bruteForceLP enumerates all candidate vertices of a small LP (every
 // subset of tight constraints/bounds) and returns the best feasible
 // objective, or NaN when infeasible. Only for n <= 3 and few rows.
@@ -157,8 +171,9 @@ func bruteForceLP(t *testing.T, p *Problem) float64 {
 	t.Helper()
 	n := p.NumVars
 	// Collect hyperplanes: rows (as equalities) and finite bounds.
+	rows := denseRows(p)
 	var planes []plane
-	for i, row := range p.A {
+	for i, row := range rows {
 		planes = append(planes, plane{row, p.B[i]})
 	}
 	for j := 0; j < n; j++ {
@@ -177,7 +192,7 @@ func bruteForceLP(t *testing.T, p *Problem) float64 {
 				return false
 			}
 		}
-		for i, row := range p.A {
+		for i, row := range rows {
 			dot := 0.0
 			for j := 0; j < n; j++ {
 				dot += row[j] * x[j]
@@ -324,12 +339,20 @@ func TestValidateErrors(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("want crossed bounds error")
 	}
-	p = NewProblem(1)
-	p.A = append(p.A, []float64{1, 2})
-	p.B = append(p.B, 1)
-	p.Rel = append(p.Rel, LE)
-	if err := p.Validate(); err == nil {
-		t.Error("want row length error")
+	for name, mutate := range map[string]func(q *Problem){
+		"column count":     func(q *Problem) { q.Cols = q.Cols[:1] },
+		"values length":    func(q *Problem) { q.Cols[1].Vals = q.Cols[1].Vals[:1] },
+		"row out of range": func(q *Problem) { q.Cols[0].Rows = []int32{2} },
+		"rows unordered":   func(q *Problem) { q.Cols[1].Rows = []int32{1, 0} },
+		"relations":        func(q *Problem) { q.Rel = q.Rel[:1] },
+	} {
+		q := NewProblem(2)
+		q.AddRow([]float64{1, 1}, EQ, 1)
+		q.AddRow([]float64{0, 1}, EQ, 1)
+		mutate(q)
+		if err := q.Validate(); err == nil {
+			t.Errorf("%s: want a validation error", name)
+		}
 	}
 }
 

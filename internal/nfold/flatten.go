@@ -11,12 +11,37 @@ import (
 
 // Flatten expands the N-fold into a plain MILP over N*T variables (brick i,
 // column j maps to flat index i*T+j) for the exact branch-and-bound engine.
+// Rows are the R global rows, then brick i's S local rows at R+i*S+k. The
+// matrix is emitted in sparse column form straight from the brick blocks: a
+// dense row would hold N*T floats, and on the large configuration ILPs
+// almost all of them are zero (a local row touches one brick's T columns).
 func (p *Problem) Flatten() (*ilp.Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	nv := p.N * p.T
 	mp := ilp.NewProblem(nv)
+	m := p.R + p.N*p.S
+	mp.Rel = make([]lp.Relation, m)
+	mp.B = make([]float64, m)
+	for k := 0; k < m; k++ {
+		mp.Rel[k] = lp.EQ
+	}
+	for k := 0; k < p.R; k++ {
+		mp.B[k] = float64(p.GlobalRHS[k])
+	}
+	// Brick i's rows in increasing flat row order; the blocks are scanned
+	// row by row, which keeps the reads sequential.
+	brickRows := func(i int, visit func(row int32, coef []int64)) {
+		for k, coef := range p.A[i] {
+			visit(int32(k), coef)
+		}
+		for k, coef := range p.B[i] {
+			visit(int32(p.R+i*p.S+k), coef)
+		}
+	}
+	// First pass: nonzeros per column, turned into each column's offset.
+	start := make([]int, nv+1)
 	for i := 0; i < p.N; i++ {
 		for j := 0; j < p.T; j++ {
 			f := i*p.T + j
@@ -24,38 +49,60 @@ func (p *Problem) Flatten() (*ilp.Problem, error) {
 			mp.Lower[f] = float64(p.Lower[i][j])
 			mp.Upper[f] = float64(p.Upper[i][j])
 		}
-	}
-	// Global rows span all bricks.
-	for k := 0; k < p.R; k++ {
-		row := make([]float64, nv)
-		for i := 0; i < p.N; i++ {
-			for j := 0; j < p.T; j++ {
-				row[i*p.T+j] = float64(p.A[i][k][j])
-			}
-		}
-		mp.AddRow(row, lp.EQ, float64(p.GlobalRHS[k]))
-	}
-	// Local rows touch one brick each.
-	for i := 0; i < p.N; i++ {
 		for k := 0; k < p.S; k++ {
-			row := make([]float64, nv)
-			for j := 0; j < p.T; j++ {
-				row[i*p.T+j] = float64(p.B[i][k][j])
-			}
-			mp.AddRow(row, lp.EQ, float64(p.LocalRHS[i][k]))
+			mp.B[p.R+i*p.S+k] = float64(p.LocalRHS[i][k])
 		}
+		brickRows(i, func(_ int32, coef []int64) {
+			for j, v := range coef {
+				if v != 0 {
+					start[i*p.T+j+1]++
+				}
+			}
+		})
+	}
+	for f := 0; f < nv; f++ {
+		start[f+1] += start[f]
+	}
+	// Second pass: rows are visited in increasing order, so every column
+	// lists its rows sorted.
+	rows := make([]int32, start[nv])
+	vals := make([]float64, start[nv])
+	next := append([]int(nil), start[:nv]...)
+	for i := 0; i < p.N; i++ {
+		brickRows(i, func(row int32, coef []int64) {
+			for j, v := range coef {
+				if v != 0 {
+					f := i*p.T + j
+					rows[next[f]], vals[next[f]] = row, float64(v)
+					next[f]++
+				}
+			}
+		})
+	}
+	for f := range mp.Cols {
+		a, b := start[f], start[f+1]
+		mp.Cols[f] = lp.Column{Rows: rows[a:b:b], Vals: vals[a:b:b]}
 	}
 	return mp, nil
 }
 
-// solveBranchBound runs the exact fallback engine and converts the answer
-// back to brick form. Warm starts stay within one solve (parent → child),
-// where the factorization is live. Carrying a root basis across solves —
-// between the probes of a guess search, or between the re-solves of a
-// scheduling session — was measured twice and never paid: a cross-solve
-// restore must refactorize from scratch (O(m³)), which costs more than the
-// few dozen pivots the cold root solve needs, and it never pruned a root.
-func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible bool, o *Options) (*Result, error) {
+// solveBranchBound runs the exact engine and converts the answer back to
+// brick form. With augment set it is the EngineAuto order: the root LP
+// relaxation decides first, and the augmentation heuristic runs (as an
+// nfold_augment span under bb) only on a root that is fractional or hit its
+// iteration limit. An infeasible root has no integer point for augmentation
+// to find, and an integral root is already an answer. A successful
+// augmentation of a zero-objective problem ends the search; otherwise
+// branching continues from the same prepared LP and root solution, and the
+// better verified answer wins.
+//
+// Warm starts stay within one solve (parent → child), where the
+// factorization is live. Carrying a root basis across solves — between the
+// probes of a guess search, or between the re-solves of a scheduling
+// session — was measured twice and never paid: a cross-solve restore must
+// refactorize from scratch (O(m³)), which costs more than the few dozen
+// pivots the cold root solve needs, and it never pruned a root.
+func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options) (*Result, error) {
 	mp, err := p.Flatten()
 	if err != nil {
 		return nil, err
@@ -64,6 +111,19 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	iopts := &ilp.Options{
 		MaxNodes: maxNodes, FirstFeasible: firstFeasible, NoWarmStart: o.NoWarmStart,
 		Trace: sp,
+	}
+	var aug *Result
+	if augment {
+		iopts.OnUndecidedRoot = func() (bool, error) {
+			asp := sp.Child("nfold_augment")
+			res, err := p.solveAugment(ctx, o.Augment, o.Template)
+			endEngineSpan(asp, res, err)
+			if err != nil {
+				return false, err
+			}
+			aug = res
+			return res.Status == Feasible && !hasObjective(p), nil
+		}
 	}
 	res, err := ilp.SolveCtx(ctx, mp, iopts)
 	if err != nil {
@@ -74,6 +134,12 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 		trace.A("status", int64(res.Status)), trace.A("nodes", int64(res.Nodes)),
 		trace.A("pivots", int64(res.Pivots)), trace.A("warm_hits", int64(res.WarmHits)),
 	)
+	if res.Status == ilp.Stopped {
+		// Augmentation decided: its steps stay the node count; the root
+		// solve's pivots are added.
+		aug.Pivots = res.Pivots
+		return aug, nil
+	}
 	out := &Result{
 		Engine: EngineBranchBound, Nodes: res.Nodes, Pivots: res.Pivots, WarmHits: res.WarmHits,
 		InfeasibleRay: res.InfeasibleRay,
@@ -81,24 +147,27 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	switch res.Status {
 	case ilp.Infeasible:
 		out.Status = Infeasible
-		return out, nil
 	case ilp.NodeLimit:
 		out.Status = Unknown
-		return out, nil
-	}
-	x := make([][]int64, p.N)
-	for i := 0; i < p.N; i++ {
-		x[i] = make([]int64, p.T)
-		for j := 0; j < p.T; j++ {
-			x[i][j] = int64(res.X[i*p.T+j] + 0.5*sign(res.X[i*p.T+j]))
+	default:
+		x := make([][]int64, p.N)
+		for i := 0; i < p.N; i++ {
+			x[i] = make([]int64, p.T)
+			for j := 0; j < p.T; j++ {
+				x[i][j] = int64(res.X[i*p.T+j] + 0.5*sign(res.X[i*p.T+j]))
+			}
 		}
+		if err := p.Check(x); err != nil {
+			return nil, fmt.Errorf("nfold: branch-and-bound produced an invalid solution: %w", err)
+		}
+		out.Status = Feasible
+		out.X = x
+		out.Obj = p.Objective(x)
 	}
-	if err := p.Check(x); err != nil {
-		return nil, fmt.Errorf("nfold: branch-and-bound produced an invalid solution: %w", err)
+	// Prefer the better verified answer when both engines succeeded.
+	if aug != nil && aug.Status == Feasible && (out.Status != Feasible || aug.Obj <= out.Obj) {
+		return aug, nil
 	}
-	out.Status = Feasible
-	out.X = x
-	out.Obj = p.Objective(x)
 	return out, nil
 }
 

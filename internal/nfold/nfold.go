@@ -5,7 +5,7 @@
 //     Hemmecke–Onn–Romanchuk / Jansen–Lassota–Rohwedder line of work: local
 //     Graver-style moves per brick are combined across bricks by a dynamic
 //     program over partial sums of the globally uniform rows;
-//   - an exact fallback that flattens the N-fold into a plain MILP and runs
+//   - an exact engine that flattens the N-fold into a plain MILP and runs
 //     the internal/ilp branch-and-bound.
 //
 // The paper cites the near-linear theoretical algorithm of [Jansen, Lassota,
@@ -13,8 +13,9 @@
 // is the repository's faithful substitute (see the "Paper-to-code map" of
 // docs/ARCHITECTURE.md). The augmentation
 // engine is best-effort (its move set restricts Graver elements to bounded
-// support); Solve verifies its answers and falls back to the exact engine,
-// so feasibility answers are always exact.
+// support). By default Solve lets the exact engine's root LP relaxation
+// decide first, tries augmentation only on a fractional root, and verifies
+// its answers, so feasibility answers are always exact.
 //
 // The constraint matrix has the shape
 //

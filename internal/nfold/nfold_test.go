@@ -214,42 +214,49 @@ func TestParallelCoeffs(t *testing.T) {
 	}
 }
 
+// randomProblem draws a small random N-fold: up to 3 bricks, 1–2 global and
+// local rows, 2–4 columns, coefficients in [-2, 2] and upper bounds in
+// [0, 3].
+func randomProblem(rng *rand.Rand) *Problem {
+	n := 1 + rng.Intn(3)
+	r := 1 + rng.Intn(2)
+	s := 1 + rng.Intn(2)
+	tt := 2 + rng.Intn(3)
+	a := make([][]int64, r)
+	for k := range a {
+		a[k] = make([]int64, tt)
+		for j := range a[k] {
+			a[k][j] = int64(rng.Intn(5) - 2)
+		}
+	}
+	b := make([][]int64, s)
+	for k := range b {
+		b[k] = make([]int64, tt)
+		for j := range b[k] {
+			b[k][j] = int64(rng.Intn(5) - 2)
+		}
+	}
+	p := NewUniform(n, a, b)
+	for k := range p.GlobalRHS {
+		p.GlobalRHS[k] = int64(rng.Intn(7) - 3)
+	}
+	for i := 0; i < n; i++ {
+		for k := range p.LocalRHS[i] {
+			p.LocalRHS[i][k] = int64(rng.Intn(7) - 3)
+		}
+		for j := 0; j < tt; j++ {
+			p.Upper[i][j] = int64(rng.Intn(4))
+		}
+	}
+	return p
+}
+
 // TestRandomAgreement cross-checks the engines on random small N-folds:
 // whenever branch and bound says feasible, auto must produce a verified
 // solution; when it says infeasible, augmentation must not claim otherwise.
 func TestRandomAgreement(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3)
-		r := 1 + rng.Intn(2)
-		s := 1 + rng.Intn(2)
-		tt := 2 + rng.Intn(3)
-		a := make([][]int64, r)
-		for k := range a {
-			a[k] = make([]int64, tt)
-			for j := range a[k] {
-				a[k][j] = int64(rng.Intn(5) - 2)
-			}
-		}
-		b := make([][]int64, s)
-		for k := range b {
-			b[k] = make([]int64, tt)
-			for j := range b[k] {
-				b[k][j] = int64(rng.Intn(5) - 2)
-			}
-		}
-		p := NewUniform(n, a, b)
-		for k := range p.GlobalRHS {
-			p.GlobalRHS[k] = int64(rng.Intn(7) - 3)
-		}
-		for i := 0; i < n; i++ {
-			for k := range p.LocalRHS[i] {
-				p.LocalRHS[i][k] = int64(rng.Intn(7) - 3)
-			}
-			for j := 0; j < tt; j++ {
-				p.Upper[i][j] = int64(rng.Intn(4))
-			}
-		}
+		p := randomProblem(rand.New(rand.NewSource(seed)))
 		exact, err := Solve(p, &Options{Engine: EngineBranchBound, FirstFeasible: true})
 		if err != nil {
 			return false

@@ -15,8 +15,9 @@ const (
 	EngineAugment Engine = "augment"
 	// EngineBranchBound is the exact LP-based branch and bound.
 	EngineBranchBound Engine = "branch-bound"
-	// EngineAuto tries augmentation first and falls back to branch and
-	// bound, so answers are always exact.
+	// EngineAuto lets the branch-and-bound root LP relaxation decide first
+	// and runs augmentation only on a fractional root, so answers are
+	// always exact.
 	EngineAuto Engine = "auto"
 )
 
@@ -66,9 +67,10 @@ type Options struct {
 	// cross-solve sharing.
 	Template *Template
 	// Trace is the enclosing trace span (normally the guess probe's);
-	// engine runs record nfold_augment / bb child spans under it. The zero
-	// Span disables recording. Observational only: results are identical
-	// traced or not.
+	// engine runs record a bb child span under it (EngineAuto nests its
+	// nfold_augment span inside bb) or, for EngineAugment, an nfold_augment
+	// child. The zero Span disables recording. Observational only: results
+	// are identical traced or not.
 	Trace trace.Span
 }
 
@@ -78,10 +80,12 @@ type Result struct {
 	X      [][]int64
 	Obj    int64
 	Engine Engine
-	// Nodes counts branch-and-bound nodes or augmentation steps.
+	// Nodes counts branch-and-bound nodes, or augmentation steps when
+	// augmentation produced the result.
 	Nodes int
-	// Pivots counts simplex pivots across the exact engine's LP solves
-	// (zero for pure augmentation results).
+	// Pivots counts simplex pivots across the exact engine's LP solves,
+	// including the root solve that preceded an EngineAuto augmentation
+	// (zero for EngineAugment results).
 	Pivots int
 	// WarmHits counts branch-and-bound nodes pruned by the warm dual
 	// restore (see internal/lp); zero with NoWarmStart.
@@ -95,9 +99,12 @@ type Result struct {
 }
 
 // Solve dispatches to the selected engine. With EngineAuto (default), the
-// augmentation heuristic runs first; if it stalls, the exact branch and
-// bound decides feasibility, so the combined answer is never Unknown unless
-// the node budget is exhausted.
+// branch-and-bound root LP relaxation runs first: an infeasible root makes
+// the answer Infeasible and an integral root makes it Feasible. Only a
+// fractional (or iteration-limited) root runs the augmentation heuristic;
+// if it stalls, branching continues from that root, so the combined answer
+// is never Unknown unless the node budget is exhausted. Either way one
+// Flatten, one LP preparation and one root solve are spent.
 func Solve(p *Problem, opts *Options) (*Result, error) {
 	return SolveCtx(context.Background(), p, opts)
 }
@@ -127,29 +134,9 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		endEngineSpan(sp, res, err)
 		return res, err
 	case EngineBranchBound:
-		return p.solveBranchBound(ctx, maxNodes, o.FirstFeasible, &o)
+		return p.solveBranchBound(ctx, maxNodes, o.FirstFeasible, false, &o)
 	case EngineAuto:
-		asp := o.Trace.Child("nfold_augment")
-		res, err := p.solveAugment(ctx, o.Augment, o.Template)
-		endEngineSpan(asp, res, err)
-		if err != nil {
-			return nil, err
-		}
-		if res.Status == Feasible && !hasObjective(p) {
-			return res, nil
-		}
-		// No separate LP-relaxation infeasibility pre-check: branch and
-		// bound's root node solves exactly that LP and returns Infeasible
-		// after one node, so the former pre-check only duplicated work.
-		exact, err := p.solveBranchBound(ctx, maxNodes, o.FirstFeasible || !hasObjective(p), &o)
-		if err != nil {
-			return nil, err
-		}
-		// Prefer the better verified answer when both engines succeeded.
-		if res.Status == Feasible && (exact.Status != Feasible || res.Obj <= exact.Obj) {
-			return res, nil
-		}
-		return exact, nil
+		return p.solveBranchBound(ctx, maxNodes, o.FirstFeasible || !hasObjective(p), true, &o)
 	default:
 		return nil, fmt.Errorf("nfold: unknown engine %q", o.Engine)
 	}
