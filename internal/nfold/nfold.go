@@ -212,12 +212,17 @@ func (p *Problem) Params() Params {
 	return Params{N: p.N, R: p.R, S: p.S, T: p.T, Delta: p.Delta(), L: p.EncodingLength(), Vars: p.N * p.T}
 }
 
-// TheoreticalCostLog2 returns log₂ of the Theorem 1 running-time bound
+// TheoreticalCostLog2 returns log₂ of the Theorem 1 running-time bound of
+// p (see Params.CostLog2).
+func (p *Problem) TheoreticalCostLog2() float64 {
+	return p.Params().CostLog2()
+}
+
+// CostLog2 returns log₂ of the Theorem 1 running-time bound
 // (rsΔ)^{O(r²s+s²)}·L·Nt·log^{O(1)}(Nt), with all O(·) constants set to 1.
 // The E8 experiment reports this alongside measured solve times to exhibit
 // the parameter dependence the paper's analysis predicts.
-func (p *Problem) TheoreticalCostLog2() float64 {
-	par := p.Params()
+func (par Params) CostLog2() float64 {
 	if par.Vars == 0 {
 		return 0
 	}

@@ -107,9 +107,11 @@ const (
 type cacheEntry struct {
 	feasible bool
 	x        [][]int64
-	params   nfold.Params
-	engine   nfold.Engine
-	costLog2 float64
+	// params is the N-fold's parameter vector, derived for feasible
+	// entries only: just an accepted guess's Report reads it, and deriving
+	// it scans every brick's blocks.
+	params nfold.Params
+	engine nfold.Engine
 	// ray is the Farkas certificate of an infeasible verdict when the
 	// engine surfaced one (root-LP rejects do; deep branch-and-bound
 	// rejects may not). It is what makes the verdict re-verifiable after a
@@ -374,11 +376,9 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	stats.nodes.Add(int64(res.Nodes))
 	stats.pivots.Add(int64(res.Pivots))
 	stats.warmHits.Add(int64(res.WarmHits))
-	entry := cacheEntry{
-		feasible: res.Status == nfold.Feasible, x: res.X,
-		params: prob.Params(), engine: res.Engine,
-		costLog2: prob.TheoreticalCostLog2(),
-		ray:      res.InfeasibleRay,
+	entry := cacheEntry{feasible: res.Status == nfold.Feasible, x: res.X, engine: res.Engine, ray: res.InfeasibleRay}
+	if entry.feasible {
+		entry.params = prob.Params()
 	}
 	opts.Cache.store(key, entry)
 	sp.End(
@@ -399,18 +399,17 @@ func b2i(b bool) int64 {
 
 // reverify checks a snapshot-restored entry against the freshly built
 // N-fold and, on success, returns the trusted entry to memoize in its place
-// (params and cost re-derived from the live problem, restored flag cleared).
+// (a feasible entry's params re-derived from the live problem, restored flag
+// cleared).
 // A false second return means the entry proves nothing about this problem
 // and must be dropped.
 func (e cacheEntry) reverify(prob *nfold.Problem) (cacheEntry, bool) {
-	out := cacheEntry{
-		feasible: e.feasible, x: e.x, ray: e.ray, engine: e.engine,
-		params: prob.Params(), costLog2: prob.TheoreticalCostLog2(),
-	}
+	out := cacheEntry{feasible: e.feasible, x: e.x, ray: e.ray, engine: e.engine}
 	if e.feasible {
 		if prob.Check(e.x) != nil {
 			return cacheEntry{}, false
 		}
+		out.params = prob.Params()
 		return out, true
 	}
 	if e.ray == nil || !prob.CertifiesInfeasible(e.ray) {

@@ -140,7 +140,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 			}
 			return accepted[S]{sched, Report{
 				InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
-				TheoreticalCostLog2: entry.costLog2,
+				TheoreticalCostLog2: entry.params.CostLog2(),
 			}}, true, nil
 		}
 		// A session searches sequentially (its template is retargeted

@@ -382,13 +382,7 @@ func (s *Server) refineBudgetTake(tenant string) bool {
 // is not, so create and PATCH respond instantly and GET reflects every
 // published improvement. The caller holds sv.mu.
 func (s *Server) solveSessionAnytime(w http.ResponseWriter, r *http.Request, sv *svcSession, timeout time.Duration) {
-	if timeout <= 0 {
-		timeout = sv.timeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.solveTimeout(timeout, sv.timeout))
 	start := time.Now()
 	res, err := sv.sess.Solve(ctx)
 	cancel()
@@ -402,7 +396,7 @@ func (s *Server) solveSessionAnytime(w http.ResponseWriter, r *http.Request, sv 
 	if err != nil {
 		resp.Status = StatusError
 		resp.Error = err.Error()
-		writeJSON(w, solveErrorStatus(err), resp)
+		writeJSON(w, s.errorStatus(w, err), resp)
 		return
 	}
 	setOutcome(r, "anytime")

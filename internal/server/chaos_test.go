@@ -167,6 +167,43 @@ func TestChaosSoftTimeoutDegrades(t *testing.T) {
 	leak()
 }
 
+// TestChaosCoalescedJoinerDegrades is the late-joiner case: a request
+// coalesces onto a flight whose creator already took the degraded answer,
+// and the flight then dies at the creator's deadline before the joiner's own
+// soft deadline fires. The joiner armed a soft deadline, so it is answered
+// with the cached degraded twin, not a 408.
+func TestChaosCoalescedJoinerDegrades(t *testing.T) {
+	g := newGatedSolver() // never released: the flight can only time out
+	s, ts := startServer(t, server.Config{Workers: 1, Solver: g.solve})
+	leak := testutil.LeakCheck(t)
+	req := server.SolveRequest{
+		Instance:      testInstance(16, 6),
+		Options:       ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierAuto},
+		TimeoutMs:     300,
+		SoftTimeoutMs: 100,
+	}
+	start := time.Now()
+	st, out := postSolve(t, ts.URL, req, "")
+	if st != http.StatusOK || out.Result == nil {
+		t.Fatalf("creator: HTTP %d %+v, want its degraded answer", st, out)
+	}
+	assertTwoApprox(t, out.Result)
+	time.Sleep(time.Until(start.Add(150 * time.Millisecond)))
+	req.SoftTimeoutMs = 1000
+	st, late := postSolve(t, ts.URL, req, "")
+	if st != http.StatusOK || late.Result == nil || !late.Coalesced {
+		t.Fatalf("late joiner: HTTP %d %+v, want a coalesced degraded 200", st, late)
+	}
+	assertTwoApprox(t, late.Result)
+	if m := s.Metrics(); m.DegradedServedTotal != 2 {
+		t.Fatalf("degraded_served %d, want 2", m.DegradedServedTotal)
+	}
+	if n := g.calls.Load(); n != 1 {
+		t.Fatalf("%d solver calls, want 1", n)
+	}
+	leak()
+}
+
 // TestChaosDegradedThenFullBitIdentical runs the real solver with delayed
 // PTAS probes: the soft deadline serves the degraded 2-approx, the full
 // solve finishes after the fault clears, and the published full result is

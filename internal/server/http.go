@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,7 +46,9 @@ import (
 // soft deadline on synchronous non-approx solves — when it fires first, the
 // response is the millisecond 2-approx with its certified lower bound and
 // result.degraded=true, while the full solve keeps running and publishes
-// for later requests (which then get the full answer).
+// for later requests (which then get the full answer). A request that
+// coalesced onto a flight which then dies at its creator's deadline before
+// the request's own soft deadline fires is answered degraded as well.
 //
 // Tracing: ?trace=1 (or options.trace in the body) returns the solve's span
 // timeline in result.trace. While the trace ring is enabled solves run
@@ -167,51 +170,66 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	trace := wantTrace(r, req.Options.Trace)
 	soft := s.softDeadline(req.SoftTimeoutMs)
 	sub, err := s.submit(req.Instance, req.Options, time.Duration(req.TimeoutMs)*time.Millisecond, wait == 0, trace)
-	switch {
-	case errors.Is(err, ErrQueueFull):
+	if err != nil {
 		// Admission saturation with a soft deadline armed: answer with the
 		// millisecond 2-approx instead of bouncing the client.
-		if soft > 0 && s.degradeEligible(req.Options) {
+		if errors.Is(err, ErrQueueFull) && soft > 0 && s.degradeEligible(req.Options) {
 			setOutcome(r, "degraded")
-			s.respondDegradedDirect(w, req.Instance, req.Options, trace)
+			s.respondDegradedDirect(w, r, req.Instance, req.Options, trace)
 			return
 		}
-		setRetryAfter(w, retryAfterQueueFull)
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		setRetryAfter(w, retryAfterDraining)
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, ErrQuarantined):
-		setRetryAfter(w, s.cfg.PanicQuarantineTTL)
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	case errors.Is(err, ErrInstanceTooLarge):
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		writeError(w, s.errorStatus(w, err), "%v", err)
 		return
 	}
-	if sub.done != nil {
+	noteAdmission(r, sub)
+	reply := func(out *outcome) { s.respondOutcome(w, r, sub, out, false, trace) }
+	switch {
+	case sub.done != nil:
+		s.respondOutcome(w, r, sub, sub.done, true, trace)
+	case wait == 0:
+		reply(nil)
+	default:
+		s.awaitFlight(w, r, sub.flight, wait, soft, reply)
+	}
+}
+
+// noteAdmission labels the request log with how admission placed the
+// request: a result-cache hit, a join onto an in-flight solve, or a fresh
+// flight.
+func noteAdmission(r *http.Request, sub *submission) {
+	switch {
+	case sub.done != nil:
 		setOutcome(r, "cache-hit")
-		s.respondOutcome(w, sub, *sub.done, true, trace)
-		return
-	}
-	if sub.coalesced {
+	case sub.coalesced:
 		setOutcome(r, "coalesced")
-	} else {
+	default:
 		setOutcome(r, "admitted")
 	}
-	if wait == 0 {
-		writeJSON(w, http.StatusAccepted, SolveResponse{
-			ID: sub.id, Status: s.flightStatus(sub.flight), Coalesced: sub.coalesced,
-			RequestID: requestID(r),
-		})
-		return
+}
+
+// errorStatus maps an admission refusal or a finished solve's error onto
+// its HTTP status for every endpoint, setting Retry-After on the
+// backpressure (queue full, too many sessions, draining) and quarantine
+// refusals.
+func (s *Server) errorStatus(w http.ResponseWriter, err error) int {
+	switch {
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTooManySessions):
+		setRetryAfter(w, retryAfterQueueFull)
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrShuttingDown):
+		setRetryAfter(w, retryAfterDraining)
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrQuarantined):
+		setRetryAfter(w, s.cfg.PanicQuarantineTTL)
+		return http.StatusUnprocessableEntity
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusRequestTimeout
+	case errors.Is(err, ccsched.ErrCanceled), errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
+	case errors.Is(err, ErrInstanceTooLarge), errors.Is(err, ccsched.ErrInfeasible), errors.Is(err, ccsched.ErrTooLarge):
+		return http.StatusUnprocessableEntity
 	}
-	s.awaitFlight(w, r, sub, wait, soft, trace)
+	return http.StatusInternalServerError
 }
 
 // softDeadline resolves one request's degraded-fallback deadline: a positive
@@ -234,35 +252,36 @@ func (s *Server) degradeEligible(opts ccsched.Options) bool {
 	return opts.Tier != ccsched.TierApprox
 }
 
-// respondDegradedDirect canonicalizes the instance outside the admission
-// pipeline (which just refused it) and answers with the degraded 2-approx.
-func (s *Server) respondDegradedDirect(w http.ResponseWriter, in *ccsched.Instance, opts ccsched.Options, trace bool) {
-	canon := canonicalize(in)
-	opts = sanitizeOptions(opts, s.traces != nil)
-	if !opts.NoCache {
-		opts.Cache = s.cfg.Cache
-	} else {
-		opts.Cache = nil
-	}
-	k := requestKey(canon.in, opts)
+// respondDegradedDirect answers a request the admission queue just refused
+// with the degraded 2-approx, keyed and job-tracked like an admitted one.
+func (s *Server) respondDegradedDirect(w http.ResponseWriter, r *http.Request, in *ccsched.Instance, opts ccsched.Options, trace bool) {
+	canon, opts, k := s.prepare(in, opts)
 	out := s.degradedOutcome(k, canon.in, opts)
 	s.mu.Lock()
 	id := s.addJobLocked(k, canon.perm, trace)
 	s.mu.Unlock()
-	s.respondOutcome(w, &submission{id: id, perm: canon.perm}, out, false, trace)
+	s.respondOutcome(w, r, &submission{id: id, perm: canon.perm}, &out, false, trace)
 }
 
 // awaitFlight blocks one attached request on its flight until completion,
-// the soft deadline (degraded answer; the full solve keeps running), the
-// wait budget, or client disconnect, and responds accordingly.
-func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, sub *submission, wait, soft time.Duration, trace bool) {
-	f := sub.flight
+// the soft deadline, the wait budget, or client disconnect, and answers
+// through reply — with the finished or degraded outcome, or with nil for the
+// 202 of a flight that outlived the wait budget (pinned, so a later poll
+// picks its result up). It serves one-shot solves, job polls and session
+// re-solves alike.
+//
+// The soft deadline arms only where degradation makes sense: a synchronous
+// non-approx one-shot whose budget outlives it. Such a waiter is answered
+// with the degraded 2-approx when its soft deadline fires first (the full
+// solve keeps running and publishes for later requests), and also when the
+// flight dies at its deadline first — a coalesced joiner inherits its
+// creator's deadline but keeps the degraded answer its own soft deadline
+// armed.
+func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, f *flight, wait, soft time.Duration, reply func(*outcome)) {
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	// The soft deadline arms only where degradation makes sense: a synchronous
-	// non-approx one-shot whose budget outlives it.
 	var softC <-chan time.Time
-	if soft > 0 && soft < wait && !f.session && s.degradeEligible(f.opts) {
+	if soft > 0 && soft < wait && f.run == nil && s.degradeEligible(f.opts) {
 		st := time.NewTimer(soft)
 		defer st.Stop()
 		softC = st.C
@@ -270,29 +289,32 @@ func (s *Server) awaitFlight(w http.ResponseWriter, r *http.Request, sub *submis
 	select {
 	case <-f.done:
 		s.detach(f)
-		s.respondOutcome(w, sub, outcome{res: f.res, err: f.err, elapsed: f.elapsed}, false, trace)
+		if softC == nil || !errors.Is(f.err, context.DeadlineExceeded) {
+			reply(&outcome{res: f.res, err: f.err, elapsed: f.elapsed})
+			return
+		}
 	case <-softC:
-		// Serve the fallback now; pin the full solve so it still publishes
-		// (and retires this degraded answer) for later requests.
+		// Pin the full solve so it still publishes (and retires the degraded
+		// answer) for later requests.
 		s.pin(f)
 		s.detach(f)
-		setOutcome(r, "degraded")
-		s.respondOutcome(w, sub, s.degradedOutcome(f.key, f.in, f.opts), false, trace)
 	case <-timer.C:
 		// The client outwaited its budget but may poll later: keep the
 		// solve alive even though this waiter leaves.
 		s.pin(f)
 		s.detach(f)
-		writeJSON(w, http.StatusAccepted, SolveResponse{
-			ID: sub.id, Status: s.flightStatus(f), Coalesced: sub.coalesced,
-			RequestID: requestID(r),
-		})
+		reply(nil)
+		return
 	case <-r.Context().Done():
 		// Client gone: detach, which cancels the solve if nobody else is
 		// interested. The status line is moot (nobody reads it).
 		s.detach(f)
 		writeError(w, statusClientClosedRequest, "client closed request")
+		return
 	}
+	setOutcome(r, "degraded")
+	out := s.degradedOutcome(f.key, f.in, f.opts)
+	reply(&out)
 }
 
 // flightStatus reports queued/running for a live flight.
@@ -305,27 +327,38 @@ func (s *Server) flightStatus(f *flight) string {
 	return StatusQueued
 }
 
-// respondOutcome renders a finished solve for one submission, remapping the
-// canonical result into the submitter's job order. trace keeps the span
-// timeline in the response; without it the trace is stripped from the remap
-// copy (the cached canonical result keeps its trace for the debug ring).
-func (s *Server) respondOutcome(w http.ResponseWriter, sub *submission, out outcome, cached, trace bool) {
-	ms := float64(out.elapsed) / float64(time.Millisecond)
-	if out.err != nil {
-		writeJSON(w, solveErrorStatus(out.err), SolveResponse{
-			ID: sub.id, Status: StatusError, Error: out.err.Error(),
-			SolveMs: ms, Coalesced: sub.coalesced, Cached: cached,
+// respondOutcome renders one submission's answer: a finished solve (cached
+// when it came straight from the result LRU) in the submitter's job order,
+// or — out nil — the 202 of a flight still queued or running.
+func (s *Server) respondOutcome(w http.ResponseWriter, r *http.Request, sub *submission, out *outcome, cached, trace bool) {
+	if out == nil {
+		writeJSON(w, http.StatusAccepted, SolveResponse{
+			ID: sub.id, Status: s.flightStatus(sub.flight), Coalesced: sub.coalesced,
+			RequestID: requestID(r),
 		})
 		return
 	}
-	res := remapResult(out.res, sub.perm)
+	code, status, res, msg := s.finish(w, *out, sub.perm, trace)
+	writeJSON(w, code, SolveResponse{
+		ID: sub.id, Status: status, Result: res, Error: msg,
+		SolveMs: float64(out.elapsed) / float64(time.Millisecond), Coalesced: sub.coalesced, Cached: cached,
+	})
+}
+
+// finish renders the parts of a finished outcome that every response shape
+// carries: the HTTP status, the Status* value, and either the error message
+// or the canonical result remapped into perm's job order. Without trace the
+// span timeline is stripped from the remap copy (the cached canonical result
+// keeps its trace for the debug ring).
+func (s *Server) finish(w http.ResponseWriter, out outcome, perm []int, trace bool) (code int, status string, res *ccsched.Result, msg string) {
+	if out.err != nil {
+		return s.errorStatus(w, out.err), StatusError, nil, out.err.Error()
+	}
+	res = remapResult(out.res, perm)
 	if !trace {
 		res.Trace = nil
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{
-		ID: sub.id, Status: StatusDone, Result: res,
-		SolveMs: ms, Coalesced: sub.coalesced, Cached: cached,
-	})
+	return http.StatusOK, StatusDone, res, ""
 }
 
 // handleJob reports or awaits the state of a prior submission.
@@ -346,10 +379,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// The submission's trace choice sticks to the job; ?trace=1 on the poll
 	// also works.
 	trace := wantTrace(r, je.trace)
+	sub := &submission{id: id, perm: je.perm}
 	if out, ok := s.results.get(je.key); ok {
 		s.mu.Unlock()
 		setOutcome(r, "cache-hit")
-		s.respondOutcome(w, &submission{id: id, perm: je.perm}, out, true, trace)
+		s.respondOutcome(w, r, sub, &out, true, trace)
 		return
 	}
 	f, live := s.flights[je.key]
@@ -362,13 +396,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "job %q expired (canceled or evicted); resubmit", id)
 		return
 	}
+	sub.flight = f
+	reply := func(out *outcome) { s.respondOutcome(w, r, sub, out, false, trace) }
 	if wait == 0 {
-		writeJSON(w, http.StatusAccepted, SolveResponse{ID: id, Status: s.flightStatus(f), RequestID: requestID(r)})
+		reply(nil)
 		return
 	}
 	// Job polls never degrade (soft = 0): the client explicitly chose to wait
 	// for the full answer.
-	s.awaitFlight(w, r, &submission{id: id, perm: je.perm, flight: f}, wait, 0, trace)
+	s.awaitFlight(w, r, f, wait, 0, reply)
 }
 
 // handleHealth serves liveness plus queue gauges. It answers 200 for as long

@@ -301,6 +301,14 @@ func (s *Server) checkpointSession(sv *svcSession) {
 			backoff = ckptBackoffCap
 		}
 	}
+	// A DELETE may have dropped the session while this write ran: take the
+	// file back out so it cannot resurrect on the next boot (dropSession
+	// removes under s.mu too, so one of the two removals comes last).
+	s.mu.Lock()
+	if _, live := s.sessions[sv.id]; !live {
+		s.removeSnapshot(sv.id)
+	}
+	s.mu.Unlock()
 	sv.ckptGen.Store(gen)
 	sv.ckptRes.Store(res)
 	s.met.snapshotWrites.Add(1)

@@ -6,6 +6,8 @@
 //	HTTP request
 //	  → decode + validate (public JSON codecs)
 //	  → canonicalize (job order / class labels factored out; per-request perm)
+//	  (session re-solves join here with their snapshot, through the same
+//	  admission step as one-shot solves)
 //	  → full-result LRU lookup ──────────────── hit → remap → respond
 //	  → singleflight coalesce onto in-flight solve ─ hit → await → respond
 //	  → admission: bounded queue (429 when full)
@@ -197,14 +199,13 @@ type flight struct {
 	key  key
 	in   *ccsched.Instance // canonical
 	opts ccsched.Options
-	// run, when non-nil, replaces the configured Solver for this flight (a
-	// session re-solve executes through its Session's warm state). It must
-	// return the result in canonical job order, like the Solver path, so
-	// coalesced one-shot waiters and the result LRU stay correct.
+	// run, when non-nil, replaces the configured Solver for this flight: it
+	// is set exactly for session re-solves, which execute through their
+	// Session's warm state, and labels the flight for the metrics split
+	// (session_solve_latency vs solve_latency). It must return the result in
+	// canonical job order, like the Solver path, so coalesced one-shot
+	// waiters and the result LRU stay correct.
 	run func(ctx context.Context) (*ccsched.Result, error)
-	// session labels the flight for the metrics split (session_solve_latency
-	// vs solve_latency).
-	session bool
 	// enqueuedAt stamps the queue send; the worker's pickup delta feeds the
 	// queue_wait_latency histogram.
 	enqueuedAt time.Time
@@ -377,7 +378,7 @@ func New(cfg Config) *Server {
 
 // submission is the result of admitting one request: either a finished
 // outcome (result-cache hit) or a flight to wait on, plus the request's
-// job id and remap permutation.
+// remap permutation and — for one-shot requests — its job id.
 type submission struct {
 	id     string
 	perm   []int
@@ -413,41 +414,62 @@ func sanitizeOptions(opts ccsched.Options, forceTrace bool) ccsched.Options {
 	return opts
 }
 
-// submit runs the admission pipeline for one decoded request: canonicalize,
-// result-cache lookup, singleflight attach, bounded enqueue. timeout is the
-// solve deadline for a newly created flight; pinned marks async submissions
-// whose flight must survive having no attached waiter. The caller must pair
-// every returned flight with exactly one detach call.
-//
-// Coalescing semantics: a joiner inherits the flight's existing deadline
-// (set by whoever created it) — deadlines on a live context cannot be
-// extended. A joiner whose own budget is larger may see the flight die at
-// the creator's deadline (HTTP 408); since cancellation verdicts are never
-// cached, resubmitting simply starts a fresh solve.
+// prepare canonicalizes one one-shot request and derives its request key.
+// Workers share the server's feasibility cache unless the request explicitly
+// opted out of caching.
+func (s *Server) prepare(in *ccsched.Instance, opts ccsched.Options) (canonical, ccsched.Options, key) {
+	canon := canonicalize(in)
+	opts = sanitizeOptions(opts, s.traces != nil)
+	opts.Cache = nil
+	if !opts.NoCache {
+		opts.Cache = s.cfg.Cache
+	}
+	return canon, opts, requestKey(canon.in, opts)
+}
+
+// solveTimeout resolves one solve's deadline: a positive requested timeout
+// wins, otherwise def; either is capped at Config.MaxTimeout.
+func (s *Server) solveTimeout(requested, def time.Duration) time.Duration {
+	if requested <= 0 {
+		requested = def
+	}
+	return min(requested, s.cfg.MaxTimeout)
+}
+
+// submit admits one decoded one-shot request and mints its pollable job id.
+// timeout is the solve deadline for a newly created flight; pinned marks
+// async submissions whose flight must survive having no attached waiter.
+// The caller must pair every returned flight with exactly one detach call.
 func (s *Server) submit(in *ccsched.Instance, opts ccsched.Options, timeout time.Duration, pinned, wantTrace bool) (*submission, error) {
 	s.met.requests.Add(1)
 	if in.N() > s.cfg.MaxJobs {
 		return nil, fmt.Errorf("%w: %d jobs > %d", ErrInstanceTooLarge, in.N(), s.cfg.MaxJobs)
 	}
-	canon := canonicalize(in)
-	opts = sanitizeOptions(opts, s.traces != nil)
-	// Workers share the server's feasibility cache unless the request
-	// explicitly opted out of caching.
-	if !opts.NoCache {
-		opts.Cache = s.cfg.Cache
-	} else {
-		opts.Cache = nil
-	}
-	k := requestKey(canon.in, opts)
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-
+	canon, opts, k := s.prepare(in, opts)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sub, err := s.admitLocked(k, canon, opts, s.solveTimeout(timeout, s.cfg.DefaultTimeout), nil, pinned)
+	if err != nil {
+		return nil, err
+	}
+	sub.id = s.addJobLocked(k, canon.perm, wantTrace)
+	return sub, nil
+}
+
+// admitLocked is the admission step every solve passes, one-shot and session
+// re-solve alike: closed check, quarantine check, result-LRU lookup,
+// coalescing onto an identical in-flight solve, and the bounded enqueue of a
+// fresh flight under timeout. run, non-nil for session re-solves, replaces
+// the configured Solver; pinned marks the flight to run to completion with
+// no waiter attached. Caller holds s.mu.
+//
+// Coalescing semantics: a joiner inherits the flight's existing deadline
+// (set by whoever created it) — deadlines on a live context cannot be
+// extended. A joiner whose own budget is larger may see the flight die at
+// the creator's deadline: it gets HTTP 408, or the degraded answer when its
+// own soft deadline was armed (see awaitFlight). Cancellation verdicts are
+// never cached, so resubmitting simply starts a fresh solve.
+func (s *Server) admitLocked(k key, canon canonical, opts ccsched.Options, timeout time.Duration, run func(context.Context) (*ccsched.Result, error), pinned bool) (*submission, error) {
 	if s.closed {
 		return nil, ErrShuttingDown
 	}
@@ -456,7 +478,7 @@ func (s *Server) submit(in *ccsched.Instance, opts ccsched.Options, timeout time
 	}
 	if out, ok := s.results.get(k); ok {
 		s.met.resultCacheHits.Add(1)
-		return &submission{id: s.addJobLocked(k, canon.perm, wantTrace), perm: canon.perm, done: &out}, nil
+		return &submission{perm: canon.perm, done: &out}, nil
 	}
 	// Coalesce onto an identical in-flight solve — unless its context is
 	// already dead (every earlier waiter disconnected, or its deadline
@@ -465,15 +487,13 @@ func (s *Server) submit(in *ccsched.Instance, opts ccsched.Options, timeout time
 	// until a worker drains it; start a replacement flight instead.
 	if f, ok := s.flights[k]; ok && f.ctx.Err() == nil {
 		f.waiters++
-		if pinned {
-			f.pinned = true
-		}
+		f.pinned = f.pinned || pinned
 		s.met.coalesced.Add(1)
-		return &submission{id: s.addJobLocked(k, canon.perm, wantTrace), perm: canon.perm, flight: f, coalesced: true}, nil
+		return &submission{perm: canon.perm, flight: f, coalesced: true}, nil
 	}
 	fctx, fcancel := context.WithTimeout(s.baseCtx, timeout)
 	f := &flight{
-		key: k, in: canon.in, opts: opts,
+		key: k, in: canon.in, opts: opts, run: run,
 		ctx: fctx, cancel: fcancel, done: make(chan struct{}),
 		waiters: 1, pinned: pinned,
 		enqueuedAt: time.Now(),
@@ -487,7 +507,7 @@ func (s *Server) submit(in *ccsched.Instance, opts ccsched.Options, timeout time
 	}
 	s.flights[k] = f
 	s.met.admitted.Add(1)
-	return &submission{id: s.addJobLocked(k, canon.perm, wantTrace), perm: canon.perm, flight: f}, nil
+	return &submission{perm: canon.perm, flight: f}, nil
 }
 
 // detach releases one waiter from f. When the last waiter leaves an
@@ -536,15 +556,10 @@ func (s *Server) quarantinedLocked(k key) error {
 // addJobLocked mints a job id and records its work key, remap permutation
 // and trace choice in the job table; caller holds s.mu.
 func (s *Server) addJobLocked(k key, perm []int, trace bool) string {
-	id := s.newJobIDLocked()
+	s.jobSeq++
+	id := fmt.Sprintf("j-%016x", s.jobSeq)
 	s.jobs.add(id, jobEntry{key: k, perm: perm, trace: trace})
 	return id
-}
-
-// newJobIDLocked mints a job id; caller holds s.mu.
-func (s *Server) newJobIDLocked() string {
-	s.jobSeq++
-	return fmt.Sprintf("j-%016x", s.jobSeq)
 }
 
 // worker executes flights off the admission queue until the queue is closed
@@ -563,7 +578,7 @@ func (s *Server) worker() {
 		f.cancel() // release the deadline timer
 		s.met.workersBusy.Add(-1)
 		s.met.solves.Add(1)
-		if f.session {
+		if f.run != nil {
 			s.met.sessionResolves.Add(1)
 			s.met.sessionLatency.observe(elapsed)
 		} else {
@@ -613,7 +628,7 @@ func (s *Server) worker() {
 				SolveMs: float64(elapsed) / float64(time.Millisecond),
 				Variant: f.opts.Variant.String(),
 				N:       f.in.N(),
-				Session: f.session,
+				Session: f.run != nil,
 				Trace:   res.Trace,
 			})
 		}

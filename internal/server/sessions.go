@@ -84,12 +84,6 @@ func (s *Server) createSession(in *ccsched.Instance, opts ccsched.Options, timeo
 	if err != nil {
 		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -111,7 +105,7 @@ func (s *Server) createSession(in *ccsched.Instance, opts ccsched.Options, timeo
 		id:      id,
 		sess:    sess,
 		opts:    opts,
-		timeout: timeout,
+		timeout: s.solveTimeout(timeout, s.cfg.DefaultTimeout),
 	}
 	s.armAnytime(sv, tenant)
 	s.sessions[sv.id] = sv
@@ -163,7 +157,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	tenant := r.Header.Get("X-Tenant-Id")
 	sv, err := s.createSession(req.Instance, req.Options, time.Duration(req.TimeoutMs)*time.Millisecond, tenant)
 	if err != nil {
-		s.writeSessionError(w, "", err)
+		writeError(w, s.errorStatus(w, err), "%v", err)
 		return
 	}
 	sv.trace = wantTrace(r, req.Options.Trace)
@@ -205,13 +199,14 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	if err := s.applyDelta(sv, &delta); err != nil {
+		// Beyond MaxJobs is refused like any oversized instance; anything
+		// else is a malformed delta (unknown id, bad size): the client's
+		// mistake, reported as such.
+		status := http.StatusBadRequest
 		if errors.Is(err, ErrInstanceTooLarge) {
-			s.writeSessionError(w, sv.id, err)
-			return
+			status = http.StatusUnprocessableEntity
 		}
-		// Anything else is a malformed delta (unknown id, bad size): the
-		// client's mistake, reported as such.
-		writeJSON(w, http.StatusBadRequest, SessionResponse{SessionID: sv.id, Status: StatusError, Error: err.Error()})
+		writeJSON(w, status, SessionResponse{SessionID: sv.id, Status: StatusError, Error: err.Error()})
 		return
 	}
 	if sv.any != nil {
@@ -304,12 +299,12 @@ func (s *Server) applyDelta(sv *svcSession, d *SessionDelta) error {
 	return nil
 }
 
-// solveSession runs one session re-solve through the shared pipeline
-// (result LRU → coalesce → bounded queue → worker) and writes the response.
-// The caller holds sv.mu for the whole call, serializing the session.
-// timeout zero selects the session's default. An admission failure (queue
-// full, draining) is reported to the client and leaves the session's
-// pending deltas durable — GET retries the solve.
+// solveSession runs one session re-solve through the shared admission step
+// and wait path (result LRU → coalesce → bounded queue → worker) and writes
+// the response in the session shape. The caller holds sv.mu for the whole
+// call, serializing the session. timeout zero selects the session's default.
+// An admission failure (queue full, draining) is reported to the client and
+// leaves the session's pending deltas durable — GET retries the solve.
 func (s *Server) solveSession(w http.ResponseWriter, r *http.Request, sv *svcSession, timeout time.Duration, wait time.Duration) {
 	// Snapshot the state this request is about: the request key, the remap
 	// permutation, the job ids of the response, and — crucially — the
@@ -319,174 +314,45 @@ func (s *Server) solveSession(w http.ResponseWriter, r *http.Request, sv *svcSes
 	// keeps the flight's published result consistent with its key anyway.
 	cur, ids, gen := sv.sess.Snapshot()
 	canon := canonicalize(cur)
-	k := requestKey(canon.in, sv.opts)
-	if timeout <= 0 {
-		timeout = sv.timeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.writeSessionError(w, sv.id, ErrShuttingDown)
-		return
-	}
-	if err := s.quarantinedLocked(k); err != nil {
-		s.mu.Unlock()
-		s.writeSessionError(w, sv.id, err)
-		return
-	}
-	trace := wantTrace(r, sv.trace)
-	if out, ok := s.results.get(k); ok {
-		s.met.resultCacheHits.Add(1)
-		s.mu.Unlock()
-		setOutcome(r, "cache-hit")
-		s.respondSession(w, sv, snapshotView{perm: canon.perm, ids: ids, machines: cur.M, trace: trace}, out, false, true)
-		return
-	}
-	if f, ok := s.flights[k]; ok && f.ctx.Err() == nil {
-		f.waiters++
-		s.met.coalesced.Add(1)
-		s.mu.Unlock()
-		setOutcome(r, "coalesced")
-		s.awaitSessionFlight(w, r, sv, snapshotView{perm: canon.perm, ids: ids, machines: cur.M, trace: trace}, f, wait, true)
-		return
-	}
 	inv := invertPerm(canon.perm)
-	fctx, fcancel := context.WithTimeout(s.baseCtx, timeout)
-	f := &flight{
-		key: k, in: canon.in, opts: sv.opts,
-		ctx: fctx, cancel: fcancel, done: make(chan struct{}),
-		waiters: 1, session: true,
-		enqueuedAt: time.Now(),
-		run: func(ctx context.Context) (*ccsched.Result, error) {
-			// Solve the snapshot, not whatever the session holds by the time
-			// a worker gets here: the flight's key, permutation and any
-			// coalesced one-shot waiters are all about the snapshot.
-			res, err := sv.sess.SolveSnapshot(ctx, cur, gen)
-			if err != nil {
-				return nil, err
-			}
-			// Publish in canonical order so one-shot requests for the same
-			// canonical instance can share this flight and the LRU entry.
-			return remapResult(res, inv), nil
-		},
+	run := func(ctx context.Context) (*ccsched.Result, error) {
+		// Solve the snapshot, not whatever the session holds by the time a
+		// worker gets here: the flight's key, permutation and any coalesced
+		// one-shot waiters are all about the snapshot.
+		res, err := sv.sess.SolveSnapshot(ctx, cur, gen)
+		if err != nil {
+			return nil, err
+		}
+		// Publish in canonical order so one-shot requests for the same
+		// canonical instance can share this flight and the LRU entry.
+		return remapResult(res, inv), nil
 	}
-	select {
-	case s.queue <- f:
-	default:
-		fcancel()
-		s.met.rejectedFull.Add(1)
-		s.mu.Unlock()
-		s.writeSessionError(w, sv.id, ErrQueueFull)
-		return
-	}
-	s.flights[k] = f
-	s.met.admitted.Add(1)
+	s.mu.Lock()
+	sub, err := s.admitLocked(requestKey(canon.in, sv.opts), canon, sv.opts, s.solveTimeout(timeout, sv.timeout), run, false)
 	s.mu.Unlock()
-	setOutcome(r, "admitted")
-	s.awaitSessionFlight(w, r, sv, snapshotView{perm: canon.perm, ids: ids, machines: cur.M, trace: trace}, f, wait, false)
-}
-
-// snapshotView is the request-scoped view of the session state one
-// re-solve was keyed on: the canonical→session permutation, the job ids
-// parallel to the result's job order, the machine count, and whether the
-// response keeps the span timeline.
-type snapshotView struct {
-	perm     []int
-	ids      []int64
-	machines int64
-	trace    bool
-}
-
-// awaitSessionFlight blocks one session request on its flight and responds,
-// mirroring awaitFlight's semantics (completion / wait budget / client
-// disconnect) with the session response shape.
-func (s *Server) awaitSessionFlight(w http.ResponseWriter, r *http.Request, sv *svcSession, view snapshotView, f *flight, wait time.Duration, coalesced bool) {
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-f.done:
-		s.detach(f)
-		s.respondSession(w, sv, view, outcome{res: f.res, err: f.err, elapsed: f.elapsed}, coalesced, false)
-	case <-timer.C:
-		// The client outwaited its budget; the re-solve keeps running and a
-		// later GET picks the result up from the LRU.
-		s.pin(f)
-		s.detach(f)
-		writeJSON(w, http.StatusAccepted, SessionResponse{SessionID: sv.id, Status: s.flightStatus(f), RequestID: requestID(r)})
-	case <-r.Context().Done():
-		s.detach(f)
-		writeError(w, statusClientClosedRequest, "client closed request")
-	}
-}
-
-// respondSession renders one finished session re-solve, remapping the
-// canonical result into the snapshot's job order.
-func (s *Server) respondSession(w http.ResponseWriter, sv *svcSession, view snapshotView, out outcome, coalesced, cached bool) {
-	ms := float64(out.elapsed) / float64(time.Millisecond)
-	resp := SessionResponse{
-		SessionID: sv.id,
-		JobIDs:    view.ids,
-		Machines:  view.machines,
-		Resolves:  sv.sess.Resolves(),
-		SolveMs:   ms,
-		Coalesced: coalesced,
-		Cached:    cached,
-	}
-	if out.err != nil {
-		resp.Status = StatusError
-		resp.Error = out.err.Error()
-		writeJSON(w, solveErrorStatus(out.err), resp)
+	if err != nil {
+		writeJSON(w, s.errorStatus(w, err), SessionResponse{SessionID: sv.id, Status: StatusError, Error: err.Error()})
 		return
 	}
-	resp.Status = StatusDone
-	resp.Result = remapResult(out.res, view.perm)
-	if !view.trace {
-		resp.Result.Trace = nil
+	noteAdmission(r, sub)
+	trace := wantTrace(r, sv.trace)
+	// respond renders a finished re-solve remapped into the snapshot's job
+	// order, or — out nil — the 202 of a re-solve a later GET picks up.
+	respond := func(out *outcome, cached bool) {
+		if out == nil {
+			writeJSON(w, http.StatusAccepted, SessionResponse{SessionID: sv.id, Status: s.flightStatus(sub.flight), RequestID: requestID(r)})
+			return
+		}
+		code, status, res, msg := s.finish(w, *out, canon.perm, trace)
+		writeJSON(w, code, SessionResponse{
+			SessionID: sv.id, Status: status, Result: res, Error: msg,
+			JobIDs: ids, Machines: cur.M, Resolves: sv.sess.Resolves(),
+			SolveMs: float64(out.elapsed) / float64(time.Millisecond), Coalesced: sub.coalesced, Cached: cached,
+		})
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// writeSessionError maps session pipeline errors onto HTTP statuses,
-// carrying the session id when one exists. Backpressure rejections (queue
-// full, draining) and quarantine refusals carry a Retry-After.
-func (s *Server) writeSessionError(w http.ResponseWriter, id string, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTooManySessions):
-		status = http.StatusTooManyRequests
-		setRetryAfter(w, retryAfterQueueFull)
-	case errors.Is(err, ErrShuttingDown):
-		status = http.StatusServiceUnavailable
-		setRetryAfter(w, retryAfterDraining)
-	case errors.Is(err, ErrQuarantined):
-		status = http.StatusUnprocessableEntity
-		setRetryAfter(w, s.cfg.PanicQuarantineTTL)
-	case errors.Is(err, ErrInstanceTooLarge):
-		status = http.StatusUnprocessableEntity
-	case errors.Is(err, ccsched.ErrInfeasible):
-		status = http.StatusUnprocessableEntity
-	}
-	if id == "" {
-		writeError(w, status, "%v", err)
+	if sub.done != nil {
+		respond(sub.done, true)
 		return
 	}
-	writeJSON(w, status, SessionResponse{SessionID: id, Status: StatusError, Error: err.Error()})
-}
-
-// solveErrorStatus maps a finished solve's error onto an HTTP status (the
-// same mapping respondOutcome uses).
-func solveErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusRequestTimeout
-	case errors.Is(err, ccsched.ErrCanceled), errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	case errors.Is(err, ccsched.ErrInfeasible), errors.Is(err, ccsched.ErrTooLarge):
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusInternalServerError
+	s.awaitFlight(w, r, sub.flight, wait, 0, func(out *outcome) { respond(out, false) })
 }
