@@ -1,6 +1,7 @@
 package ccsched
 
 import (
+	"context"
 	"errors"
 	"math/big"
 	"sync"
@@ -15,16 +16,17 @@ func TestExactSolversEnforceLimits(t *testing.T) {
 		big_.P = append(big_.P, int64(j+1))
 		big_.Class = append(big_.Class, j%3)
 	}
-	if _, _, err := ExactNonPreemptive(big_); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("ExactNonPreemptive(30 jobs) = %v, want ErrTooLarge", err)
+	ctx := context.Background()
+	if _, err := Solve(ctx, big_, Options{Variant: NonPreemptive, Tier: TierExact}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("exact non-preemptive (30 jobs) = %v, want ErrTooLarge", err)
 	}
 	wide := &Instance{M: 7, Slots: 2}
 	for j := 0; j < 8; j++ {
 		wide.P = append(wide.P, 5)
 		wide.Class = append(wide.Class, j)
 	}
-	if _, err := ExactSplittable(wide); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("ExactSplittable(C=8, m=7) = %v, want ErrTooLarge", err)
+	if _, err := Solve(ctx, wide, Options{Variant: Splittable, Tier: TierExact}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("exact splittable (C=8, m=7) = %v, want ErrTooLarge", err)
 	}
 }
 
@@ -63,12 +65,12 @@ func TestConcurrentSolversWithOptions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := ApproxSplittableOpts(in, ApproxOptions{ExplicitMachineLimit: limit})
+			res, err := Solve(context.Background(), in, Options{Variant: Splittable, Tier: TierApprox, ExplicitMachineLimit: limit})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := res.Compact.Validate(in); err != nil {
+			if err := res.CompactSplit.Validate(in); err != nil {
 				t.Error(err)
 			}
 		}()

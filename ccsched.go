@@ -13,16 +13,15 @@
 // context cancellation and deadlines down to the individual ILP iteration,
 // and returns the schedule together with the certified lower bound.
 //
-// The algorithm tiers from the paper are:
+// The algorithm tiers from the paper, all reached through Solve, are:
 //
-//   - strongly polynomial constant-factor approximations —
-//     ApproxSplittable and ApproxPreemptive guarantee 2·OPT,
-//     ApproxNonPreemptive guarantees 7/3·OPT;
-//   - polynomial-time approximation schemes (PTAS) with makespan
-//     (1+ε)·OPT, built on configuration ILPs with N-fold structure —
-//     Solve with TierPTAS;
-//   - exact optima for small instances (ratio measurement) in
-//     ExactNonPreemptive and ExactSplittable.
+//   - TierApprox, the strongly polynomial constant-factor approximations:
+//     2·OPT for the splittable and preemptive variants, 7/3·OPT for the
+//     non-preemptive one;
+//   - TierPTAS, the polynomial-time approximation schemes with makespan
+//     (1+ε)·OPT, built on configuration ILPs with N-fold structure;
+//   - TierExact, exact optima for small instances (ratio measurement),
+//     non-preemptive and splittable only.
 //
 // Certified lower bounds live in LowerBound. Instances can be built
 // directly, parsed from the textual format (ParseInstance), or generated
@@ -82,8 +81,6 @@ type (
 	// PTASReport carries per-run diagnostics of a PTAS solve (accepted
 	// guess, probes tried, N-fold parameters, engine, cache hits).
 	PTASReport = ptas.Report
-	// ApproxOptions configures the constant-factor splittable solver.
-	ApproxOptions = approx.Options
 	// FeasibilityCache memoizes makespan-guess feasibility verdicts across
 	// Solve calls; see NewFeasibilityCache. Safe for concurrent use.
 	FeasibilityCache = ptas.Cache
@@ -152,7 +149,7 @@ var ErrInternal = panicsafe.ErrInternal
 type InternalError = panicsafe.Error
 
 // ErrTooLarge reports an instance beyond the exact solvers' enforced size
-// limits (ExactNonPreemptive: > 24 jobs; ExactSplittable: C > 6 or m > 6).
+// limits (TierExact non-preemptive: > 24 jobs; splittable: C > 6 or m > 6).
 // The exact solvers return it — wrapped with the offending dimensions —
 // instead of running for an unbounded time; test with errors.Is.
 var ErrTooLarge = exact.ErrTooLarge
@@ -187,49 +184,6 @@ func GeneratorFamilies() []string {
 		out = append(out, f.Name)
 	}
 	return out
-}
-
-// ApproxSplittable runs Algorithm 1 (Theorem 4): a 2-approximation for the
-// splittable variant in O(n² log n), valid for any machine count. The
-// result always carries a compact schedule; an explicit one is included
-// when m is moderate.
-func ApproxSplittable(in *Instance) (*approx.SplitResult, error) {
-	return approx.SolveSplittable(in)
-}
-
-// ApproxSplittableOpts is ApproxSplittable with explicit options (e.g. the
-// explicit-machine limit). Options are per-call values, so concurrent
-// solves with different options are race-free.
-func ApproxSplittableOpts(in *Instance, opts ApproxOptions) (*approx.SplitResult, error) {
-	return approx.SolveSplittableOpts(in, opts)
-}
-
-// ApproxPreemptive runs Algorithm 1 + 2 (Theorem 5): a 2-approximation for
-// the preemptive variant in O(n² log n).
-func ApproxPreemptive(in *Instance) (*approx.PreemptiveResult, error) {
-	return approx.SolvePreemptive(in)
-}
-
-// ApproxNonPreemptive runs the Theorem 6 algorithm: a 7/3-approximation for
-// the non-preemptive variant in O(n² log² n).
-func ApproxNonPreemptive(in *Instance) (*approx.NonPreemptiveResult, error) {
-	return approx.SolveNonPreemptive(in)
-}
-
-// ExactNonPreemptive computes an optimal non-preemptive schedule for small
-// instances by branch and bound. The documented limit (≤ 24 jobs) is
-// enforced: larger inputs return an error wrapping ErrTooLarge instead of
-// silently running for an unbounded time.
-func ExactNonPreemptive(in *Instance) (*NonPreemptiveSchedule, int64, error) {
-	return exact.NonPreemptive(in)
-}
-
-// ExactSplittable computes the optimal splittable makespan for small
-// instances by slot-pattern enumeration plus LP. The documented limit
-// (C ≤ 6 and m ≤ 6) is enforced: larger inputs return an error wrapping
-// ErrTooLarge instead of silently running for an unbounded time.
-func ExactSplittable(in *Instance) (*big.Rat, error) {
-	return exact.Splittable(in)
 }
 
 // HetSlotsInstance is the machine-dependent class-slot variant the paper's
@@ -559,7 +513,7 @@ func wrapCanceled(err error) error {
 func solveApprox(in *Instance, opts Options, res *Result) error {
 	switch opts.Variant {
 	case Splittable:
-		r, err := approx.SolveSplittableOpts(in, ApproxOptions{ExplicitMachineLimit: opts.ExplicitMachineLimit})
+		r, err := approx.SolveSplittableOpts(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit})
 		if err != nil {
 			return err
 		}

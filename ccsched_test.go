@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/big"
 	"testing"
+
+	"ccsched/internal/exact"
 )
 
 func apiInstance() *Instance {
@@ -31,34 +33,33 @@ func TestFacadeRoundTrip(t *testing.T) {
 
 func TestFacadeApproxAll(t *testing.T) {
 	in := apiInstance()
-	s, err := ApproxSplittable(in)
-	if err != nil {
-		t.Fatal(err)
+	approxSolve := func(v Variant) *Result {
+		t.Helper()
+		res, err := Solve(context.Background(), in, Options{Variant: v, Tier: TierApprox})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if err := s.Compact.Validate(in); err != nil {
+	s := approxSolve(Splittable)
+	if err := s.CompactSplit.Validate(in); err != nil {
 		t.Error(err)
 	}
-	p, err := ApproxPreemptive(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Schedule.Validate(in); err != nil {
+	p := approxSolve(Preemptive)
+	if err := p.Preemptive.Validate(in); err != nil {
 		t.Error(err)
 	}
-	np, err := ApproxNonPreemptive(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := np.Schedule.Validate(in); err != nil {
+	np := approxSolve(NonPreemptive)
+	if err := np.NonPreemptive.Validate(in); err != nil {
 		t.Error(err)
 	}
 	// Relaxation ordering on the same instance.
-	if s.Makespan().Cmp(core2Rat(np.Makespan(in))) > 0 {
+	if s.Makespan.Cmp(np.Makespan) > 0 {
 		// Splittable approx can exceed non-preemptive approx only through
 		// approximation slack, but both stay within 2x/7/3x of their LBs,
 		// so we only sanity-check against gross inversions.
 		lb, _ := LowerBound(in, Splittable)
-		if s.Makespan().Cmp(new(big.Rat).Mul(lb, big.NewRat(2, 1))) > 0 {
+		if s.Makespan.Cmp(new(big.Rat).Mul(lb, big.NewRat(2, 1))) > 0 {
 			t.Error("splittable approx exceeds its guarantee")
 		}
 	}
@@ -83,21 +84,23 @@ func TestFacadeGenerate(t *testing.T) {
 
 func TestFacadeExact(t *testing.T) {
 	in := apiInstance()
-	sched, opt, err := ExactNonPreemptive(in)
+	np, err := Solve(context.Background(), in, Options{Variant: NonPreemptive, Tier: TierExact})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched, opt := np.NonPreemptive, np.Makespan
 	if err := sched.Validate(in); err != nil {
 		t.Error(err)
 	}
-	if sched.Makespan(in) != opt {
+	if core2Rat(sched.Makespan(in)).Cmp(opt) != 0 {
 		t.Error("schedule does not match reported optimum")
 	}
-	splitOpt, err := ExactSplittable(in)
+	split, err := Solve(context.Background(), in, Options{Variant: Splittable, Tier: TierExact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if splitOpt.Cmp(core2Rat(opt)) > 0 {
+	splitOpt := split.Makespan
+	if splitOpt.Cmp(opt) > 0 {
 		t.Error("splittable optimum exceeds non-preemptive optimum")
 	}
 	lb, err := LowerBound(in, Splittable)
@@ -118,7 +121,7 @@ func TestFacadePTAS(t *testing.T) {
 	if err := res.NonPreemptive.Validate(in); err != nil {
 		t.Error(err)
 	}
-	_, opt, err := ExactNonPreemptive(in)
+	_, opt, err := exact.NonPreemptive(in)
 	if err != nil {
 		t.Fatal(err)
 	}

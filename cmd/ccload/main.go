@@ -1,7 +1,6 @@
 // Command ccload drives a running ccserved with concurrent clients and
 // records throughput, latency percentiles and the server's coalescing and
-// cache counters into a JSON report (BENCH_PR3.json in this repo's
-// experiments).
+// cache counters into a JSON report (BENCH_PR3.json is an archived run).
 //
 // A -dup fraction of the requests are duplicates of earlier instances with
 // their job lists shuffled — the canonical form is identical, so the server

@@ -121,7 +121,7 @@ func diffInstances(t *testing.T) map[string]*core.Instance {
 func TestDifferentialSplittableGuess(t *testing.T) {
 	for name, in := range diffInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			res, err := ApproxSplittable(in)
+			res, err := approx.SolveSplittable(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestDifferentialSplittableGuess(t *testing.T) {
 func TestDifferentialSolverMakespans(t *testing.T) {
 	for name, in := range diffInstances(t) {
 		t.Run(name, func(t *testing.T) {
-			sres, err := ApproxSplittable(in)
+			sres, err := approx.SolveSplittable(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestDifferentialSolverMakespans(t *testing.T) {
 				t.Fatalf("forced compact invalid: %v", err)
 			}
 
-			pres, err := ApproxPreemptive(in)
+			pres, err := approx.SolvePreemptive(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestDifferentialSolverMakespans(t *testing.T) {
 				}
 			}
 
-			nres, err := ApproxNonPreemptive(in)
+			nres, err := approx.SolveNonPreemptive(in)
 			if err != nil {
 				t.Fatal(err)
 			}

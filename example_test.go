@@ -37,37 +37,43 @@ func ExampleSolve() {
 	// lower bound: 20
 }
 
-// ExampleApproxNonPreemptive schedules a small instance with the paper's
-// 7/3-approximation and prints the makespan.
-func ExampleApproxNonPreemptive() {
+// ExampleSolve_approxNonPreemptive schedules a small instance with the
+// paper's 7/3-approximation and prints the makespan.
+func ExampleSolve_approxNonPreemptive() {
 	in := &ccsched.Instance{
 		P:     []int64{4, 3, 5, 2},
 		Class: []int{0, 0, 1, 1},
 		M:     2,
 		Slots: 1, // machines host one class each
 	}
-	res, err := ccsched.ApproxNonPreemptive(in)
+	res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
+		Variant: ccsched.NonPreemptive,
+		Tier:    ccsched.TierApprox,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("makespan:", res.Makespan(in))
+	fmt.Println("makespan:", res.Makespan.RatString())
 	// Output: makespan: 7
 }
 
-// ExampleApproxSplittable shows that splitting drops the makespan to the
-// area bound when slots allow it.
-func ExampleApproxSplittable() {
+// ExampleSolve_approxSplittable shows that splitting drops the makespan to
+// the area bound when slots allow it.
+func ExampleSolve_approxSplittable() {
 	in := &ccsched.Instance{
 		P:     []int64{100},
 		Class: []int{0},
 		M:     4,
 		Slots: 1,
 	}
-	res, err := ccsched.ApproxSplittable(in)
+	res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
+		Variant: ccsched.Splittable,
+		Tier:    ccsched.TierApprox,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("makespan:", res.Makespan().RatString())
+	fmt.Println("makespan:", res.Makespan.RatString())
 	// Output: makespan: 25
 }
 

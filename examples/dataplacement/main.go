@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,27 +28,23 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		lb, err := ccsched.LowerBound(in, ccsched.Splittable)
+		s, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierApprox})
 		if err != nil {
 			log.Fatal(err)
 		}
-		s, err := ccsched.ApproxSplittable(in)
+		if err := s.CompactSplit.Validate(in); err != nil {
+			log.Fatal(err)
+		}
+		p, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: ccsched.Preemptive, Tier: ccsched.TierApprox})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := s.Compact.Validate(in); err != nil {
+		if err := p.Preemptive.Validate(in); err != nil {
 			log.Fatal(err)
 		}
-		p, err := ccsched.ApproxPreemptive(in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := p.Schedule.Validate(in); err != nil {
-			log.Fatal(err)
-		}
-		sf, _ := s.Makespan().Float64()
-		lf, _ := lb.Float64()
-		pf, _ := p.Makespan().Float64()
+		sf, _ := s.Makespan.Float64()
+		lf, _ := s.LowerBound.Float64()
+		pf, _ := p.Makespan.Float64()
 		fmt.Printf("%8d  %12.1f  %12.1f  %12.1f  %8.3f\n", m, lf, sf, pf, sf/lf)
 	}
 	fmt.Println()

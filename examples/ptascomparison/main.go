@@ -26,11 +26,11 @@ func main() {
 		log.Fatal(err)
 	}
 	lf, _ := lb.Float64()
-	opt, err := ccsched.ExactSplittable(in)
+	exact, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierExact})
 	optKnown := err == nil
 	fmt.Printf("splittable instance: n=%d C=%d m=%d c=%d, lower bound %.2f", in.N(), in.NumClasses(), in.M, in.Slots, lf)
 	if optKnown {
-		of, _ := opt.Float64()
+		of, _ := exact.Makespan.Float64()
 		fmt.Printf(", optimum %.2f", of)
 	}
 	fmt.Println()
@@ -38,11 +38,11 @@ func main() {
 	fmt.Printf("%-14s %10s %10s %12s %10s\n", "algorithm", "makespan", "ratio", "nfold vars", "time")
 
 	start := time.Now()
-	a, err := ccsched.ApproxSplittable(in)
+	a, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierApprox})
 	if err != nil {
 		log.Fatal(err)
 	}
-	af, _ := a.Makespan().Float64()
+	af, _ := a.Makespan.Float64()
 	fmt.Printf("%-14s %10.2f %10.3f %12s %10s\n",
 		"2-approx", af, af/lf, "-", time.Since(start).Round(time.Microsecond))
 

@@ -1,7 +1,7 @@
 // Quickstart: build a small class-constrained scheduling instance by hand
-// and solve it with all three variants' 2- and 7/3-approximations, plus the
-// non-preemptive PTAS, printing makespans against the certified lower
-// bounds.
+// and solve it through ccsched.Solve with all three variants' 2- and
+// 7/3-approximations, the non-preemptive PTAS and the exact optimum,
+// printing makespans against the certified lower bounds.
 package main
 
 import (
@@ -35,50 +35,41 @@ func main() {
 	}
 	fmt.Println()
 
-	s, err := ccsched.ApproxSplittable(in)
-	if err != nil {
-		log.Fatal(err)
+	solve := func(v ccsched.Variant, tier ccsched.Tier) *ccsched.Result {
+		res, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: v, Tier: tier, Epsilon: 0.5})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	if err := s.Compact.Validate(in); err != nil {
+
+	s := solve(ccsched.Splittable, ccsched.TierApprox)
+	if err := s.CompactSplit.Validate(in); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("splittable 2-approx:     makespan %s (%d machine groups)\n",
-		s.Makespan().RatString(), len(s.Compact.Groups))
+		s.Makespan.RatString(), len(s.CompactSplit.Groups))
 
-	p, err := ccsched.ApproxPreemptive(in)
-	if err != nil {
+	p := solve(ccsched.Preemptive, ccsched.TierApprox)
+	if err := p.Preemptive.Validate(in); err != nil {
 		log.Fatal(err)
 	}
-	if err := p.Schedule.Validate(in); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("preemptive 2-approx:     makespan %s (%d pieces, repacked=%v)\n",
-		p.Makespan().RatString(), p.Schedule.PieceCount(), p.Repacked)
+	fmt.Printf("preemptive 2-approx:     makespan %s (%d pieces)\n",
+		p.Makespan.RatString(), p.Preemptive.PieceCount())
 
-	np, err := ccsched.ApproxNonPreemptive(in)
-	if err != nil {
+	np := solve(ccsched.NonPreemptive, ccsched.TierApprox)
+	if err := np.NonPreemptive.Validate(in); err != nil {
 		log.Fatal(err)
 	}
-	if err := np.Schedule.Validate(in); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("non-preemptive 7/3-approx: makespan %d\n", np.Makespan(in))
+	fmt.Printf("non-preemptive 7/3-approx: makespan %s\n", np.Makespan.RatString())
 
-	res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
-		Variant: ccsched.NonPreemptive, Tier: ccsched.TierPTAS, Epsilon: 0.5,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := solve(ccsched.NonPreemptive, ccsched.TierPTAS)
 	if err := res.NonPreemptive.Validate(in); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("non-preemptive PTAS ε=.5:  makespan %s (engine %s)\n",
 		res.Makespan.RatString(), res.Report.Engine)
 
-	_, opt, err := ccsched.ExactNonPreemptive(in)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("non-preemptive optimum:    makespan %d\n", opt)
+	opt := solve(ccsched.NonPreemptive, ccsched.TierExact)
+	fmt.Printf("non-preemptive optimum:    makespan %s\n", opt.Makespan.RatString())
 }

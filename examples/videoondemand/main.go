@@ -9,11 +9,31 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"math/big"
 
 	"ccsched"
 )
+
+// solve runs one non-preemptive tier and validates the assignment.
+func solve(in *ccsched.Instance, tier ccsched.Tier) *ccsched.Result {
+	res, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: ccsched.NonPreemptive, Tier: tier})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := res.NonPreemptive.Validate(in); err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
+
+// ratio is a/b as a float.
+func ratio(a, b *big.Rat) float64 {
+	f, _ := new(big.Rat).Quo(a, b).Float64()
+	return f
+}
 
 func main() {
 	fmt.Println("video on demand: requests must be served from disks storing the movie")
@@ -27,23 +47,14 @@ func main() {
 		M:     3,
 		Slots: 2,
 	}
-	res, err := ccsched.ApproxNonPreemptive(small)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := res.Schedule.Validate(small); err != nil {
-		log.Fatal(err)
-	}
-	_, opt, err := ccsched.ExactNonPreemptive(small)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := solve(small, ccsched.TierApprox)
+	opt := solve(small, ccsched.TierExact)
 	fmt.Printf("small catalog (n=%d, movies=%d, disks=%d, slots=%d):\n",
 		small.N(), small.NumClasses(), small.M, small.Slots)
-	fmt.Printf("  7/3-approximation: peak load %d\n", res.Makespan(small))
-	fmt.Printf("  exact optimum:     peak load %d\n", opt)
+	fmt.Printf("  7/3-approximation: peak load %s\n", res.Makespan.RatString())
+	fmt.Printf("  exact optimum:     peak load %s\n", opt.Makespan.RatString())
 	fmt.Printf("  true ratio:        %.3f (guarantee 7/3 ≈ 2.333)\n\n",
-		float64(res.Makespan(small))/float64(opt))
+		ratio(res.Makespan, opt.Makespan))
 
 	// Large catalog: compare against the certified lower bound.
 	large, err := ccsched.Generate("fewlarge", ccsched.GeneratorConfig{
@@ -52,21 +63,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lres, err := ccsched.ApproxNonPreemptive(large)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := lres.Schedule.Validate(large); err != nil {
-		log.Fatal(err)
-	}
-	lb, err := ccsched.LowerBound(large, ccsched.NonPreemptive)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lf, _ := lb.Float64()
+	lres := solve(large, ccsched.TierApprox)
+	lf, _ := lres.LowerBound.Float64()
 	fmt.Printf("large catalog (n=%d, movies=%d, disks=%d, slots=%d):\n",
 		large.N(), large.NumClasses(), large.M, large.Slots)
-	fmt.Printf("  7/3-approximation: peak load %d\n", lres.Makespan(large))
+	fmt.Printf("  7/3-approximation: peak load %s\n", lres.Makespan.RatString())
 	fmt.Printf("  lower bound:       %.1f\n", lf)
-	fmt.Printf("  ratio vs LB:       %.3f\n", float64(lres.Makespan(large))/lf)
+	fmt.Printf("  ratio vs LB:       %.3f\n", ratio(lres.Makespan, lres.LowerBound))
 }

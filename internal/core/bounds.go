@@ -8,9 +8,10 @@ import (
 	"ccsched/internal/rat"
 )
 
-// Certified lower bounds on the optimal makespan. Every experiment that
-// reports an approximation ratio divides a schedule's makespan by one of
-// these bounds, so a measured ratio always upper-bounds the true ratio.
+// Certified lower bounds on the optimal makespan. Every approximation ratio
+// the tests, benchmarks and Result gaps report divides a schedule's
+// makespan by one of these bounds, so a measured ratio always upper-bounds
+// the true ratio.
 //
 // Three bound families are combined, following the paper's own arguments:
 //

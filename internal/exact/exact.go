@@ -1,6 +1,6 @@
-// Package exact computes optimal makespans for small CCS instances. The
-// experiment suite divides approximation-algorithm makespans by these
-// optima to report true approximation ratios (for larger instances the
+// Package exact computes optimal makespans for small CCS instances. Tests
+// divide approximation-algorithm makespans by these optima to check true
+// approximation ratios (for larger instances the
 // certified lower bounds of internal/core are used instead).
 //
 // All three variants are NP-hard, so every solver here guards its input

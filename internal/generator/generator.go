@@ -1,15 +1,15 @@
 // Package generator produces seeded synthetic CCS workloads.
 //
-// The paper is a theory paper and ships no benchmark inputs, so the
-// experiment suite stresses each proof's tight spots with parameterized
+// The paper is a theory paper and ships no benchmark inputs, so the tests
+// and benchmarks stress each proof's tight spots with parameterized
 // families: uniformly random loads, Zipf-skewed class sizes, a few huge
 // classes (exercising the class-splitting step of Algorithm 1), unit
 // classes (the Chen et al. special case), cardinality-style instances
 // (C = n), and adversarial non-preemptive instances whose jobs cluster just
 // above T/3 and T/2 (the tight spots of the 7/3 analysis).
 //
-// All families are deterministic given (Config, seed) so experiments are
-// reproducible.
+// All families are deterministic given (Config, seed) so tests and
+// benchmarks are reproducible.
 package generator
 
 import (

@@ -10,7 +10,8 @@
 // groups with a budget-respecting LPT rule. The placement is a documented
 // heuristic — no approximation guarantee is claimed for the heterogeneous
 // case (that is exactly the open problem) — but every produced schedule is
-// validated, and the experiment suite records the measured ratios.
+// validated, and the tests check it against the 7/3 bound on homogeneous
+// inputs.
 package hetslots
 
 import (

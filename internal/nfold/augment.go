@@ -26,7 +26,7 @@ import (
 // Every accepted move strictly decreases the nonnegative integral residual
 // norm, so the descent terminates. It may stall above zero — the engine is
 // a documented heuristic; Solve verifies its output and falls back to the
-// exact branch-and-bound engine on a stall (measured in experiment E8).
+// exact branch-and-bound engine on a stall (BenchmarkE8NFold times both).
 
 // AugmentOptions tunes the augmentation engine.
 type AugmentOptions struct {

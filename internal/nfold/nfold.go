@@ -220,8 +220,8 @@ func (p *Problem) TheoreticalCostLog2() float64 {
 
 // CostLog2 returns log₂ of the Theorem 1 running-time bound
 // (rsΔ)^{O(r²s+s²)}·L·Nt·log^{O(1)}(Nt), with all O(·) constants set to 1.
-// The E8 experiment reports this alongside measured solve times to exhibit
-// the parameter dependence the paper's analysis predicts.
+// PTAS reports carry it (Report.TheoreticalCostLog2) next to measured solve
+// times to exhibit the parameter dependence the paper's analysis predicts.
 func (par Params) CostLog2() float64 {
 	if par.Vars == 0 {
 		return 0

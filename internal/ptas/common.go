@@ -126,7 +126,7 @@ func (o Options) nfoldOptions(tmpl *nfold.Template) *nfold.Options {
 	}
 }
 
-// Report captures per-run diagnostics for the experiment harness.
+// Report captures per-run diagnostics of a scheme solve (Result.Report).
 type Report struct {
 	// Delta is the internal accuracy 1/g.
 	InvDelta int64 `json:"inv_delta,omitempty"`

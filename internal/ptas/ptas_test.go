@@ -10,6 +10,7 @@ import (
 
 	"ccsched/internal/core"
 	"ccsched/internal/generator"
+	"ccsched/internal/nfold"
 	"ccsched/internal/trace"
 )
 
@@ -72,6 +73,44 @@ func TestSplittablePTASHugeM(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratioAtMost(t, "splittable-ptas-huge", res.Makespan(), lb, 2, 1)
+}
+
+// TestSplittableNFoldEnginesAgree runs both N-fold engines on real
+// configuration N-folds: the splittable scheme's at the certified lower
+// bound, at three accuracies. Augmentation may stall (Unknown), but the two
+// engines must never contradict each other, and every Feasible answer must
+// satisfy the problem.
+func TestSplittableNFoldEnginesAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves three configuration N-folds")
+	}
+	in := generator.Uniform(generator.Config{N: 14, Classes: 4, Machines: 3, Slots: 2, PMax: 60, Seed: 81})
+	for _, eps := range []float64{1, 0.5, 0.34} {
+		prob, err := BuildSplittableNFold(in, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aug, err := nfold.Solve(prob, &nfold.Options{Engine: nfold.EngineAugment})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := nfold.Solve(prob, &nfold.Options{Engine: nfold.EngineBranchBound, FirstFeasible: true, MaxNodes: 4000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("ε=%v: augment %v in %d steps, branch and bound %v in %d nodes", eps, aug.Status, aug.Nodes, bb.Status, bb.Nodes)
+		if (aug.Status == nfold.Feasible && bb.Status == nfold.Infeasible) ||
+			(aug.Status == nfold.Infeasible && bb.Status == nfold.Feasible) {
+			t.Errorf("ε=%v: augmentation %v, branch and bound %v", eps, aug.Status, bb.Status)
+		}
+		for _, r := range []*nfold.Result{aug, bb} {
+			if r.Status == nfold.Feasible {
+				if err := prob.Check(r.X); err != nil {
+					t.Errorf("ε=%v: %s solution: %v", eps, r.Engine, err)
+				}
+			}
+		}
+	}
 }
 
 func TestNonPreemptivePTAS(t *testing.T) {

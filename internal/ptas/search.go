@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"ccsched/internal/panicsafe"
 	"ccsched/internal/trace"
@@ -254,45 +253,4 @@ func probeTreeOrder(lo, hi int) []int {
 		queue = append(queue, iv{v.a, m - 1}, iv{m + 1, v.b})
 	}
 	return out
-}
-
-// MeasureSpeculativeOverlap runs the guess search over a synthetic grid of
-// gridLen latency-bound probes (each sleeps for latency, then accepts iff
-// its guess ≥ boundary): once sequentially, then once per entry of
-// parallelisms. It returns the sequential wall clock, the parallel wall
-// clocks in order, and whether every parallel search returned a (guess,
-// probe-count) trace identical to the sequential one. Latency-bound probes
-// make the measurement independent of the host's core count, so it
-// isolates the speculative engine's probe overlap from CPU contention;
-// experiment E9 records it alongside the CPU-bound N-fold rows.
-func MeasureSpeculativeOverlap(ctx context.Context, gridLen int, latency time.Duration, boundary int64, parallelisms ...int) (seq time.Duration, specs []time.Duration, identical bool, err error) {
-	grid := make([]int64, gridLen)
-	for i := range grid {
-		grid[i] = int64(i + 1)
-	}
-	probe := func(pctx context.Context, v int64) (int64, bool, error) {
-		select {
-		case <-time.After(latency):
-		case <-pctx.Done():
-			return 0, false, pctx.Err()
-		}
-		return v, v >= boundary, nil
-	}
-	start := time.Now()
-	_, guessSeq, triedSeq, err := searchGuesses(ctx, grid, 1, 0, trace.Span{}, probe)
-	seq = time.Since(start)
-	if err != nil {
-		return seq, nil, false, err
-	}
-	identical = true
-	for _, par := range parallelisms {
-		start = time.Now()
-		_, guessSpec, triedSpec, err := searchGuesses(ctx, grid, par, 0, trace.Span{}, probe)
-		specs = append(specs, time.Since(start))
-		if err != nil {
-			return seq, specs, false, err
-		}
-		identical = identical && guessSeq == guessSpec && triedSeq == triedSpec
-	}
-	return seq, specs, identical, nil
 }

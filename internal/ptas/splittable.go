@@ -398,8 +398,8 @@ func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, er
 }
 
 // BuildSplittableNFold exposes the configuration N-fold of the splittable
-// scheme at the instance's certified lower bound, for the E8 experiment
-// that studies the machinery in isolation.
+// scheme at the instance's certified lower bound, for the tests and the E8
+// benchmark that study the N-fold machinery in isolation.
 func BuildSplittableNFold(in *core.Instance, epsilon float64) (*nfold.Problem, error) {
 	g, err := Options{Epsilon: epsilon}.delta()
 	if err != nil {

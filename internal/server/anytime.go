@@ -304,7 +304,7 @@ func dropRefine(s *Server, ar *anytimeRun) {
 
 // refineNudger periodically re-enqueues parked ladders — the retry path for
 // both budget exhaustion (tokens refill with time) and momentary refinement
-// queue saturation.
+// queue saturation — and drops the token buckets that have refilled.
 func (s *Server) refineNudger() {
 	defer s.wg.Done()
 	t := time.NewTicker(refineNudgeInterval)
@@ -315,6 +315,7 @@ func (s *Server) refineNudger() {
 			return
 		case <-t.C:
 		}
+		s.sweepBudgets(time.Now())
 		s.mu.Lock()
 		runs := make([]*anytimeRun, 0, len(s.sessions))
 		for _, sv := range s.sessions {
@@ -336,43 +337,61 @@ func (s *Server) refineNudger() {
 
 // refineBudget is one tenant's refinement token bucket: rate tokens per
 // second refill up to a burst of max(1, rate); a rung costs one token.
+// Server.budgetMu guards every bucket.
 type refineBudget struct {
-	mu     sync.Mutex
 	tokens float64
 	last   time.Time
+}
+
+// refill adds the tokens earned since the last refill, capped at burst.
+func (b *refineBudget) refill(now time.Time, rate, burst float64) {
+	b.tokens = min(burst, b.tokens+now.Sub(b.last).Seconds()*rate)
+	b.last = now
+}
+
+// refineRate returns the per-tenant refill rate and burst; a non-positive
+// rate means unlimited refinement.
+func (s *Server) refineRate() (rate, burst float64) {
+	rate = s.cfg.RefineBudgetPerSec
+	return rate, max(rate, 1)
 }
 
 // refineBudgetTake spends one refinement token of the given tenant; false
 // parks the ladder. A non-positive Config.RefineBudgetPerSec is unlimited.
 func (s *Server) refineBudgetTake(tenant string) bool {
-	rate := s.cfg.RefineBudgetPerSec
+	rate, burst := s.refineRate()
 	if rate <= 0 {
 		return true
 	}
-	burst := rate
-	if burst < 1 {
-		burst = 1
-	}
+	now := time.Now()
 	s.budgetMu.Lock()
+	defer s.budgetMu.Unlock()
 	b := s.budgets[tenant]
 	if b == nil {
-		b = &refineBudget{tokens: burst, last: time.Now()}
+		b = &refineBudget{tokens: burst, last: now}
 		s.budgets[tenant] = b
 	}
-	s.budgetMu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * rate
-	if b.tokens > burst {
-		b.tokens = burst
-	}
-	b.last = now
+	b.refill(now, rate, burst)
 	if b.tokens < 1 {
 		return false
 	}
 	b.tokens--
 	return true
+}
+
+// sweepBudgets drops every bucket that has refilled to its burst. A new
+// bucket starts full, so a full one behaves exactly like a missing one, and
+// the map holds only tenants that spent tokens within the last refill time.
+func (s *Server) sweepBudgets(now time.Time) {
+	rate, burst := s.refineRate()
+	s.budgetMu.Lock()
+	defer s.budgetMu.Unlock()
+	for tenant, b := range s.budgets {
+		b.refill(now, rate, burst)
+		if b.tokens >= burst {
+			delete(s.budgets, tenant)
+		}
+	}
 }
 
 // solveSessionAnytime answers one anytime-session request inline with the

@@ -258,7 +258,8 @@ type Server struct {
 	// refineQ feeds the anytime refinement pool; refineStop ends the refine
 	// workers and the nudger on Shutdown (the queue itself stays open —
 	// late enqueues land in the buffer and are simply never drained).
-	// budgets holds the per-tenant refinement token buckets.
+	// budgets holds the per-tenant refinement token buckets that have not
+	// refilled to their burst; refineNudger sweeps out the full ones.
 	refineQ    chan *anytimeRun
 	refineStop chan struct{}
 	budgetMu   sync.Mutex

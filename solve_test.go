@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ccsched"
+	"ccsched/internal/approx"
 	"ccsched/internal/ptas"
 )
 
@@ -51,9 +52,9 @@ func variantCases(t *testing.T, seed int64) []variantCase {
 }
 
 // TestSolveParityWithWrappers proves the unified Solve facade returns the
-// same makespans as the nine legacy wrappers it subsumes, and that the
-// parallel speculative guess search and the feasibility cache leave results
-// bit-identical to the sequential, uncached path.
+// same makespans as the ptas and approx solvers it dispatches to, and that
+// the parallel speculative guess search and the feasibility cache leave
+// results bit-identical to the sequential, uncached path.
 func TestSolveParityWithWrappers(t *testing.T) {
 	for _, tc := range variantCases(t, 11) {
 		seq, err := ccsched.Solve(context.Background(), tc.in, ccsched.Options{
@@ -116,7 +117,7 @@ func TestSolveParityWithWrappers(t *testing.T) {
 	if ptasSeq.Makespan().Cmp(uni.Makespan) != 0 {
 		t.Errorf("ptas.SolveSplittable %s != Solve %s", ptasSeq.Makespan().RatString(), uni.Makespan.RatString())
 	}
-	apxRes, err := ccsched.ApproxSplittable(in)
+	apxRes, err := approx.SolveSplittable(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSolveParityWithWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if apxRes.Makespan().Cmp(apxUni.Makespan) != 0 {
-		t.Errorf("ApproxSplittable %s != Solve/TierApprox %s", apxRes.Makespan().RatString(), apxUni.Makespan.RatString())
+		t.Errorf("approx.SolveSplittable %s != Solve/TierApprox %s", apxRes.Makespan().RatString(), apxUni.Makespan.RatString())
 	}
 }
 
