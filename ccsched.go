@@ -43,7 +43,6 @@ import (
 	"ccsched/internal/core"
 	"ccsched/internal/exact"
 	"ccsched/internal/generator"
-	"ccsched/internal/hetslots"
 	"ccsched/internal/panicsafe"
 	"ccsched/internal/ptas"
 	"ccsched/internal/rat"
@@ -184,19 +183,6 @@ func GeneratorFamilies() []string {
 		out = append(out, f.Name)
 	}
 	return out
-}
-
-// HetSlotsInstance is the machine-dependent class-slot variant the paper's
-// Section 5 poses as an open direction: machine i carries its own budget
-// c_i.
-type HetSlotsInstance = hetslots.Instance
-
-// SolveHetSlots runs the slot-aware adaptation of the Theorem 6 framework
-// on a heterogeneous-budget instance. No approximation guarantee is claimed
-// (the general variant is open); the schedule is validated and the result
-// reports the certified lower bound for ratio measurement.
-func SolveHetSlots(in *HetSlotsInstance) (*hetslots.Result, error) {
-	return hetslots.Solve(in)
 }
 
 // Tier selects the algorithm family Solve runs.

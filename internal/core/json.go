@@ -6,7 +6,7 @@ import (
 )
 
 // JSON wire format for instances, used by the service layer (cmd/ccserved),
-// the load generator (cmd/ccload), ccgen -json and ccsolve's JSON stdin:
+// ccgen -json and ccsolve's JSON stdin:
 //
 //	{"machines": 4, "slots": 2, "p": [5, 3, 8], "class": [0, 1, 0]}
 //

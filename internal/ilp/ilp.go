@@ -241,7 +241,7 @@ func SolveCtx(ctx context.Context, p *Problem, opts *Options) (*Result, error) {
 		onRoot = opts.OnUndecidedRoot
 	}
 	tr := newBBTracer(tsp)
-	prep, err := lp.Prepare(&p.Problem)
+	prep, err := lp.Prepare(ctx, &p.Problem)
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"ccsched/internal/testutil"
 )
 
 // randomBoundedLP builds a feasible-by-construction bounded LP with random
@@ -40,7 +43,7 @@ func TestPreparedMatchesSolveCtx(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		p := randomBoundedLP(rng, 4, 9)
-		pr, err := Prepare(p)
+		pr, err := Prepare(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +85,7 @@ func TestWarmVerdictOnly(t *testing.T) {
 	warmProofs := 0
 	for trial := 0; trial < 60; trial++ {
 		p := randomBoundedLP(rng, 5, 10)
-		pr, err := Prepare(p)
+		pr, err := Prepare(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func TestWarmVerdictOnly(t *testing.T) {
 		if err := pr.SolveBounds(context.Background(), lower, upper, basis, &warm); err != nil {
 			t.Fatal(err)
 		}
-		prCold, err := Prepare(p)
+		prCold, err := Prepare(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +149,7 @@ func TestWarmRestoreProvesInfeasible(t *testing.T) {
 	p := NewProblem(2)
 	p.Upper[0], p.Upper[1] = 6, 6
 	p.AddRow([]float64{1, 1}, EQ, 10)
-	pr, err := Prepare(p)
+	pr, err := Prepare(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +179,7 @@ func TestWarmRestoreProvesInfeasible(t *testing.T) {
 func TestPreparedSolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := randomBoundedLP(rng, 8, 24)
-	pr, err := Prepare(p)
+	pr, err := Prepare(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +207,7 @@ func TestPreparedSolveAllocs(t *testing.T) {
 func TestCaptureBasisAfterRelease(t *testing.T) {
 	p := NewProblem(1)
 	p.AddRow([]float64{1}, LE, 1)
-	pr, err := Prepare(p)
+	pr, err := Prepare(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +238,21 @@ func TestAddRowFillsColumns(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPrepareCanceled checks that Prepare stops on a canceled context, both
+// on entry and between blocks of copied columns.
+func TestPrepareCanceled(t *testing.T) {
+	p := randomBoundedLP(rand.New(rand.NewSource(3)), 2, 3*prepareCtxBlock)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, ctx := range map[string]context.Context{
+		"on entry":        canceled,
+		"between columns": testutil.CancelAfter(1),
+	} {
+		if pr, err := Prepare(ctx, p); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Prepare returned (%v, %v), want context.Canceled", name, pr, err)
+		}
 	}
 }

@@ -104,10 +104,18 @@ type Prepared struct {
 // errReleased is returned when a Prepared is used after Release.
 var errReleased = errors.New("lp: Prepared used after Release")
 
+// prepareCtxBlock is how many structural columns Prepare copies between
+// cancellation polls.
+const prepareCtxBlock = 1024
+
 // Prepare validates p once and builds a reusable solver for its rows. The
 // problem's bounds act as defaults; SolveBounds may override them per call.
-func Prepare(p *Problem) (*Prepared, error) {
+// The context is checked on entry and once per block of copied columns.
+func Prepare(ctx context.Context, p *Problem) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	m, n := len(p.B), p.NumVars
@@ -149,6 +157,12 @@ func Prepare(p *Problem) (*Prepared, error) {
 	cols := sc.colHdrs(ncols)
 	pos := 0
 	for j := 0; j < n; j++ {
+		if j > 0 && j%prepareCtxBlock == 0 {
+			if err := ctx.Err(); err != nil {
+				releaseScratch(pr.sc)
+				return nil, err
+			}
+		}
 		start := pos
 		c := p.Cols[j]
 		for k, v := range c.Vals {
@@ -453,7 +467,7 @@ func Solve(p *Problem) (*Solution, error) {
 // Prepare/SolveBounds instead: this convenience wrapper re-prepares (and
 // copies the solution out of the pooled scratch) on every call.
 func SolveCtx(ctx context.Context, p *Problem) (*Solution, error) {
-	pr, err := Prepare(p)
+	pr, err := Prepare(ctx, p)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,9 @@ import (
 // matrix is emitted in sparse column form straight from the brick blocks: a
 // dense row would hold N*T floats, and on the large configuration ILPs
 // almost all of them are zero (a local row touches one brick's T columns).
-func (p *Problem) Flatten() (*ilp.Problem, error) {
+// The context is checked once per brick in each pass, so a canceled solve
+// stops flattening a large N-fold within one brick's work.
+func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -43,6 +45,9 @@ func (p *Problem) Flatten() (*ilp.Problem, error) {
 	// First pass: nonzeros per column, turned into each column's offset.
 	start := make([]int, nv+1)
 	for i := 0; i < p.N; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for j := 0; j < p.T; j++ {
 			f := i*p.T + j
 			mp.Obj[f] = float64(p.Obj[i][j])
@@ -69,6 +74,9 @@ func (p *Problem) Flatten() (*ilp.Problem, error) {
 	vals := make([]float64, start[nv])
 	next := append([]int(nil), start[:nv]...)
 	for i := 0; i < p.N; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		brickRows(i, func(row int32, coef []int64) {
 			for j, v := range coef {
 				if v != 0 {
@@ -103,7 +111,7 @@ func (p *Problem) Flatten() (*ilp.Problem, error) {
 // refactorize from scratch (O(m³)), which costs more than the few dozen
 // pivots the cold root solve needs, and it never pruned a root.
 func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options) (*Result, error) {
-	mp, err := p.Flatten()
+	mp, err := p.Flatten(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -105,50 +105,71 @@ func checkWatchEvents(t *testing.T, evs []server.WatchEvent) {
 // TestAnytimeWatchStream drives an anytime session end to end: the create
 // responds instantly with the tagged first answer, the watch stream refines
 // to a final result bit-identical to a cold TierPTAS solve at the terminal
-// ε, and a GET afterwards serves the refined best.
+// ε, at least one refinement rung is metered, and a GET afterwards serves
+// the refined best. The non-preemptive ε=1 input is a ladder whose gap
+// strictly improves (2-approx 498 → PTAS 468).
 func TestAnytimeWatchStream(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
-	in := anytimeInstance(t)
-	opts := ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierAnytime, Epsilon: 0.5}
-
-	code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
-		Instance: in, Options: opts, TimeoutMs: 60000,
+	nonPreemptive, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
+		N: 24, Classes: 4, Machines: 3, Slots: 2, PMax: 100, Seed: 1,
 	})
-	if code != http.StatusOK || sr.Status != server.StatusDone {
-		t.Fatalf("create: %d %+v", code, sr)
-	}
-	if sr.Result == nil || sr.Result.Anytime == nil || sr.Result.Anytime.Rung != 0 {
-		t.Fatalf("create: first answer not tagged as ladder rung 0: %+v", sr.Result)
-	}
-	if sr.Result.LowerBound == nil || sr.Result.LowerBound.Sign() <= 0 {
-		t.Fatalf("create: first answer carries no certified lower bound")
-	}
-
-	evs := watchStream(t, ts.URL, sr.SessionID, "", 60*time.Second)
-	checkWatchEvents(t, evs)
-	if evs[0].Rung != 0 {
-		t.Fatalf("first event is rung %d, want 0", evs[0].Rung)
-	}
-
-	coldOpts := opts
-	coldOpts.Tier = ccsched.TierPTAS
-	coldOpts.Cache = ccsched.NewFeasibilityCache()
-	want, err := ccsched.Solve(context.Background(), in, coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := evs[len(evs)-1]
-	if final.Makespan != want.Makespan.RatString() {
-		t.Fatalf("final anytime makespan %s != cold TierPTAS %s", final.Makespan, want.Makespan.RatString())
-	}
+	for _, tc := range []struct {
+		name string
+		in   *ccsched.Instance
+		opts ccsched.Options
+	}{
+		{"splittable-eps0.5", anytimeInstance(t), ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierAnytime, Epsilon: 0.5}},
+		{"nonpreemptive-eps1", nonPreemptive, ccsched.Options{Variant: ccsched.NonPreemptive, Tier: ccsched.TierAnytime, Epsilon: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := startServer(t, server.Config{Workers: 1, Logger: testLogger(t)})
+			in, opts := tc.in, tc.opts
 
-	// The session's inline answer now reflects the refined best.
-	code, gr := sessionCall(t, "GET", ts.URL+"/v1/sessions/"+sr.SessionID, nil)
-	if code != http.StatusOK || gr.Result == nil || gr.Result.Anytime == nil || !gr.Result.Anytime.Final {
-		t.Fatalf("get after final: %d %+v", code, gr)
-	}
-	if gr.Result.Makespan.RatString() != want.Makespan.RatString() {
-		t.Fatalf("get after final: makespan %s != cold %s", gr.Result.Makespan.RatString(), want.Makespan.RatString())
+			code, sr := sessionCall(t, "POST", ts.URL+"/v1/sessions", server.SessionCreateRequest{
+				Instance: in, Options: opts, TimeoutMs: 60000,
+			})
+			if code != http.StatusOK || sr.Status != server.StatusDone {
+				t.Fatalf("create: %d %+v", code, sr)
+			}
+			if sr.Result == nil || sr.Result.Anytime == nil || sr.Result.Anytime.Rung != 0 {
+				t.Fatalf("create: first answer not tagged as ladder rung 0: %+v", sr.Result)
+			}
+			if sr.Result.LowerBound == nil || sr.Result.LowerBound.Sign() <= 0 {
+				t.Fatalf("create: first answer carries no certified lower bound")
+			}
+
+			evs := watchStream(t, ts.URL, sr.SessionID, "", 60*time.Second)
+			checkWatchEvents(t, evs)
+			if evs[0].Rung != 0 {
+				t.Fatalf("first event is rung %d, want 0", evs[0].Rung)
+			}
+			if n := s.Metrics().RefinementRungsTotal; n < 1 {
+				t.Fatalf("refinement_rungs_total %d after the final event, want >= 1", n)
+			}
+
+			coldOpts := opts
+			coldOpts.Tier = ccsched.TierPTAS
+			coldOpts.Cache = ccsched.NewFeasibilityCache()
+			want, err := ccsched.Solve(context.Background(), in, coldOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := evs[len(evs)-1]
+			if final.Makespan != want.Makespan.RatString() {
+				t.Fatalf("final anytime makespan %s != cold TierPTAS %s", final.Makespan, want.Makespan.RatString())
+			}
+
+			// The session's inline answer now reflects the refined best.
+			code, gr := sessionCall(t, "GET", ts.URL+"/v1/sessions/"+sr.SessionID, nil)
+			if code != http.StatusOK || gr.Result == nil || gr.Result.Anytime == nil || !gr.Result.Anytime.Final {
+				t.Fatalf("get after final: %d %+v", code, gr)
+			}
+			if gr.Result.Makespan.RatString() != want.Makespan.RatString() {
+				t.Fatalf("get after final: makespan %s != cold %s", gr.Result.Makespan.RatString(), want.Makespan.RatString())
+			}
+		})
 	}
 }
 

@@ -5,7 +5,7 @@ import (
 	"ccsched/internal/faultinject"
 )
 
-// Wire types of the HTTP/JSON API. cmd/ccload and the tests share them; the
+// Wire types of the HTTP/JSON API. perfbench and the tests share them; the
 // formats themselves are plain JSON over the public ccsched codecs, so any
 // HTTP client can speak them (see examples/service for a from-scratch
 // client).

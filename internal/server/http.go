@@ -113,8 +113,8 @@ const (
 	retryAfterDraining  = 5 * time.Second
 )
 
-// setRetryAfter attaches a Retry-After header (whole seconds, minimum 1) —
-// clients like ccload honor it instead of their own backoff.
+// setRetryAfter attaches a Retry-After header (whole seconds, minimum 1),
+// which a client can honor instead of its own backoff.
 func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 	secs := int64(d / time.Second)
 	if secs < 1 {

@@ -253,6 +253,62 @@ func TestResultCacheHit(t *testing.T) {
 	}
 }
 
+// TestDuplicateDeckUnderLoad fires a 64-request deck from 16 concurrent
+// clients at the real solver: 32 distinct instances, 16 job-shuffled
+// duplicates placed right after their original (likely coalesced) and 16 at
+// the tail (likely cached). Every request must answer 200, none may be
+// refused with 429, and every duplicate must be served without a solve of
+// its own, so coalesced plus cached hits total exactly 32.
+func TestDuplicateDeckUnderLoad(t *testing.T) {
+	s, ts := startServer(t, server.Config{Workers: 2})
+	const clients, requests, uniques = 16, 64, 32
+	opts := ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Epsilon: 1}
+	var deck []*ccsched.Instance
+	for i := 0; i < uniques; i++ {
+		in, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
+			N: 100, Classes: 20, Machines: 8, Slots: 3, PMax: 100, Seed: 1 + int64(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deck = append(deck, in)
+		if i < (requests-uniques)/2 {
+			deck = append(deck, shuffle(in, int64(i)))
+		}
+	}
+	for i := 0; len(deck) < requests; i++ {
+		deck = append(deck, shuffle(deck[2*i], int64(uniques+i)))
+	}
+
+	var cursor atomic.Int64
+	statuses := make([]int, len(deck))
+	done := make(chan struct{})
+	for c := 0; c < clients; c++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := int(cursor.Add(1)) - 1; i < len(deck); i = int(cursor.Add(1)) - 1 {
+				statuses[i], _ = postSolve(t, ts.URL, server.SolveRequest{Instance: deck[i], Options: opts, TimeoutMs: 60000}, "")
+			}
+		}()
+	}
+	for c := 0; c < clients; c++ {
+		<-done
+	}
+	for i, st := range statuses {
+		if st != http.StatusOK {
+			t.Errorf("request %d: HTTP %d, want 200", i, st)
+		}
+	}
+	m := s.Metrics()
+	if m.RejectedQueueFullTotal != 0 {
+		t.Errorf("%d requests refused with 429, want 0", m.RejectedQueueFullTotal)
+	}
+	if hits := m.ResultCacheHitsTotal + m.CoalescedHitsTotal; hits != requests-uniques {
+		t.Errorf("result cache hits %d + coalesced hits %d = %d, want %d",
+			m.ResultCacheHitsTotal, m.CoalescedHitsTotal, hits, requests-uniques)
+	}
+}
+
 // TestQueueOverflow checks admission control: with one busy worker and a
 // one-slot queue, a third distinct submission is refused with 429.
 func TestQueueOverflow(t *testing.T) {

@@ -24,9 +24,10 @@ import (
 )
 
 // floorDefault is the committed coverage floor (percent of statements).
-// Seeded from the PR 10 suite; see the package comment for the ratchet
-// policy.
-const floorDefault = 69.0
+// Raised from 69.0 to the 79.8% the suite measured once the untested load
+// driver was deleted, rounded down; see the package comment for the
+// ratchet policy.
+const floorDefault = 79.0
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "covergate: "+format+"\n", args...)
