@@ -197,9 +197,7 @@ func TestSessionChurnSurvivesKill9(t *testing.T) {
 		ids = pr.JobIDs
 		coldOpts := opts
 		coldOpts.Cache = ccsched.NewFeasibilityCache()
-		// Solve on a copy: a speculative guess probe can still read its
-		// instance after Solve returns, and mirror changes next round.
-		want, err := ccsched.Solve(context.Background(), mirror.Clone(), coldOpts)
+		want, err := ccsched.Solve(context.Background(), mirror, coldOpts)
 		if err != nil {
 			t.Fatalf("round %d: cold solve: %v", round, err)
 		}

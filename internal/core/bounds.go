@@ -102,14 +102,19 @@ func SlotLowerBoundSplitR(in *Instance) (rat.R, error) {
 	if n := int64(in.N()) + in.M; kmax > n || kmax < 0 {
 		kmax = n
 	}
+	// Only borders below the current best can lower it, so each search
+	// starts at the class's largest such border, k0 = ⌊P_u/best⌋+1, and the
+	// class is skipped when it has none or when that border is infeasible
+	// (then so is every smaller one). The result is the unpruned search's.
 	for _, pu := range loads {
-		if pu == 0 {
+		if pu == 0 || rat.Frac(pu, kmax).Cmp(best) >= 0 {
+			continue // no border of this class lies below best
+		}
+		k0 := rat.FromInt(pu).FloorQuo(best) + 1
+		if totalSlotsSplit(loads, rat.Frac(pu, k0), budget) > budget {
 			continue
 		}
-		if totalSlotsSplit(loads, rat.FromInt(pu), budget) > budget {
-			continue // even this class's largest border is infeasible
-		}
-		lo, hi := int64(1), kmax
+		lo, hi := k0, kmax
 		for lo < hi {
 			mid := lo + (hi-lo+1)/2 // try larger k (smaller T)
 			if totalSlotsSplit(loads, rat.Frac(pu, mid), budget) <= budget {
@@ -118,9 +123,7 @@ func SlotLowerBoundSplitR(in *Instance) (rat.R, error) {
 				hi = mid - 1
 			}
 		}
-		if t := rat.Frac(pu, lo); t.Cmp(best) < 0 {
-			best = t
-		}
+		best = rat.Frac(pu, lo) // below best, as lo ≥ k0
 	}
 	return best, nil
 }
@@ -142,42 +145,38 @@ func SlotLowerBoundSplit(in *Instance) (*big.Rat, error) {
 // class's processing times sorted in non-ascending order; pu is their sum.
 func NonPreemptiveClassSlots(ps []int64, pu int64, t int64) int64 {
 	c1 := RatCeilDiv(pu, t)
-	// Partition by thresholds. ps must be sorted descending.
-	var big_, mid []int64
-	for _, p := range ps {
-		switch {
-		case 2*p > t:
-			big_ = append(big_, p)
-		case 3*p > t:
-			mid = append(mid, p)
-		}
+	// ps is sorted descending, so the jobs above T/2 are a prefix and the
+	// jobs in (T/3, T/2] the run after it.
+	nb := 0
+	for nb < len(ps) && 2*ps[nb] > t {
+		nb++
 	}
+	nm := nb
+	for nm < len(ps) && 3*ps[nm] > t {
+		nm++
+	}
+	big_, mid := ps[:nb], ps[nb:nm]
 	// Greedy maximum matching: process big jobs from smallest (most head
 	// room) to largest and stack the largest still-fitting mid job on each.
 	// Iterating capacities in descending order and taking the largest
 	// fitting item is the classical exchange-optimal rule, so the number of
-	// placed mid jobs is maximum and C²_u stays a valid lower bound.
-	used := make([]bool, len(mid))
+	// placed mid jobs is maximum and C²_u stays a valid lower bound. The
+	// head room only shrinks, so a mid job too large for one big job fits
+	// no later one: a single cursor over mid (sorted descending) finds each
+	// largest fit.
+	placed, i := 0, 0
 	for bi := len(big_) - 1; bi >= 0; bi-- {
-		b := big_[bi]
-		for i := range mid {
-			if !used[i] && b+mid[i] <= t {
-				used[i] = true
-				break // mid sorted descending, first fit is largest fit
-			}
+		for i < len(mid) && big_[bi]+mid[i] > t {
+			i++
 		}
-	}
-	var ell int64
-	for i := range mid {
-		if !used[i] {
-			ell++
+		if i == len(mid) {
+			break
 		}
+		placed++
+		i++
 	}
-	c2 := int64(len(big_)) + (ell+1)/2
-	if c2 > c1 {
-		return c2
-	}
-	return c1
+	ell := int64(len(mid) - placed)
+	return max(c1, int64(len(big_))+(ell+1)/2)
 }
 
 // SlotLowerBoundNonPreemptive returns the smallest integer T such that

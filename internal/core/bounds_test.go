@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +187,118 @@ func TestLowerBoundInfeasible(t *testing.T) {
 	for _, v := range Variants {
 		if _, err := LowerBound(in, v); err == nil {
 			t.Errorf("%v: want infeasibility error", v)
+		}
+	}
+}
+
+// slotLowerBoundSplitOracle is the unpruned slot bound: every class's
+// binary search runs over all of its borders 1..kmax.
+func slotLowerBoundSplitOracle(in *Instance) rat.R {
+	loads := in.ClassLoads()
+	budget := totalSlotBudget(in)
+	var best rat.R
+	for _, pu := range loads {
+		best = rat.Max(best, rat.FromInt(pu))
+	}
+	kmax := in.M
+	if n := int64(in.N()) + in.M; kmax > n || kmax < 0 {
+		kmax = n
+	}
+	for _, pu := range loads {
+		if pu == 0 || totalSlotsSplit(loads, rat.FromInt(pu), budget) > budget {
+			continue
+		}
+		lo, hi := int64(1), kmax
+		for lo < hi {
+			mid := lo + (hi-lo+1)/2
+			if totalSlotsSplit(loads, rat.Frac(pu, mid), budget) <= budget {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		best = rat.Min(best, rat.Frac(pu, lo))
+	}
+	return best
+}
+
+// TestSlotLowerBoundSplitMatchesUnpruned checks the pruned border search
+// returns exactly the unpruned search's bound, on random instances from one
+// class to many, with tight and loose slot budgets and huge machine counts.
+func TestSlotLowerBoundSplitMatchesUnpruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(60)
+		classes := 1 + rng.Intn(n)
+		in := &Instance{M: 1 + rng.Int63n(40), Slots: 1 + rng.Intn(4)}
+		if trial%10 == 0 {
+			in.M = 1 << (40 + rng.Intn(20))
+		}
+		for j := 0; j < n; j++ {
+			in.P = append(in.P, 1+rng.Int63n([]int64{5, 100, 1 << 40}[trial%3]))
+			in.Class = append(in.Class, rng.Intn(classes))
+		}
+		if CheckFeasible(in) != nil {
+			continue
+		}
+		got, err := SlotLowerBoundSplitR(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := slotLowerBoundSplitOracle(in); !got.Equal(want) {
+			t.Fatalf("trial %d %+v: pruned bound %s, unpruned %s", trial, in, got.RatString(), want.RatString())
+		}
+	}
+}
+
+// nonPreemptiveClassSlotsOracle is the class-slot count built the direct
+// way: copy the big and mid jobs out, then first-fit each big job (smallest
+// first) with the largest unused mid job, marking used ones.
+func nonPreemptiveClassSlotsOracle(ps []int64, pu, t int64) int64 {
+	var big_, mid []int64
+	for _, p := range ps {
+		switch {
+		case 2*p > t:
+			big_ = append(big_, p)
+		case 3*p > t:
+			mid = append(mid, p)
+		}
+	}
+	used := make([]bool, len(mid))
+	for bi := len(big_) - 1; bi >= 0; bi-- {
+		for i := range mid {
+			if !used[i] && big_[bi]+mid[i] <= t {
+				used[i] = true
+				break
+			}
+		}
+	}
+	var ell int64
+	for i := range mid {
+		if !used[i] {
+			ell++
+		}
+	}
+	return max(RatCeilDiv(pu, t), int64(len(big_))+(ell+1)/2)
+}
+
+// TestNonPreemptiveClassSlotsMatchesOracle checks the single-cursor
+// matching against the marked first-fit on random sorted classes and every
+// makespan that moves a job across the T/2 or T/3 threshold.
+func TestNonPreemptiveClassSlotsMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 3000; trial++ {
+		ps := make([]int64, rng.Intn(30))
+		var pu int64
+		for i := range ps {
+			ps[i] = 1 + rng.Int63n([]int64{10, 60, 1000}[trial%3])
+			pu += ps[i]
+		}
+		sort.Slice(ps, func(a, b int) bool { return ps[a] > ps[b] })
+		for _, tt := range []int64{1, 2, 3, 5, 10, 17, 30, 59, 60, 61, 100, 999, 2000} {
+			if got, want := NonPreemptiveClassSlots(ps, pu, tt), nonPreemptiveClassSlotsOracle(ps, pu, tt); got != want {
+				t.Fatalf("ps %v T %d: slots %d, oracle %d", ps, tt, got, want)
+			}
 		}
 	}
 }

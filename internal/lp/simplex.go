@@ -60,11 +60,6 @@ type simplexState struct {
 	interrupted bool            // the done channel fired mid-optimize
 }
 
-// ctxCheckEvery is how many simplex pivots pass between cancellation polls;
-// one pivot is O(m·ncols), so cancellation latency stays well below one
-// branch-and-bound node.
-const ctxCheckEvery = 32
-
 // Prepared is a reusable solver for one constraint matrix: the sparse
 // standard-form columns and every piece of dense scratch (the m×m basis
 // inverse, basic values, refactorization workspace) are allocated once — on
@@ -458,10 +453,10 @@ func Solve(p *Problem) (*Solution, error) {
 	return SolveCtx(context.Background(), p)
 }
 
-// SolveCtx is Solve under a context: cancellation is polled every
-// ctxCheckEvery pivots, so a canceled context aborts the solve with
-// ctx.Err() within a bounded number of pivot steps. The PTAS guess search
-// relies on this to abandon losing speculative makespan probes promptly.
+// SolveCtx is Solve under a context: cancellation is polled before every
+// pivot, so a canceled context aborts the solve with ctx.Err() within one
+// pivot step. The PTAS guess search relies on this to abandon losing
+// speculative makespan probes promptly.
 //
 // Callers solving the same rows repeatedly under changing bounds should use
 // Prepare/SolveBounds instead: this convenience wrapper re-prepares (and
@@ -513,7 +508,9 @@ func (st *simplexState) optimize(obj []float64) Status {
 	y := st.y
 	w := st.w
 	for ; st.iters < st.maxIters; st.iters++ {
-		if st.done != nil && st.iters%ctxCheckEvery == 0 {
+		// One non-blocking receive per O(m·ncols) pivot: cancellation
+		// never waits on more than one pivot.
+		if st.done != nil {
 			select {
 			case <-st.done:
 				st.interrupted = true

@@ -105,7 +105,7 @@ func (pr *Prepared) tryWarmInfeasible(warm *Basis) (bool, int) {
 	}
 	pivots := 0
 	for ; pivots < maxRestorePivots; pivots++ {
-		if st.done != nil && pivots%8 == 0 {
+		if st.done != nil {
 			select {
 			case <-st.done:
 				st.interrupted = true

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,6 +335,47 @@ func TestSearchGuessesParallelCancel(t *testing.T) {
 	}
 	if ctx.Err() == nil {
 		t.Fatal("outer context should be canceled")
+	}
+}
+
+// TestSearchGuessesWaitsForProbes proves searchGuesses returns only after
+// every speculative probe has: at Parallelism 4 the walk ends while other
+// workers' probes are in flight, and each of those needs a few milliseconds
+// to notice its cancellation. No feasibleAt call may still be running once
+// the search returns, whether it succeeded or its context was canceled.
+func TestSearchGuessesWaitsForProbes(t *testing.T) {
+	grid := make([]int64, 31)
+	for i := range grid {
+		grid[i] = int64(i + 1)
+	}
+	var running atomic.Int64
+	probe := func(pctx context.Context, v int64) (int64, bool, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		select {
+		case <-time.After(5 * time.Millisecond):
+		case <-pctx.Done():
+			time.Sleep(5 * time.Millisecond) // a slow reaction to cancel
+			return 0, false, pctx.Err()
+		}
+		return v, v >= 20, nil
+	}
+	for round := 0; round < 10; round++ {
+		if _, guess, _, err := searchGuesses(context.Background(), grid, 4, 0, trace.Span{}, probe); err != nil || guess != 20 {
+			t.Fatalf("round %d: guess %d err %v", round, guess, err)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("round %d: %d probes still running after searchGuesses returned", round, n)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 7*time.Millisecond)
+		_, _, _, err := searchGuesses(ctx, grid, 4, 0, trace.Span{}, probe)
+		cancel()
+		if err == nil {
+			t.Fatalf("round %d: want a context error", round)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("round %d: %d probes still running after a canceled search returned", round, n)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"ccsched/internal/panicsafe"
@@ -94,8 +95,15 @@ func searchGuesses[T any](ctx context.Context, grid []int64, parallelism int, se
 	speculative := parallelism > 1 && len(grid) > 1
 	if speculative {
 		sctx, scancel := context.WithCancel(ctx)
-		defer scancel() // reap every in-flight probe on exit
-		prefetch(sctx, grid, probes, parallelism, feasibleAt)
+		var workers sync.WaitGroup
+		// Cancel every in-flight probe, then wait for the workers: no
+		// feasibleAt call may outlive the search, as it reads the caller's
+		// instance.
+		defer func() {
+			scancel()
+			workers.Wait()
+		}()
+		prefetch(sctx, grid, probes, parallelism, &workers, feasibleAt)
 	}
 	tried := 0
 	verdict := func(i int) *guessProbe[T] {
@@ -167,9 +175,9 @@ func searchGuesses[T any](ctx context.Context, grid []int64, parallelism int, se
 }
 
 // prefetch starts the speculative pool of searchGuesses: min(parallelism,
-// len(grid)) workers that run the grid's probes in probe-tree order, each
-// under its own context derived from ctx.
-func prefetch[T any](ctx context.Context, grid []int64, probes []guessProbe[T], parallelism int, feasibleAt func(context.Context, int64) (T, bool, error)) {
+// len(grid)) workers, tracked by workers, that run the grid's probes in
+// probe-tree order, each under its own context derived from ctx.
+func prefetch[T any](ctx context.Context, grid []int64, probes []guessProbe[T], parallelism int, workers *sync.WaitGroup, feasibleAt func(context.Context, int64) (T, bool, error)) {
 	for i := range probes {
 		probes[i].ctx, probes[i].cancel = context.WithCancel(ctx)
 		probes[i].done = make(chan struct{})
@@ -179,8 +187,10 @@ func prefetch[T any](ctx context.Context, grid []int64, probes []guessProbe[T], 
 	// caller-supplied parallelism would fork that many goroutines).
 	parallelism = min(parallelism, len(order))
 	var next atomic.Int64 // index into order: probes claimed so far
+	workers.Add(parallelism)
 	for w := 0; w < parallelism; w++ {
 		go func() {
+			defer workers.Done()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= len(order) {

@@ -21,6 +21,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"strconv"
 )
 
 // R is an exact rational number. The zero value is 0.
@@ -427,7 +428,7 @@ func (r R) RatString() string {
 	if r.wide != nil {
 		return r.wide.RatString()
 	}
-	return big.NewRat(r.num, r.d()).RatString()
+	return string(r.appendFrac(nil, false))
 }
 
 // String returns the value in num/den form, always with a denominator.
@@ -435,14 +436,34 @@ func (r R) String() string {
 	if r.wide != nil {
 		return r.wide.String()
 	}
-	return big.NewRat(r.num, r.d()).String()
+	return string(r.appendFrac(nil, true))
+}
+
+// appendFrac appends the fast-path value as num/den, omitting "/1" unless
+// withOne is set. The pair is already in lowest terms, so this matches
+// big.Rat's rendering without building one.
+func (r R) appendFrac(b []byte, withOne bool) []byte {
+	b = strconv.AppendInt(b, r.num, 10)
+	if d := r.d(); d != 1 || withOne {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, d, 10)
+	}
+	return b
+}
+
+// AppendRatString appends the RatString form of r to b.
+func (r R) AppendRatString(b []byte) []byte {
+	if r.wide != nil {
+		return append(b, r.wide.RatString()...)
+	}
+	return r.appendFrac(b, false)
 }
 
 // MarshalText implements encoding.TextMarshaler: the value is rendered in
 // RatString form ("3/2", or "7" for integers), so R fields serialize as
 // exact JSON strings via encoding/json.
 func (r R) MarshalText() ([]byte, error) {
-	return []byte(r.RatString()), nil
+	return r.AppendRatString(nil), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler. It accepts everything

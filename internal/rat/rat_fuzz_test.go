@@ -44,6 +44,20 @@ func checkAgainstBig(t *testing.T, an, ad, bn, bd int64) {
 	if got := FromBig(a.Rat()); got.Cmp(a) != 0 {
 		t.Fatalf("FromBig(Rat(%d/%d)) = %s, want %s", an, ad, got.RatString(), a.RatString())
 	}
+	// The text forms are rendered without big.Rat on the fast path and must
+	// match big.Rat's byte for byte, wide results included.
+	for _, r := range []R{a, b, a.Add(b), a.Mul(b), a.Neg(), {}} {
+		text, err := r.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := r.Rat().RatString(); string(text) != want || r.RatString() != want {
+			t.Fatalf("MarshalText = %q, RatString = %q, big.Rat.RatString = %q", text, r.RatString(), want)
+		}
+		if want := r.Rat().String(); r.String() != want {
+			t.Fatalf("String = %q, big.Rat.String = %q", r.String(), want)
+		}
+	}
 }
 
 // FuzzAgainstBig differentially fuzzes R against math/big.Rat, with seeds

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ccsched"
 )
@@ -34,38 +36,29 @@ type canonical struct {
 
 // canonicalize rewrites in into canonical form. The input is not modified.
 func canonicalize(in *ccsched.Instance) canonical {
-	// Group original job indices by class, sorted by (p, index) within the
-	// class so equal processing times order deterministically.
-	byClass := make(map[int][]int)
-	for j, c := range in.Class {
-		byClass[c] = append(byClass[c], j)
-	}
-	classes := make([]int, 0, len(byClass))
-	for c, jobs := range byClass {
-		sort.Slice(jobs, func(a, b int) bool {
-			if in.P[jobs[a]] != in.P[jobs[b]] {
-				return in.P[jobs[a]] < in.P[jobs[b]]
-			}
-			return jobs[a] < jobs[b]
-		})
-		classes = append(classes, c)
-	}
-	// Order classes by their sorted processing-time lists; tie-break on the
-	// original label for determinism (ties are interchangeable classes, so
-	// the canonical instance does not depend on the tie order).
-	sort.Slice(classes, func(a, b int) bool {
-		ja, jb := byClass[classes[a]], byClass[classes[b]]
-		for k := 0; k < len(ja) && k < len(jb); k++ {
-			if pa, pb := in.P[ja[k]], in.P[jb[k]]; pa != pb {
-				return pa < pb
-			}
-		}
-		if len(ja) != len(jb) {
-			return len(ja) < len(jb)
-		}
-		return classes[a] < classes[b]
-	})
 	n := in.N()
+	sorted := sortedJobs(in)
+	// Cut the runs and order them by their processing-time lists. The sort
+	// is stable and the runs start in label order, so identical lists keep
+	// the original label as tie-break (they are interchangeable classes, so
+	// the canonical instance does not depend on the tie order).
+	var runs [][]int
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && in.Class[sorted[hi]] == in.Class[sorted[lo]] {
+			hi++
+		}
+		runs = append(runs, sorted[lo:hi])
+		lo = hi
+	}
+	slices.SortStableFunc(runs, func(ja, jb []int) int {
+		for k := 0; k < len(ja) && k < len(jb); k++ {
+			if c := cmp.Compare(in.P[ja[k]], in.P[jb[k]]); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(len(ja), len(jb))
+	})
 	out := &ccsched.Instance{
 		P:     make([]int64, 0, n),
 		Class: make([]int, 0, n),
@@ -73,20 +66,58 @@ func canonicalize(in *ccsched.Instance) canonical {
 		Slots: in.Slots,
 	}
 	perm := make([]int, 0, n)
-	for rank, c := range classes {
-		for _, j := range byClass[c] {
+	for rank, jobs := range runs {
+		for _, j := range jobs {
 			out.P = append(out.P, in.P[j])
 			out.Class = append(out.Class, rank)
 			perm = append(perm, j)
 		}
 	}
-	if cc := len(classes); out.Slots > cc && cc > 0 {
+	if cc := len(runs); out.Slots > cc && cc > 0 {
 		out.Slots = cc
 	}
 	if out.Slots > n && n > 0 {
 		out.Slots = n
 	}
 	return canonical{in: out, perm: perm}
+}
+
+// sortedJobs returns the job indices sorted by (class, p, index), which
+// groups each class into a run ordered by processing time, equal times by
+// index. When the three fit in one 64-bit word together — every realistic
+// instance — they are packed and sorted as integers; otherwise the indices
+// are sorted by comparison.
+func sortedJobs(in *ccsched.Instance) []int {
+	n := in.N()
+	perm := make([]int, n)
+	var maxClass, maxP uint64
+	for j := range perm {
+		perm[j] = j
+		maxClass = max(maxClass, uint64(in.Class[j]))
+		maxP = max(maxP, uint64(in.P[j]))
+	}
+	jobBits, pBits := bits.Len(uint(n)), bits.Len64(maxP)
+	if jobBits+pBits+bits.Len64(maxClass) <= 64 {
+		keys := make([]uint64, n)
+		for j := range keys {
+			keys[j] = uint64(in.Class[j])<<(pBits+jobBits) | uint64(in.P[j])<<jobBits | uint64(j)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			perm[i] = int(k & (1<<jobBits - 1))
+		}
+		return perm
+	}
+	slices.SortFunc(perm, func(a, b int) int {
+		if c := cmp.Compare(in.Class[a], in.Class[b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(in.P[a], in.P[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return perm
 }
 
 // key identifies one unit of solver work: a canonical instance plus every

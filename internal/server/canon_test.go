@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"ccsched"
@@ -74,6 +76,117 @@ func TestCanonicalizePermIsValid(t *testing.T) {
 		seen[j] = true
 		if c.in.P[i] != in.P[j] {
 			t.Fatalf("canonical job %d has p=%d, original %d has p=%d", i, c.in.P[i], j, in.P[j])
+		}
+	}
+}
+
+// canonicalizeOracle is the straightforward canonicalization — a map of
+// per-class job lists, one sort per class, then a sort of the classes — kept
+// as the reference the single-sort canonicalize must reproduce exactly.
+func canonicalizeOracle(in *ccsched.Instance) canonical {
+	byClass := make(map[int][]int)
+	for j, c := range in.Class {
+		byClass[c] = append(byClass[c], j)
+	}
+	classes := make([]int, 0, len(byClass))
+	for c, jobs := range byClass {
+		sort.Slice(jobs, func(a, b int) bool {
+			if in.P[jobs[a]] != in.P[jobs[b]] {
+				return in.P[jobs[a]] < in.P[jobs[b]]
+			}
+			return jobs[a] < jobs[b]
+		})
+		classes = append(classes, c)
+	}
+	sort.Slice(classes, func(a, b int) bool {
+		ja, jb := byClass[classes[a]], byClass[classes[b]]
+		for k := 0; k < len(ja) && k < len(jb); k++ {
+			if pa, pb := in.P[ja[k]], in.P[jb[k]]; pa != pb {
+				return pa < pb
+			}
+		}
+		if len(ja) != len(jb) {
+			return len(ja) < len(jb)
+		}
+		return classes[a] < classes[b]
+	})
+	n := in.N()
+	out := &ccsched.Instance{P: make([]int64, 0, n), Class: make([]int, 0, n), M: in.M, Slots: in.Slots}
+	perm := make([]int, 0, n)
+	for rank, c := range classes {
+		for _, j := range byClass[c] {
+			out.P = append(out.P, in.P[j])
+			out.Class = append(out.Class, rank)
+			perm = append(perm, j)
+		}
+	}
+	if cc := len(classes); out.Slots > cc && cc > 0 {
+		out.Slots = cc
+	}
+	if out.Slots > n && n > 0 {
+		out.Slots = n
+	}
+	return canonical{in: out, perm: perm}
+}
+
+// TestCanonicalizeMatchesOracle checks canonicalize returns the oracle's
+// canonical instance and permutation — tie-breaks included — on instances
+// built to stress them: interchangeable classes (identical processing-time
+// lists under different labels), prefix-related lists, sparse huge labels,
+// a single job, all-equal processing times and generator families.
+func TestCanonicalizeMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var cases []*ccsched.Instance
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(40)
+		pmax := []int64{1, 2, 3, 1000}[rng.Intn(4)] // 1: all-equal p
+		labels := make([]int, 1+rng.Intn(6))
+		for k := range labels {
+			switch rng.Intn(3) {
+			case 0:
+				labels[k] = k
+			case 1:
+				labels[k] = rng.Intn(1 << 20)
+			default:
+				labels[k] = 1<<62 + rng.Intn(1<<30) // sparse huge labels
+			}
+		}
+		in := &ccsched.Instance{M: 1 + rng.Int63n(5), Slots: 1 + rng.Intn(4)}
+		// Half the trials copy one class's list onto other labels, making
+		// interchangeable classes whose order only the tie-break decides.
+		var template []int64
+		for j := 0; j < n; j++ {
+			p := 1 + rng.Int63n(pmax)
+			if trial%2 == 1 && len(template) > 0 && rng.Intn(2) == 0 {
+				p = template[rng.Intn(len(template))]
+			}
+			template = append(template, p)
+			in.P = append(in.P, p)
+			in.Class = append(in.Class, labels[rng.Intn(len(labels))])
+		}
+		if trial%2 == 1 {
+			for _, c := range labels {
+				for _, p := range template[:min(3, len(template))] {
+					in.P = append(in.P, p)
+					in.Class = append(in.Class, c)
+				}
+			}
+		}
+		shuffled := &ccsched.Instance{P: slices.Clone(in.P), Class: slices.Clone(in.Class), M: in.M, Slots: in.Slots}
+		rng.Shuffle(len(shuffled.P), func(a, b int) {
+			shuffled.P[a], shuffled.P[b] = shuffled.P[b], shuffled.P[a]
+			shuffled.Class[a], shuffled.Class[b] = shuffled.Class[b], shuffled.Class[a]
+		})
+		cases = append(cases, in, shuffled)
+	}
+	cases = append(cases, &ccsched.Instance{P: []int64{7}, Class: []int{1 << 40}, M: 3, Slots: 2})
+	for _, family := range ccsched.GeneratorFamilies() {
+		cases = append(cases, genInstance(t, family, 200, 20, 10, 3, 5))
+	}
+	for i, in := range cases {
+		got, want := canonicalize(in), canonicalizeOracle(in)
+		if !reflect.DeepEqual(got.in, want.in) || !reflect.DeepEqual(got.perm, want.perm) {
+			t.Fatalf("case %d %+v:\n got %+v perm %v\nwant %+v perm %v", i, in, got.in, got.perm, want.in, want.perm)
 		}
 	}
 }

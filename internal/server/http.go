@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -93,12 +95,86 @@ func wantTrace(r *http.Request, optsTrace bool) bool {
 	return optsTrace
 }
 
-// writeJSON writes v with the given HTTP status.
+// writeJSON writes v with the given HTTP status, as a json.Encoder would.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if r, ok := v.(SolveResponse); ok && r.Result != nil {
+		if b, err := appendSolveResponse(nil, &r); err == nil {
+			_, _ = w.Write(append(b, '\n'))
+			return
+		}
+	}
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
+}
+
+// appendSolveResponse renders r byte for byte as encoding/json does, but
+// without its second pass over the schedules: encoding/json re-scans every
+// MarshalJSON output to validate and compact it, which for a schedule of
+// thousands of pieces costs more than rendering it. Everything but the
+// schedules goes through encoding/json (the schedules are omitempty, so
+// they are left out), and the schedules' MarshalJSON output is spliced in
+// where encoding/json puts them: after lower_bound, before degraded or
+// report. TestSolveResponseWireBytes pins this to json.Encoder.
+func appendSolveResponse(b []byte, r *SolveResponse) ([]byte, error) {
+	env := *r
+	env.Result = nil
+	envJSON, err := json.Marshal(env)
+	if err != nil {
+		return nil, err
+	}
+	// Result follows id and status; every later field is omitempty.
+	head, err := json.Marshal(SolveResponse{ID: r.ID, Status: r.Status})
+	if err != nil {
+		return nil, err
+	}
+	at := len(head) - 1
+	res := *r.Result
+	res.Split, res.CompactSplit, res.Preemptive, res.NonPreemptive = nil, nil, nil, nil
+	resJSON, err := json.Marshal(&res)
+	if err != nil {
+		return nil, err
+	}
+	cut := bytes.Index(resJSON, []byte(`,"degraded":`))
+	if cut < 0 {
+		cut = bytes.Index(resJSON, []byte(`,"report":`))
+	}
+	if cut < 0 || !bytes.Equal(envJSON[:at], head[:at]) {
+		return nil, errors.New("server: unexpected response layout")
+	}
+	// Render the present schedules first, so b grows once. Their
+	// MarshalJSON methods cannot fail.
+	var scheds [][]byte
+	schedule := func(key string, m json.Marshaler) {
+		sj, _ := m.MarshalJSON()
+		scheds = append(scheds, []byte(key), sj)
+	}
+	if s := r.Result.Split; s != nil {
+		schedule(`,"split":`, s)
+	}
+	if s := r.Result.CompactSplit; s != nil {
+		schedule(`,"compact_split":`, s)
+	}
+	if s := r.Result.Preemptive; s != nil {
+		schedule(`,"preemptive":`, s)
+	}
+	if s := r.Result.NonPreemptive; s != nil {
+		schedule(`,"non_preemptive":`, s)
+	}
+	size := len(envJSON) + len(`,"result":`) + len(resJSON) + 1 // + writeJSON's newline
+	for _, part := range scheds {
+		size += len(part)
+	}
+	b = slices.Grow(b, size)
+	b = append(b, envJSON[:at]...)
+	b = append(b, `,"result":`...)
+	b = append(b, resJSON[:cut]...)
+	for _, part := range scheds {
+		b = append(b, part...)
+	}
+	b = append(b, resJSON[cut:]...)
+	return append(b, envJSON[at:]...), nil
 }
 
 // writeError writes an ErrorResponse.
