@@ -33,11 +33,14 @@
 package ccsched
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
@@ -310,6 +313,9 @@ func NewFeasibilityCache() *FeasibilityCache { return ptas.NewCache() }
 // Splittable (huge machine counts may carry only the compact form),
 // Preemptive for Preemptive, NonPreemptive for NonPreemptive — except that
 // TierExact's splittable solver proves only the optimal makespan.
+//
+// AppendJSON relies on the field order: the four schedules come right after
+// LowerBound and right before Degraded.
 type Result struct {
 	// Variant echoes the solved variant.
 	Variant Variant `json:"variant"`
@@ -346,6 +352,61 @@ type Result struct {
 	// (nil for every other tier): which rung produced it, the live
 	// optimality gap against LowerBound, and whether refinement is done.
 	Anytime *AnytimeInfo `json:"anytime,omitempty"`
+}
+
+// AppendJSON appends r as encoding/json renders it, byte for byte, but
+// without encoding/json's second pass over the schedules: encoding/json
+// re-scans every MarshalJSON output to validate and compact it, which for a
+// schedule of thousands of pieces costs more than rendering it. Every field
+// but the schedules goes through encoding/json (the schedules are
+// omitempty, so they are left out), and the schedules' MarshalJSON output
+// is spliced in where encoding/json puts them: after lower_bound, before
+// degraded or report (report is never omitted). The error reports a Result
+// whose field order no longer has that splice point;
+// TestScheduleJSONMatchesReflection checks that it never happens.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	rest := *r
+	rest.Split, rest.CompactSplit, rest.Preemptive, rest.NonPreemptive = nil, nil, nil, nil
+	js, err := json.Marshal(&rest)
+	if err != nil {
+		return b, err
+	}
+	cut := bytes.Index(js, []byte(`,"degraded":`))
+	if cut < 0 {
+		cut = bytes.Index(js, []byte(`,"report":`))
+	}
+	if cut < 0 {
+		return b, errors.New("ccsched: Result.AppendJSON found no report field to put the schedules before")
+	}
+	// Render the present schedules first, so b grows once. Their
+	// MarshalJSON methods cannot fail.
+	var parts [][]byte
+	schedule := func(key string, m json.Marshaler) {
+		sj, _ := m.MarshalJSON()
+		parts = append(parts, []byte(key), sj)
+	}
+	if s := r.Split; s != nil {
+		schedule(`,"split":`, s)
+	}
+	if s := r.CompactSplit; s != nil {
+		schedule(`,"compact_split":`, s)
+	}
+	if s := r.Preemptive; s != nil {
+		schedule(`,"preemptive":`, s)
+	}
+	if s := r.NonPreemptive; s != nil {
+		schedule(`,"non_preemptive":`, s)
+	}
+	size := len(js)
+	for _, part := range parts {
+		size += len(part)
+	}
+	b = slices.Grow(b, size)
+	b = append(b, js[:cut]...)
+	for _, part := range parts {
+		b = append(b, part...)
+	}
+	return append(b, js[cut:]...), nil
 }
 
 // Solve is the unified, context-aware entry point: it runs the tier and

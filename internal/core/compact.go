@@ -18,12 +18,16 @@ import (
 // machine in the group receives its own, distinct piece of job Job with the
 // given Size. The pieces are distinct job fragments, so a group of k
 // machines consumes k*Size units of the job.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type GroupPiece struct {
 	Job  int   `json:"job"`
 	Size rat.R `json:"size"`
 }
 
 // MachineGroup is a run of Count identical machines sharing a piece layout.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type MachineGroup struct {
 	Count  int64        `json:"count"`
 	Pieces []GroupPiece `json:"pieces"`
@@ -40,6 +44,8 @@ func (g *MachineGroup) Load() rat.R {
 
 // CompactSplitSchedule is a splittable schedule in machine-group form. Its
 // encoding size is polynomial in n even when m is exponential.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type CompactSplitSchedule struct {
 	Groups []MachineGroup `json:"groups"`
 }

@@ -41,8 +41,11 @@ type (
 	intList   []int
 )
 
+// UnmarshalJSON decodes a JSON integer array into l; see decodeInts.
 func (l *int64List) UnmarshalJSON(data []byte) error { return decodeInts((*[]int64)(l), data) }
-func (l *intList) UnmarshalJSON(data []byte) error   { return decodeInts((*[]int)(l), data) }
+
+// UnmarshalJSON decodes a JSON integer array into l; see decodeInts.
+func (l *intList) UnmarshalJSON(data []byte) error { return decodeInts((*[]int)(l), data) }
 
 // MarshalJSON encodes the instance in the JSON wire format.
 func (in *Instance) MarshalJSON() ([]byte, error) {

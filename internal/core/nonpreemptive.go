@@ -3,6 +3,8 @@ package core
 import "fmt"
 
 // NonPreemptiveSchedule assigns every job to exactly one machine.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type NonPreemptiveSchedule struct {
 	// Assign[j] is the machine executing job j.
 	Assign []int64 `json:"assign"`

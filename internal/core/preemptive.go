@@ -11,6 +11,8 @@ import (
 // PreemptivePiece is one fragment of a job in a preemptive schedule. Unlike
 // the splittable case, a piece carries an explicit start time, because
 // pieces of the same job must not overlap in time.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type PreemptivePiece struct {
 	Job     int   `json:"job"`
 	Machine int64 `json:"machine"`
@@ -24,6 +26,8 @@ func (p *PreemptivePiece) End() rat.R { return p.Start.Add(p.Size) }
 // PreemptiveSchedule is a schedule σ = (π, λ, ξ, µ) for the preemptive
 // variant: jobs may be cut, but two pieces of the same job — and two pieces
 // sharing a machine — must occupy disjoint time intervals.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type PreemptiveSchedule struct {
 	Pieces []PreemptivePiece `json:"pieces"`
 }

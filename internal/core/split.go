@@ -10,6 +10,8 @@ import (
 
 // SplitPiece is one fragment of a job in a splittable schedule. Size is
 // measured in processing-time units (not as a fraction of the job).
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type SplitPiece struct {
 	Job     int   `json:"job"`
 	Machine int64 `json:"machine"`
@@ -19,6 +21,8 @@ type SplitPiece struct {
 // SplitSchedule is a schedule for the splittable variant: pieces of a job
 // may be placed on any machines and may run concurrently; a machine's load
 // is simply the sum of its piece sizes.
+// Its JSON tags are repeated in json.go's MarshalJSON, pinned to them by
+// TestScheduleJSONMatchesReflection.
 type SplitSchedule struct {
 	Pieces []SplitPiece `json:"pieces"`
 }

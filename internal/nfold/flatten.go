@@ -158,6 +158,9 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	case ilp.NodeLimit:
 		out.Status = Unknown
 	default:
+		if err := ctx.Err(); err != nil {
+			return nil, err // skip the exact check of a canceled solve
+		}
 		x := make([][]int64, p.N)
 		for i := 0; i < p.N; i++ {
 			x[i] = make([]int64, p.T)

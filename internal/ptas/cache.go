@@ -369,6 +369,11 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	no := opts.nfoldOptions(tmpl)
 	no.Trace = sp
 	res, err := nfold.SolveCtx(pctx, prob, no)
+	if err == nil {
+		// A probe canceled as its engine finished drops the verdict
+		// rather than derive params nobody will read.
+		err = pctx.Err()
+	}
 	if err != nil {
 		sp.End(trace.A("t", t), trace.A("err", 1))
 		return cacheEntry{}, err

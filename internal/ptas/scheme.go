@@ -129,9 +129,18 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 			if err != nil {
 				return accepted[S]{}, false, err
 			}
+			// The search waits for every canceled speculative probe, so
+			// each unpolled step (digest, build, schedule) a canceled
+			// probe skips is time Solve does not spend waiting.
+			if err := pctx.Err(); err != nil {
+				return accepted[S]{}, false, err
+			}
 			key := probeCacheKey(sc.tag, gc.digest(), g, opts)
 			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.engines(), gc.buildNFold)
 			if err != nil || !entry.feasible {
+				return accepted[S]{}, false, err
+			}
+			if err := pctx.Err(); err != nil {
 				return accepted[S]{}, false, err
 			}
 			sched, err := gc.constructSchedule(entry.x)

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
-	"math/bits"
 	"slices"
 
 	"ccsched"
@@ -84,29 +83,11 @@ func canonicalize(in *ccsched.Instance) canonical {
 
 // sortedJobs returns the job indices sorted by (class, p, index), which
 // groups each class into a run ordered by processing time, equal times by
-// index. When the three fit in one 64-bit word together — every realistic
-// instance — they are packed and sorted as integers; otherwise the indices
-// are sorted by comparison.
+// index.
 func sortedJobs(in *ccsched.Instance) []int {
-	n := in.N()
-	perm := make([]int, n)
-	var maxClass, maxP uint64
+	perm := make([]int, in.N())
 	for j := range perm {
 		perm[j] = j
-		maxClass = max(maxClass, uint64(in.Class[j]))
-		maxP = max(maxP, uint64(in.P[j]))
-	}
-	jobBits, pBits := bits.Len(uint(n)), bits.Len64(maxP)
-	if jobBits+pBits+bits.Len64(maxClass) <= 64 {
-		keys := make([]uint64, n)
-		for j := range keys {
-			keys[j] = uint64(in.Class[j])<<(pBits+jobBits) | uint64(in.P[j])<<jobBits | uint64(j)
-		}
-		slices.Sort(keys)
-		for i, k := range keys {
-			perm[i] = int(k & (1<<jobBits - 1))
-		}
-		return perm
 	}
 	slices.SortFunc(perm, func(a, b int) int {
 		if c := cmp.Compare(in.Class[a], in.Class[b]); c != 0 {

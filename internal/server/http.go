@@ -1,13 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -95,85 +93,52 @@ func wantTrace(r *http.Request, optsTrace bool) bool {
 	return optsTrace
 }
 
-// writeJSON writes v with the given HTTP status, as a json.Encoder would.
+// writeJSON writes v with the given HTTP status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if r, ok := v.(SolveResponse); ok && r.Result != nil {
-		if b, err := appendSolveResponse(nil, &r); err == nil {
-			_, _ = w.Write(append(b, '\n'))
-			return
-		}
-	}
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
 }
 
-// appendSolveResponse renders r byte for byte as encoding/json does, but
-// without its second pass over the schedules: encoding/json re-scans every
-// MarshalJSON output to validate and compact it, which for a schedule of
-// thousands of pieces costs more than rendering it. Everything but the
-// schedules goes through encoding/json (the schedules are omitempty, so
-// they are left out), and the schedules' MarshalJSON output is spliced in
-// where encoding/json puts them: after lower_bound, before degraded or
-// report. TestSolveResponseWireBytes pins this to json.Encoder.
+// writeSolveResponse writes r as writeJSON does. A response that carries a
+// result is rendered by appendSolveResponse, so encoding/json does not
+// re-scan its schedules; should that fail, the failure is logged and
+// writeJSON renders it instead.
+func (s *Server) writeSolveResponse(w http.ResponseWriter, status int, r SolveResponse) {
+	if r.Result != nil {
+		b, err := appendSolveResponse(nil, &r)
+		if err == nil {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			_, _ = w.Write(append(b, '\n'))
+			return
+		}
+		s.logger.Error("solve response: spliced encoding failed; using encoding/json", "err", err)
+	}
+	writeJSON(w, status, r)
+}
+
+// appendSolveResponse renders r as json.Encoder does, without the trailing
+// newline, with its result rendered by Result.AppendJSON. The result
+// follows id and status, so it goes right after their rendering at the
+// head of the envelope's encoding/json output; every later field is
+// omitempty.
 func appendSolveResponse(b []byte, r *SolveResponse) ([]byte, error) {
 	env := *r
 	env.Result = nil
 	envJSON, err := json.Marshal(env)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
-	// Result follows id and status; every later field is omitempty.
-	head, err := json.Marshal(SolveResponse{ID: r.ID, Status: r.Status})
-	if err != nil {
-		return nil, err
-	}
-	at := len(head) - 1
-	res := *r.Result
-	res.Split, res.CompactSplit, res.Preemptive, res.NonPreemptive = nil, nil, nil, nil
-	resJSON, err := json.Marshal(&res)
-	if err != nil {
-		return nil, err
-	}
-	cut := bytes.Index(resJSON, []byte(`,"degraded":`))
-	if cut < 0 {
-		cut = bytes.Index(resJSON, []byte(`,"report":`))
-	}
-	if cut < 0 || !bytes.Equal(envJSON[:at], head[:at]) {
-		return nil, errors.New("server: unexpected response layout")
-	}
-	// Render the present schedules first, so b grows once. Their
-	// MarshalJSON methods cannot fail.
-	var scheds [][]byte
-	schedule := func(key string, m json.Marshaler) {
-		sj, _ := m.MarshalJSON()
-		scheds = append(scheds, []byte(key), sj)
-	}
-	if s := r.Result.Split; s != nil {
-		schedule(`,"split":`, s)
-	}
-	if s := r.Result.CompactSplit; s != nil {
-		schedule(`,"compact_split":`, s)
-	}
-	if s := r.Result.Preemptive; s != nil {
-		schedule(`,"preemptive":`, s)
-	}
-	if s := r.Result.NonPreemptive; s != nil {
-		schedule(`,"non_preemptive":`, s)
-	}
-	size := len(envJSON) + len(`,"result":`) + len(resJSON) + 1 // + writeJSON's newline
-	for _, part := range scheds {
-		size += len(part)
-	}
-	b = slices.Grow(b, size)
+	id, _ := json.Marshal(r.ID) // strings always marshal
+	status, _ := json.Marshal(r.Status)
+	at := len(`{"id":`) + len(id) + len(`,"status":`) + len(status)
 	b = append(b, envJSON[:at]...)
 	b = append(b, `,"result":`...)
-	b = append(b, resJSON[:cut]...)
-	for _, part := range scheds {
-		b = append(b, part...)
+	if b, err = r.Result.AppendJSON(b); err != nil {
+		return b, err
 	}
-	b = append(b, resJSON[cut:]...)
 	return append(b, envJSON[at:]...), nil
 }
 
@@ -415,7 +380,7 @@ func (s *Server) respondOutcome(w http.ResponseWriter, r *http.Request, sub *sub
 		return
 	}
 	code, status, res, msg := s.finish(w, *out, sub.perm, trace)
-	writeJSON(w, code, SolveResponse{
+	s.writeSolveResponse(w, code, SolveResponse{
 		ID: sub.id, Status: status, Result: res, Error: msg,
 		SolveMs: float64(out.elapsed) / float64(time.Millisecond), Coalesced: sub.coalesced, Cached: cached,
 	})

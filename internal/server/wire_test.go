@@ -4,15 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"testing"
 
 	"ccsched"
 )
 
-// TestSolveResponseWireBytes pins writeJSON's hand-spliced SolveResponse to
-// json.Encoder byte for byte: approx and PTAS results of all three
-// variants, traced, degraded and anytime results, a result with no
+// TestSolveResponseWireBytes pins appendSolveResponse to json.Encoder byte
+// for byte and checks that it never fails: approx and PTAS results of all
+// three variants, traced, degraded and anytime results, a result with no
 // schedule, and every optional envelope field, including strings that
 // encoding/json escapes.
 func TestSolveResponseWireBytes(t *testing.T) {
@@ -54,11 +53,6 @@ func TestSolveResponseWireBytes(t *testing.T) {
 			}
 			if got = append(got, '\n'); !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("result %d envelope %d:\n got %.400s\nwant %.400s", i, k, got, want.Bytes())
-			}
-			rec := httptest.NewRecorder()
-			writeJSON(rec, 200, env)
-			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-				t.Fatalf("result %d envelope %d: writeJSON differs from json.Encoder", i, k)
 			}
 		}
 	}

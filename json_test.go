@@ -106,7 +106,8 @@ type (
 
 // checkScheduleJSON asserts json.Marshal of each non-nil schedule in res is
 // byte-identical to the reflection encoding of its method-less copy, and
-// that the whole Result encodes to the same bytes either way.
+// that the whole Result encodes to the same bytes either way, through
+// json.Marshal and through AppendJSON.
 func checkScheduleJSON(t *testing.T, name string, res *ccsched.Result) {
 	t.Helper()
 	same := func(what string, v, ref any) {
@@ -145,6 +146,13 @@ func checkScheduleJSON(t *testing.T, name string, res *ccsched.Result) {
 		Degraded: res.Degraded, Report: res.Report, Trace: res.Trace, Anytime: res.Anytime,
 	}
 	same("result", res, ref)
+	got, err := res.AppendJSON([]byte("prefix"))
+	if err != nil {
+		t.Fatalf("%s AppendJSON: %v", name, err)
+	}
+	if want, _ := json.Marshal(ref); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatalf("%s AppendJSON:\n got %.300s\nwant prefix%.300s", name, got, want)
+	}
 	if s := res.Split; s != nil {
 		same("split", s, splitRef(*s))
 		same("split value", *s, splitRef(*s))
@@ -161,7 +169,8 @@ func checkScheduleJSON(t *testing.T, name string, res *ccsched.Result) {
 }
 
 // TestScheduleJSONMatchesReflection pins every schedule type's hand-written
-// MarshalJSON to encoding/json's reflection encoding, byte for byte, on
+// MarshalJSON, and Result.AppendJSON, to encoding/json's reflection
+// encoding, byte for byte, on
 // approx and PTAS results of all three variants and on hand-built edge
 // cases: nil and empty slices, a group with no pieces, wide rationals.
 func TestScheduleJSONMatchesReflection(t *testing.T) {
