@@ -31,8 +31,8 @@ const (
 
 // CertifiesInfeasible reports whether the row-price vector ray proves this
 // problem's LP relaxation (and therefore the problem) infeasible. The ray is
-// indexed like the flattened row order: the R global rows first, then brick
-// i's S local rows at R + i·S + s. The check is the textbook Farkas
+// indexed in the full row order: the R global rows first, then brick i's S
+// local rows at R + i·S + s, including the rows Flatten drops. The check is the textbook Farkas
 // argument over box bounds: with t_ij = Σ_k y_k·(row k of brick i)_j, the
 // relaxation is infeasible when even the box maximum (or minimum) of y·Ax
 // cannot reach y·b. A false return means only that this ray proves nothing

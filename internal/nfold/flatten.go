@@ -3,6 +3,7 @@ package nfold
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"ccsched/internal/ilp"
 	"ccsched/internal/lp"
@@ -11,42 +12,54 @@ import (
 
 // Flatten expands the N-fold into a plain MILP over N*T variables (brick i,
 // column j maps to flat index i*T+j) for the exact branch-and-bound engine.
-// Rows are the R global rows, then brick i's S local rows at R+i*S+k. The
-// matrix is emitted in sparse column form straight from the brick blocks: a
-// dense row would hold N*T floats, and on the large configuration ILPs
-// almost all of them are zero (a local row touches one brick's T columns).
-// The context is checked once per brick in each pass, so a canceled solve
-// stops flattening a large N-fold within one brick's work.
-func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
+// Rows are the R global rows, then brick i's S local rows in the full order
+// R+i*S+k, minus the dead local rows: a local row whose nonzeros all sit on
+// columns the brick's bounds fix (Lower == Upper) and whose fixed sum equals
+// its right-hand side holds at every point of the box, so it is dropped.
+// Branch and bound only tightens bounds, so a row dead at the root stays
+// dead at every node. A fixed row whose sum misses its right-hand side is
+// kept, so the LP itself proves that problem infeasible. The second return
+// value maps each flat row to its row in the full order (see
+// expandRay).
+//
+// The matrix is emitted in sparse column form straight from the brick
+// blocks: a dense row would hold N*T floats, and on the large configuration
+// ILPs almost all of them are zero (a local row touches one brick's T
+// columns). The context is checked once per brick in each pass, so a
+// canceled solve stops flattening a large N-fold within one brick's work.
+func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	nv := p.N * p.T
 	mp := ilp.NewProblem(nv)
-	m := p.R + p.N*p.S
-	mp.Rel = make([]lp.Relation, m)
-	mp.B = make([]float64, m)
-	for k := 0; k < m; k++ {
-		mp.Rel[k] = lp.EQ
-	}
+	full := make([]int32, p.R, p.R+p.N*p.S)
+	mp.B = make([]float64, p.R, p.R+p.N*p.S)
 	for k := 0; k < p.R; k++ {
+		full[k] = int32(k)
 		mp.B[k] = float64(p.GlobalRHS[k])
 	}
-	// Brick i's rows in increasing flat row order; the blocks are scanned
-	// row by row, which keeps the reads sequential.
+	// local[i*S+k] is brick i's local row k in the flat order, or -1 when
+	// the row is dead.
+	local := make([]int32, p.N*p.S)
+	// Brick i's kept rows in increasing flat row order; the blocks are
+	// scanned row by row, which keeps the reads sequential.
 	brickRows := func(i int, visit func(row int32, coef []int64)) {
 		for k, coef := range p.A[i] {
 			visit(int32(k), coef)
 		}
 		for k, coef := range p.B[i] {
-			visit(int32(p.R+i*p.S+k), coef)
+			if row := local[i*p.S+k]; row >= 0 {
+				visit(row, coef)
+			}
 		}
 	}
-	// First pass: nonzeros per column, turned into each column's offset.
+	// First pass: dead rows, then nonzeros per column, turned into each
+	// column's offset.
 	start := make([]int, nv+1)
 	for i := 0; i < p.N; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for j := 0; j < p.T; j++ {
 			f := i*p.T + j
@@ -54,8 +67,14 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 			mp.Lower[f] = float64(p.Lower[i][j])
 			mp.Upper[f] = float64(p.Upper[i][j])
 		}
-		for k := 0; k < p.S; k++ {
-			mp.B[p.R+i*p.S+k] = float64(p.LocalRHS[i][k])
+		for k := range p.B[i] {
+			if p.deadLocalRow(i, k) {
+				local[i*p.S+k] = -1
+				continue
+			}
+			local[i*p.S+k] = int32(len(full))
+			full = append(full, int32(p.R+i*p.S+k))
+			mp.B = append(mp.B, float64(p.LocalRHS[i][k]))
 		}
 		brickRows(i, func(_ int32, coef []int64) {
 			for j, v := range coef {
@@ -64,6 +83,10 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 				}
 			}
 		})
+	}
+	mp.Rel = make([]lp.Relation, len(mp.B))
+	for k := range mp.Rel {
+		mp.Rel[k] = lp.EQ
 	}
 	for f := 0; f < nv; f++ {
 		start[f+1] += start[f]
@@ -75,7 +98,7 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 	next := append([]int(nil), start[:nv]...)
 	for i := 0; i < p.N; i++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		brickRows(i, func(row int32, coef []int64) {
 			for j, v := range coef {
@@ -91,7 +114,48 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 		a, b := start[f], start[f+1]
 		mp.Cols[f] = lp.Column{Rows: rows[a:b:b], Vals: vals[a:b:b]}
 	}
-	return mp, nil
+	return mp, full, nil
+}
+
+// deadLocalRow reports whether brick i's local row k touches only fixed
+// columns and their fixed values meet its right-hand side. The sum is exact
+// int64; a product or sum that would overflow keeps the row.
+func (p *Problem) deadLocalRow(i, k int) bool {
+	lo, up := p.Lower[i], p.Upper[i]
+	var sum int64
+	for j, v := range p.B[i][k] {
+		if v == 0 {
+			continue
+		}
+		if lo[j] != up[j] {
+			return false
+		}
+		prod := v * lo[j]
+		if lo[j] != 0 && (prod/lo[j] != v || (lo[j] == -1 && v == math.MinInt64)) {
+			return false
+		}
+		s := sum + prod
+		if (prod > 0 && s < sum) || (prod < 0 && s > sum) {
+			return false
+		}
+		sum = s
+	}
+	return sum == p.LocalRHS[i][k]
+}
+
+// expandRay maps a Farkas ray over the flat rows back to the full row order
+// of CertifiesInfeasible (R + N·S entries), with 0 on every dropped row.
+// A dead row holds at every point of the box, so a zero price on it
+// changes neither side of the Farkas inequality. Nil stays nil.
+func expandRay(ray []float64, full []int32, m int) []float64 {
+	if ray == nil {
+		return nil
+	}
+	out := make([]float64, m)
+	for k, row := range full {
+		out[row] = ray[k]
+	}
+	return out
 }
 
 // solveBranchBound runs the exact engine and converts the answer back to
@@ -111,7 +175,7 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, error) {
 // refactorize from scratch (O(m³)), which costs more than the few dozen
 // pivots the cold root solve needs, and it never pruned a root.
 func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options) (*Result, error) {
-	mp, err := p.Flatten(ctx)
+	mp, full, err := p.Flatten(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +214,7 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	}
 	out := &Result{
 		Engine: EngineBranchBound, Nodes: res.Nodes, Pivots: res.Pivots, WarmHits: res.WarmHits,
-		InfeasibleRay: res.InfeasibleRay,
+		InfeasibleRay: expandRay(res.InfeasibleRay, full, p.R+p.N*p.S),
 	}
 	switch res.Status {
 	case ilp.Infeasible:

@@ -31,6 +31,7 @@ package nfold
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Problem is an N-fold ILP  min Obj·x  s.t.  Ax = B0, Lower ≤ x ≤ Upper.
@@ -122,27 +123,20 @@ func (p *Problem) Validate() error {
 }
 
 // Delta returns the largest absolute entry of the constraint matrix — the
-// Δ parameter of the paper's Theorem 1 running-time bound.
+// Δ parameter of the paper's Theorem 1 running-time bound. Bricks share
+// blocks by pointer, so each distinct block is scanned once.
 func (p *Problem) Delta() int64 {
 	var d int64
-	abs := func(v int64) int64 {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
+	seen := make(map[*[]int64]bool)
 	for i := 0; i < p.N; i++ {
-		for _, row := range p.A[i] {
-			for _, v := range row {
-				if a := abs(v); a > d {
-					d = a
-				}
+		for _, blk := range [2][][]int64{p.A[i], p.B[i]} {
+			if len(blk) == 0 || seen[&blk[0]] {
+				continue
 			}
-		}
-		for _, row := range p.B[i] {
-			for _, v := range row {
-				if a := abs(v); a > d {
-					d = a
+			seen[&blk[0]] = true
+			for _, row := range blk {
+				for _, v := range row {
+					d = max(d, abs64(v))
 				}
 			}
 		}
@@ -153,46 +147,25 @@ func (p *Problem) Delta() int64 {
 // EncodingLength returns L, the bit length of the largest absolute number in
 // the whole input (matrix, rhs, bounds, objective).
 func (p *Problem) EncodingLength() int {
-	var mx int64 = 1
-	upd := func(v int64) {
-		if v < 0 {
-			v = -v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
+	return p.encodingLength(p.Delta())
+}
+
+// encodingLength is EncodingLength given the matrix's largest entry delta;
+// only the right-hand sides, bounds and objective are scanned per brick.
+func (p *Problem) encodingLength(delta int64) int {
+	mx := max(1, delta)
 	for i := 0; i < p.N; i++ {
-		for _, row := range p.A[i] {
-			for _, v := range row {
-				upd(v)
-			}
-		}
-		for _, row := range p.B[i] {
-			for _, v := range row {
-				upd(v)
-			}
-		}
 		for j := 0; j < p.T; j++ {
-			upd(p.Lower[i][j])
-			upd(p.Upper[i][j])
-			upd(p.Obj[i][j])
+			mx = max(mx, abs64(p.Lower[i][j]), abs64(p.Upper[i][j]), abs64(p.Obj[i][j]))
+		}
+		for _, v := range p.LocalRHS[i] {
+			mx = max(mx, abs64(v))
 		}
 	}
 	for _, v := range p.GlobalRHS {
-		upd(v)
+		mx = max(mx, abs64(v))
 	}
-	for i := range p.LocalRHS {
-		for _, v := range p.LocalRHS[i] {
-			upd(v)
-		}
-	}
-	bits := 0
-	for mx > 0 {
-		bits++
-		mx >>= 1
-	}
-	return bits
+	return bits.Len64(uint64(mx))
 }
 
 // Params summarizes the N-fold parameters appearing in Theorem 1.
@@ -209,7 +182,8 @@ type Params struct {
 
 // Params extracts the parameter vector.
 func (p *Problem) Params() Params {
-	return Params{N: p.N, R: p.R, S: p.S, T: p.T, Delta: p.Delta(), L: p.EncodingLength(), Vars: p.N * p.T}
+	d := p.Delta()
+	return Params{N: p.N, R: p.R, S: p.S, T: p.T, Delta: d, L: p.encodingLength(d), Vars: p.N * p.T}
 }
 
 // TheoreticalCostLog2 returns log₂ of the Theorem 1 running-time bound of

@@ -179,6 +179,72 @@ func TestDeltaAndEncoding(t *testing.T) {
 	}
 }
 
+// fullScanParams derives Delta and L by scanning every brick's blocks,
+// shared or not: the reference for the per-block memoization in Params.
+func fullScanParams(p *Problem) (delta int64, l int) {
+	mx := int64(1)
+	for i := 0; i < p.N; i++ {
+		for _, blk := range [][][]int64{p.A[i], p.B[i]} {
+			for _, row := range blk {
+				for _, v := range row {
+					delta = max(delta, abs64(v))
+				}
+			}
+		}
+		for j := 0; j < p.T; j++ {
+			mx = max(mx, abs64(p.Lower[i][j]), abs64(p.Upper[i][j]), abs64(p.Obj[i][j]))
+		}
+		for _, v := range p.LocalRHS[i] {
+			mx = max(mx, abs64(v))
+		}
+	}
+	for _, v := range p.GlobalRHS {
+		mx = max(mx, abs64(v))
+	}
+	for mx = max(mx, delta); mx > 0; mx >>= 1 {
+		l++
+	}
+	return delta, l
+}
+
+// TestParamsMatchFullScan checks Params' once-per-block scan against a
+// full scan, with blocks shared by pointer and with every brick owning a
+// copy, and with the largest number in a block or in the per-brick data.
+func TestParamsMatchFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for it := 0; it < 500; it++ {
+		p := presolveProblem(rng)
+		if it%2 == 1 { // unshared: every brick gets its own copy
+			for i := range p.A {
+				p.A[i] = copyBlock(p.A[i])
+				p.B[i] = copyBlock(p.B[i])
+			}
+		}
+		switch it % 4 {
+		case 0:
+			p.Upper[p.N-1][0] += 1000
+		case 1:
+			if row := p.B[p.N-1][0]; len(row) > 0 {
+				row[0] = -3000
+			}
+		}
+		delta, l := fullScanParams(p)
+		par := p.Params()
+		if par.Delta != delta || par.L != l || p.Delta() != delta || p.EncodingLength() != l {
+			t.Fatalf("draw %d: Params Δ=%d L=%d, Delta()=%d, EncodingLength()=%d; full scan Δ=%d L=%d",
+				it, par.Delta, par.L, p.Delta(), p.EncodingLength(), delta, l)
+		}
+	}
+}
+
+func copyBlock(blk [][]int64) [][]int64 {
+	out := make([][]int64, len(blk))
+	for k, row := range blk {
+		out[k] = append([]int64(nil), row...)
+	}
+	return out
+}
+
 func TestParallelCoeffs(t *testing.T) {
 	cases := []struct {
 		u, v []int64

@@ -154,9 +154,10 @@ func TestPromExposition(t *testing.T) {
 // carries a non-empty span timeline even though no client asked for a trace
 // (the ring forces tracing server-side).
 func TestTraceRingEviction(t *testing.T) {
-	_, ts := startServer(t, server.Config{Workers: 1, TraceRing: 2, Solver: tracingSolver(10 * time.Millisecond)})
-	// n controls the fake solver's wall clock: 2 → ~20ms (evicted),
-	// 6 → ~60ms (slowest), 4 → ~40ms.
+	_, ts := startServer(t, server.Config{Workers: 1, TraceRing: 2, Solver: tracingSolver(50 * time.Millisecond)})
+	// n controls the fake solver's wall clock: 2 → ~100ms (evicted),
+	// 6 → ~300ms (slowest), 4 → ~200ms. The 100ms gaps keep the ranking
+	// intact when other processes hold the CPUs and a solve overruns.
 	for _, n := range []int{2, 6, 4} {
 		if code, sr := postSolve(t, ts.URL, server.SolveRequest{Instance: testInstance(n, int64(n))}, ""); code != http.StatusOK {
 			t.Fatalf("solve n=%d: HTTP %d", n, code)
