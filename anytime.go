@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/big"
 	"sync"
+
+	"ccsched/internal/rat"
 )
 
 // The anytime tier: an instant constant-factor answer followed by a
@@ -75,8 +77,8 @@ func anytimeGap(makespan, lb *big.Rat) float64 {
 // solveAnytimeFirst produces the TierAnytime first answer: the
 // constant-factor schedule tagged with rung 0 of the ladder implied by
 // opts.Epsilon. runTiers dispatches here; refinement belongs to Ladder.
-func solveAnytimeFirst(in *Instance, opts Options, res *Result) error {
-	if err := solveApprox(in, opts, res); err != nil {
+func solveAnytimeFirst(in *Instance, opts Options, lb rat.R, res *Result) error {
+	if err := solveApprox(in, opts, lb, res); err != nil {
 		return err
 	}
 	res.Anytime = &AnytimeInfo{

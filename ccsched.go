@@ -487,23 +487,24 @@ func runTiers(ctx context.Context, in *Instance, opts Options, st *ptas.SessionS
 		col = trace.NewCollector(0)
 		root = col.Root("solve")
 	}
-	lb, err := core.LowerBound(in, opts.Variant)
+	// The certified bound is computed once and handed to the tier.
+	lb, err := core.LowerBoundR(in, opts.Variant)
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{Variant: opts.Variant, Tier: opts.Tier, LowerBound: lb}
+	res = &Result{Variant: opts.Variant, Tier: opts.Tier, LowerBound: lb.Rat()}
 	switch opts.Tier {
 	case TierApprox:
-		err = solveApprox(in, opts, res)
+		err = solveApprox(in, opts, lb, res)
 	case TierAuto, TierPTAS:
 		res.Tier = TierPTAS
-		err = solvePTAS(ctx, in, opts, st, res, root)
+		err = solvePTAS(ctx, in, opts, st, lb, res, root)
 	case TierExact:
 		err = solveExact(ctx, in, opts, res)
 	case TierAnytime:
 		// The anytime first answer IS the constant-factor tier, tagged with
 		// its ladder position; refinement is the Ladder's job, not Solve's.
-		err = solveAnytimeFirst(in, opts, res)
+		err = solveAnytimeFirst(in, opts, lb, res)
 	default:
 		return nil, fmt.Errorf("ccsched: unknown tier %v", opts.Tier)
 	}
@@ -535,12 +536,12 @@ func solveFallback(in *Instance, opts Options) (res *Result, err error) {
 			res, err = nil, panicsafe.Capture(v, "solve_fallback")
 		}
 	}()
-	lb, err := core.LowerBound(in, opts.Variant)
+	lb, err := core.LowerBoundR(in, opts.Variant)
 	if err != nil {
 		return nil, err
 	}
-	res = &Result{Variant: opts.Variant, Tier: TierApprox, LowerBound: lb, Degraded: true}
-	if err := solveApprox(in, opts, res); err != nil {
+	res = &Result{Variant: opts.Variant, Tier: TierApprox, LowerBound: lb.Rat(), Degraded: true}
+	if err := solveApprox(in, opts, lb, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -556,23 +557,24 @@ func wrapCanceled(err error) error {
 	return err
 }
 
-// solveApprox dispatches the constant-factor tier.
-func solveApprox(in *Instance, opts Options, res *Result) error {
+// solveApprox dispatches the constant-factor tier; lb is the instance's
+// certified bound.
+func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
 	switch opts.Variant {
 	case Splittable:
-		r, err := approx.SolveSplittableOpts(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit})
+		r, err := approx.SolveSplittableLB(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit}, lb)
 		if err != nil {
 			return err
 		}
 		res.Split, res.CompactSplit, res.Makespan = r.Explicit, r.Compact, r.Makespan()
 	case Preemptive:
-		r, err := approx.SolvePreemptive(in)
+		r, err := approx.SolvePreemptiveLB(in, lb)
 		if err != nil {
 			return err
 		}
 		res.Preemptive, res.Makespan = r.Schedule, r.Makespan()
 	case NonPreemptive:
-		r, err := approx.SolveNonPreemptive(in)
+		r, err := approx.SolveNonPreemptiveLB(in, lb)
 		if err != nil {
 			return err
 		}
@@ -583,9 +585,10 @@ func solveApprox(in *Instance, opts Options, res *Result) error {
 }
 
 // solvePTAS dispatches the approximation-scheme tier with the parallel
-// guess search and the feasibility cache resolved from opts. sp is the
-// enclosing trace span (disabled when the solve is untraced).
-func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState, res *Result, sp trace.Span) error {
+// guess search and the feasibility cache resolved from opts. lb is the
+// instance's certified bound and sp the enclosing trace span (disabled
+// when the solve is untraced).
+func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState, lb rat.R, res *Result, sp trace.Span) error {
 	popts := ptas.Options{
 		Epsilon:        opts.Epsilon,
 		MaxNodes:       opts.MaxNodes,
@@ -609,19 +612,19 @@ func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.Session
 	}
 	switch opts.Variant {
 	case Splittable:
-		r, err := ptas.SolveSplittable(ctx, in, popts)
+		r, err := ptas.SolveSplittableLB(ctx, in, popts, lb)
 		if err != nil {
 			return err
 		}
 		res.Split, res.CompactSplit, res.Makespan, res.Report = r.Schedule, r.Compact, r.Makespan(), r.Report
 	case Preemptive:
-		r, err := ptas.SolvePreemptive(ctx, in, popts)
+		r, err := ptas.SolvePreemptiveLB(ctx, in, popts, lb)
 		if err != nil {
 			return err
 		}
 		res.Preemptive, res.Makespan, res.Report = r.Schedule, r.Makespan(), r.Report
 	case NonPreemptive:
-		r, err := ptas.SolveNonPreemptive(ctx, in, popts)
+		r, err := ptas.SolveNonPreemptiveLB(ctx, in, popts, lb)
 		if err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"ccsched/internal/core"
+	"ccsched/internal/rat"
 )
 
 // NonPreemptiveResult is the output of SolveNonPreemptive.
@@ -30,6 +31,20 @@ func SolveNonPreemptive(in *core.Instance) (*NonPreemptiveResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	bound, err := core.LowerBoundR(in, core.NonPreemptive)
+	if err != nil {
+		return nil, err
+	}
+	return SolveNonPreemptiveLB(in, bound)
+}
+
+// SolveNonPreemptiveLB is SolveNonPreemptive given the instance's certified
+// bound core.LowerBoundR(in, core.NonPreemptive), for callers that
+// computed it already; any other value voids the guarantee.
+func SolveNonPreemptiveLB(in *core.Instance, bound rat.R) (*NonPreemptiveResult, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if err := core.CheckFeasible(in); err != nil {
 		return nil, err
 	}
@@ -46,14 +61,9 @@ func SolveNonPreemptive(in *core.Instance) (*NonPreemptiveResult, error) {
 	if area := core.RatCeilDiv(in.TotalLoad(), in.M); area > lb {
 		lb = area
 	}
-	slotLB, err := core.SlotLowerBoundNonPreemptive(in)
-	if err != nil {
-		return nil, err
-	}
-	guess := lb
-	if slotLB > guess {
-		guess = slotLB
-	}
+	// T̂ = max(LB, slot bound) = ⌈certified bound⌉: p_max and the slot
+	// bound are integers.
+	guess := bound.Ceil()
 	groups := splitClassesLPT(in, guess)
 	// Round robin over the groups in non-ascending load order (Lemma 3).
 	sort.SliceStable(groups, func(a, b int) bool { return groups[a].load > groups[b].load })

@@ -34,6 +34,20 @@ func SolvePreemptive(in *core.Instance) (*PreemptiveResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	bound, err := core.LowerBoundR(in, core.Preemptive)
+	if err != nil {
+		return nil, err
+	}
+	return SolvePreemptiveLB(in, bound)
+}
+
+// SolvePreemptiveLB is SolvePreemptive given the instance's certified bound
+// core.LowerBoundR(in, core.Preemptive), for callers that computed it
+// already; any other value voids the guarantee.
+func SolvePreemptiveLB(in *core.Instance, bound rat.R) (*PreemptiveResult, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if err := core.CheckFeasible(in); err != nil {
 		return nil, err
 	}
@@ -49,12 +63,9 @@ func SolvePreemptive(in *core.Instance) (*PreemptiveResult, error) {
 		pm := core.RatInt(in.PMax())
 		return &PreemptiveResult{Schedule: sched, Guess: pm, LB: new(big.Rat).Set(pm)}, nil
 	}
+	// T̂ = max(LB, border) is the certified bound.
 	lb := rat.Max(rat.FromInt(in.PMax()), rat.Frac(in.TotalLoad(), in.M))
-	border, err := core.SlotLowerBoundSplitR(in)
-	if err != nil {
-		return nil, err
-	}
-	guess := rat.Max(lb, border)
+	guess := bound
 	bundles := cutClasses(in, guess)
 	sortBundles(bundles)
 	// Algorithm 2's repack condition: some sub-class has load exactly T̂,

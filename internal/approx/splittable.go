@@ -95,19 +95,29 @@ func SolveSplittableOpts(in *core.Instance, opts Options) (*SplitResult, error) 
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	bound, err := core.LowerBoundR(in, core.Splittable)
+	if err != nil {
+		return nil, err
+	}
+	return SolveSplittableLB(in, opts, bound)
+}
+
+// SolveSplittableLB is SolveSplittableOpts given the instance's certified
+// bound core.LowerBoundR(in, core.Splittable), for callers that computed
+// it already; any other value voids the guarantee.
+func SolveSplittableLB(in *core.Instance, opts Options, bound rat.R) (*SplitResult, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
 	if err := core.CheckFeasible(in); err != nil {
 		return nil, err
 	}
 	lb := rat.Frac(in.TotalLoad(), in.M)
-	border, err := core.SlotLowerBoundSplitR(in)
-	if err != nil {
-		return nil, err
-	}
-	// T̂ = max(LB, smallest feasible border). Both terms lower-bound OPT and
-	// the slot count is monotone, so T̂ stays feasible; cutting at T̂ ≥ LB
-	// additionally caps the number of full-size windows by ΣP/T̂ ≤ m, which
-	// the compact path relies on.
-	guess := rat.Max(lb, border)
+	// T̂ = max(LB, smallest feasible border), which is the certified bound.
+	// Both terms lower-bound OPT and the slot count is monotone, so T̂ stays
+	// feasible; cutting at T̂ ≥ LB additionally caps the number of full-size
+	// windows by ΣP/T̂ ≤ m, which the compact path relies on.
+	guess := bound
 	if in.N() == 0 {
 		return &SplitResult{Compact: &core.CompactSplitSchedule{}, Guess: guess.Rat(), LB: lb.Rat()}, nil
 	}

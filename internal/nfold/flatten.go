@@ -158,15 +158,24 @@ func expandRay(ray []float64, full []int32, m int) []float64 {
 	return out
 }
 
-// solveBranchBound runs the exact engine and converts the answer back to
-// brick form. With augment set it is the EngineAuto order: the root LP
-// relaxation decides first, and the augmentation heuristic runs (as an
-// nfold_augment span under bb) only on a root that is fractional or hit its
-// iteration limit. An infeasible root has no integer point for augmentation
-// to find, and an integral root is already an answer. A successful
-// augmentation of a zero-objective problem ends the search; otherwise
-// branching continues from the same prepared LP and root solution, and the
-// better verified answer wins.
+// bbRun is one exact-engine run: the answer in brick form, the final ilp
+// status and the branch-and-bound nodes it spent (Result.Nodes counts
+// augmentation steps instead when augmentation decided).
+type bbRun struct {
+	res    *Result
+	status ilp.Status
+	nodes  int
+}
+
+// runBranchBound runs the exact engine on p and converts the answer back
+// to brick form; sp is the probe's bb span. With augment set it is the
+// EngineAuto order: the root LP relaxation decides first, and the
+// augmentation heuristic runs (as an nfold_augment span under bb) only on
+// a root that is fractional or hit its iteration limit. An infeasible root
+// has no integer point for augmentation to find, and an integral root is
+// already an answer. A successful augmentation of a zero-objective problem
+// ends the search; otherwise branching continues from the same prepared LP
+// and root solution, and the better verified answer wins.
 //
 // Warm starts stay within one solve (parent → child), where the
 // factorization is live. Carrying a root basis across solves — between the
@@ -174,12 +183,11 @@ func expandRay(ray []float64, full []int32, m int) []float64 {
 // session — was measured twice and never paid: a cross-solve restore must
 // refactorize from scratch (O(m³)), which costs more than the few dozen
 // pivots the cold root solve needs, and it never pruned a root.
-func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options) (*Result, error) {
+func (p *Problem) runBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options, sp trace.Span) (bbRun, error) {
 	mp, full, err := p.Flatten(ctx)
 	if err != nil {
-		return nil, err
+		return bbRun{}, err
 	}
-	sp := o.Trace.Child("bb")
 	iopts := &ilp.Options{
 		MaxNodes: maxNodes, FirstFeasible: firstFeasible, NoWarmStart: o.NoWarmStart,
 		Trace: sp,
@@ -199,18 +207,15 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 	}
 	res, err := ilp.SolveCtx(ctx, mp, iopts)
 	if err != nil {
-		sp.End(trace.A("err", 1))
-		return nil, err
+		return bbRun{}, err
 	}
-	sp.End(
-		trace.A("status", int64(res.Status)), trace.A("nodes", int64(res.Nodes)),
-		trace.A("pivots", int64(res.Pivots)), trace.A("warm_hits", int64(res.WarmHits)),
-	)
+	run := bbRun{status: res.Status, nodes: res.Nodes}
 	if res.Status == ilp.Stopped {
 		// Augmentation decided: its steps stay the node count; the root
 		// solve's pivots are added.
 		aug.Pivots = res.Pivots
-		return aug, nil
+		run.res = aug
+		return run, nil
 	}
 	out := &Result{
 		Engine: EngineBranchBound, Nodes: res.Nodes, Pivots: res.Pivots, WarmHits: res.WarmHits,
@@ -223,7 +228,7 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 		out.Status = Unknown
 	default:
 		if err := ctx.Err(); err != nil {
-			return nil, err // skip the exact check of a canceled solve
+			return bbRun{}, err // skip the exact check of a canceled solve
 		}
 		x := make([][]int64, p.N)
 		for i := 0; i < p.N; i++ {
@@ -233,17 +238,18 @@ func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasi
 			}
 		}
 		if err := p.Check(x); err != nil {
-			return nil, fmt.Errorf("nfold: branch-and-bound produced an invalid solution: %w", err)
+			return bbRun{}, fmt.Errorf("nfold: branch-and-bound produced an invalid solution: %w", err)
 		}
 		out.Status = Feasible
 		out.X = x
 		out.Obj = p.Objective(x)
 	}
 	// Prefer the better verified answer when both engines succeeded.
+	run.res = out
 	if aug != nil && aug.Status == Feasible && (out.Status != Feasible || aug.Obj <= out.Obj) {
-		return aug, nil
+		run.res = aug
 	}
-	return out, nil
+	return run, nil
 }
 
 func sign(v float64) float64 {

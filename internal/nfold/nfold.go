@@ -210,12 +210,20 @@ func (par Params) CostLog2() float64 {
 }
 
 // Check verifies that x (indexed [brick][col]) satisfies all constraints and
-// bounds exactly.
+// bounds exactly. The global rows are evaluated once per distinct A block:
+// x is summed over the bricks that share the block by pointer and the sum
+// multiplied once. Wrapping int64 arithmetic is a ring, so the sums equal
+// the brick-by-brick products bit for bit, overflow included.
 func (p *Problem) Check(x [][]int64) error {
 	if len(x) != p.N {
 		return fmt.Errorf("nfold: solution has %d bricks, want %d", len(x), p.N)
 	}
-	global := make([]int64, p.R)
+	type shared struct {
+		a   [][]int64
+		sum []int64
+	}
+	var blocks []shared
+	index := make(map[*[]int64]int)
 	for i := 0; i < p.N; i++ {
 		if len(x[i]) != p.T {
 			return fmt.Errorf("nfold: brick %d has %d vars, want %d", i, len(x[i]), p.T)
@@ -226,9 +234,15 @@ func (p *Problem) Check(x [][]int64) error {
 					i, j, x[i][j], p.Lower[i][j], p.Upper[i][j])
 			}
 		}
-		for k, row := range p.A[i] {
-			for j, v := range row {
-				global[k] += v * x[i][j]
+		if len(p.A[i]) > 0 {
+			k, ok := index[&p.A[i][0]]
+			if !ok {
+				k = len(blocks)
+				index[&p.A[i][0]] = k
+				blocks = append(blocks, shared{a: p.A[i], sum: make([]int64, p.T)})
+			}
+			for j, v := range x[i] {
+				blocks[k].sum[j] += v
 			}
 		}
 		for k, row := range p.B[i] {
@@ -238,6 +252,14 @@ func (p *Problem) Check(x [][]int64) error {
 			}
 			if dot != p.LocalRHS[i][k] {
 				return fmt.Errorf("nfold: brick %d local row %d: %d != %d", i, k, dot, p.LocalRHS[i][k])
+			}
+		}
+	}
+	global := make([]int64, p.R)
+	for _, blk := range blocks {
+		for k, row := range blk.a {
+			for j, v := range row {
+				global[k] += v * blk.sum[j]
 			}
 		}
 	}

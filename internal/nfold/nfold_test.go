@@ -1,7 +1,9 @@
 package nfold
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -359,5 +361,121 @@ func TestRandomAgreement(t *testing.T) {
 func TestStatusStrings(t *testing.T) {
 	if Feasible.String() != "feasible" || Infeasible.String() != "infeasible" || Unknown.String() != "unknown" {
 		t.Error("unexpected status strings")
+	}
+}
+
+// checkOracle is Check with the global rows multiplied brick by brick.
+func checkOracle(p *Problem, x [][]int64) error {
+	if len(x) != p.N {
+		return fmt.Errorf("nfold: solution has %d bricks, want %d", len(x), p.N)
+	}
+	global := make([]int64, p.R)
+	for i := 0; i < p.N; i++ {
+		if len(x[i]) != p.T {
+			return fmt.Errorf("nfold: brick %d has %d vars, want %d", i, len(x[i]), p.T)
+		}
+		for j := 0; j < p.T; j++ {
+			if x[i][j] < p.Lower[i][j] || x[i][j] > p.Upper[i][j] {
+				return fmt.Errorf("nfold: brick %d var %d value %d outside [%d,%d]",
+					i, j, x[i][j], p.Lower[i][j], p.Upper[i][j])
+			}
+		}
+		for k, row := range p.A[i] {
+			for j, v := range row {
+				global[k] += v * x[i][j]
+			}
+		}
+		for k, row := range p.B[i] {
+			var dot int64
+			for j, v := range row {
+				dot += v * x[i][j]
+			}
+			if dot != p.LocalRHS[i][k] {
+				return fmt.Errorf("nfold: brick %d local row %d: %d != %d", i, k, dot, p.LocalRHS[i][k])
+			}
+		}
+	}
+	for k := range global {
+		if global[k] != p.GlobalRHS[k] {
+			return fmt.Errorf("nfold: global row %d: %d != %d", k, global[k], p.GlobalRHS[k])
+		}
+	}
+	return nil
+}
+
+// TestCheckMatchesOracle compares Check, which sums x per shared A block,
+// with the brick-by-brick oracle on random N-folds: solutions that meet
+// every row, solutions off by one, and values near 2^62 whose products
+// wrap. The error, or its absence, must be identical.
+func TestCheckMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	passed, wrapped := 0, 0
+	for it := 0; it < 5000; it++ {
+		p := aggregateProblem(rng)
+		x := make([][]int64, p.N)
+		for i := range x {
+			x[i] = make([]int64, p.T)
+			for j := range x[i] {
+				x[i][j] = p.Lower[i][j] + rng.Int63n(p.Upper[i][j]-p.Lower[i][j]+1)
+			}
+		}
+		switch rng.Intn(3) {
+		case 0: // every row met: right-hand sides from x
+			for i := range x {
+				for k, row := range p.B[i] {
+					var dot int64
+					for j, v := range row {
+						dot += v * x[i][j]
+					}
+					p.LocalRHS[i] = slices.Clone(p.LocalRHS[i])
+					p.LocalRHS[i][k] = dot
+				}
+			}
+			p.GlobalRHS = make([]int64, p.R)
+			for k := range p.GlobalRHS {
+				for i := range x {
+					for j, v := range p.A[i][k] {
+						p.GlobalRHS[k] += v * x[i][j]
+					}
+				}
+			}
+			if rng.Intn(4) == 0 && p.R > 0 {
+				p.GlobalRHS[rng.Intn(p.R)]++
+			}
+		case 1: // huge values: products and sums wrap
+			p.B = make([][][]int64, p.N)
+			for i := range x {
+				p.B[i] = nil
+				p.LocalRHS[i] = nil
+				p.Lower[i] = slices.Repeat([]int64{-1 << 62}, p.T)
+				p.Upper[i] = slices.Repeat([]int64{1 << 62}, p.T)
+				for j := range x[i] {
+					x[i][j] = rng.Int63() - 1<<62
+				}
+			}
+			p.S = 0
+			p.GlobalRHS = make([]int64, p.R)
+			for k := range p.GlobalRHS {
+				for i := range x {
+					for j, v := range p.A[i][k] {
+						p.GlobalRHS[k] += v * x[i][j]
+					}
+				}
+			}
+			if rng.Intn(2) == 0 && p.R > 0 {
+				p.GlobalRHS[rng.Intn(p.R)]++
+			}
+			wrapped++
+		}
+		got, want := p.Check(x), checkOracle(p, x)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("it %d: Check %v, oracle %v", it, got, want)
+		}
+		if got == nil {
+			passed++
+		}
+	}
+	if passed == 0 || wrapped == 0 {
+		t.Fatalf("draw reached %d passing solutions and %d wrapping ones; want both > 0", passed, wrapped)
 	}
 }

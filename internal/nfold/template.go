@@ -16,7 +16,7 @@ import (
 // arrays across bricks (and across guesses — see internal/ptas templates)
 // make move enumeration, formerly ~half of a probe's runtime, an
 // O(distinct blocks) cost instead of O(bricks × guesses). (Cross-probe
-// root-basis reuse was also tried here and removed: see solveBranchBound.)
+// root-basis reuse was also tried here and removed: see runBranchBound.)
 type Template struct {
 	moves sync.Map // brickCacheKey -> *brickMoves
 }

@@ -35,6 +35,7 @@ import (
 
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
+	"ccsched/internal/rat"
 	"ccsched/internal/trace"
 )
 
@@ -194,15 +195,11 @@ func ceilRat(r *big.Rat) int64 {
 // ceilDiv is ⌈a/b⌉ for positive a, b.
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// lowerBoundInt returns ⌈LB⌉ for the variant's certified lower bound.
-func lowerBoundInt(in *core.Instance, v core.Variant) (int64, error) {
-	lb, err := core.LowerBound(in, v)
-	if err != nil {
-		return 0, err
+// certifiedBound validates in and returns the variant's certified lower
+// bound core.LowerBoundR(in, v).
+func certifiedBound(in *core.Instance, v core.Variant) (rat.R, error) {
+	if err := in.Validate(); err != nil {
+		return rat.R{}, err
 	}
-	out := ceilRat(lb)
-	if out < 1 {
-		out = 1
-	}
-	return out, nil
+	return core.LowerBoundR(in, v)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccsched/internal/core"
+	"ccsched/internal/generator"
 )
 
 // TestNonPreemptivePTASAllSmallClasses forces the degenerate N-fold where
@@ -119,5 +120,32 @@ func TestScaleFactor(t *testing.T) {
 	}
 	if s := scaleFactor(core.RatInt(100), 10, 16); s != 1 {
 		t.Errorf("already large enough: got %d", s)
+	}
+}
+
+// TestScaledBoundIsExact backs runScheme's reuse of the caller's bound on a
+// scaled instance: for the splittable and preemptive variants, the two
+// that scale, the certified bound of the instance with every processing
+// time multiplied by s is s times the bound.
+func TestScaledBoundIsExact(t *testing.T) {
+	for _, fam := range generator.Families() {
+		for seed := int64(1); seed <= 4; seed++ {
+			in := fam.Gen(generator.Config{N: 30, Classes: 6, Machines: 4, Slots: 2, PMax: 50, Seed: seed})
+			for _, v := range []core.Variant{core.Splittable, core.Preemptive} {
+				lb, err := core.LowerBoundR(in, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := int64(2); s <= 1<<20; s <<= 3 {
+					got, err := core.LowerBoundR(scaleInstance(in, s), v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := lb.MulInt(s); !got.Equal(want) {
+						t.Fatalf("%s seed %d %v scale %d: bound %s, want %s", fam.Name, seed, v, s, got.Rat().RatString(), want.Rat().RatString())
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
+	"ccsched/internal/rat"
 )
 
 // The non-preemptive PTAS (Section 4.2). Jobs cannot be glued per class, so
@@ -335,7 +336,18 @@ func (r *NonPreemptiveResult) Makespan(in *core.Instance) int64 { return r.Sched
 // so ctx.Err() surfaces within one augmentation iteration or
 // branch-and-bound node.
 func SolveNonPreemptive(ctx context.Context, in *core.Instance, opts Options) (*NonPreemptiveResult, error) {
-	sched, rep, err := runScheme(ctx, in, opts, npScheme)
+	bound, err := certifiedBound(in, core.NonPreemptive)
+	if err != nil {
+		return nil, err
+	}
+	return SolveNonPreemptiveLB(ctx, in, opts, bound)
+}
+
+// SolveNonPreemptiveLB is SolveNonPreemptive given the instance's certified
+// bound core.LowerBoundR(in, core.NonPreemptive), for callers that
+// computed it already.
+func SolveNonPreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*NonPreemptiveResult, error) {
+	sched, rep, err := runScheme(ctx, in, opts, npScheme, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -352,8 +364,8 @@ var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
 		return newNPTemplate(in, g, opts.maxConfigs()), nil
 	},
-	approx: func(in *core.Instance) (*core.NonPreemptiveSchedule, error) {
-		apx, err := approx.SolveNonPreemptive(in)
+	approx: func(in *core.Instance, bound rat.R) (*core.NonPreemptiveSchedule, error) {
+		apx, err := approx.SolveNonPreemptiveLB(in, bound)
 		if err != nil {
 			return nil, err
 		}

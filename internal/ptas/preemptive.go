@@ -258,7 +258,18 @@ func (r *PreemptiveResult) Makespan() *big.Rat { return r.Schedule.Makespan() }
 // makespan-guess search — including in-flight N-fold solves — so ctx.Err()
 // surfaces within one augmentation iteration or branch-and-bound node.
 func SolvePreemptive(ctx context.Context, in *core.Instance, opts Options) (*PreemptiveResult, error) {
-	sched, rep, err := runScheme(ctx, in, opts, preScheme)
+	bound, err := certifiedBound(in, core.Preemptive)
+	if err != nil {
+		return nil, err
+	}
+	return SolvePreemptiveLB(ctx, in, opts, bound)
+}
+
+// SolvePreemptiveLB is SolvePreemptive given the instance's certified bound
+// core.LowerBoundR(in, core.Preemptive), for callers that computed it
+// already.
+func SolvePreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*PreemptiveResult, error) {
+	sched, rep, err := runScheme(ctx, in, opts, preScheme, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -272,8 +283,8 @@ var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
 		return preTemplateFor(opts.Session, in, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance) (*core.PreemptiveSchedule, error) {
-		apx, err := approx.SolvePreemptive(in)
+	approx: func(in *core.Instance, bound rat.R) (*core.PreemptiveSchedule, error) {
+		apx, err := approx.SolvePreemptiveLB(in, bound)
 		if err != nil {
 			return nil, err
 		}

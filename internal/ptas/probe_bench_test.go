@@ -17,19 +17,17 @@ func lowerGuessNFold[G guess[S], S any](in *core.Instance, opts Options, sc sche
 	if err != nil {
 		return nil, nil, err
 	}
-	if sc.descale != nil {
-		lb, err := core.LowerBound(in, sc.variant)
-		if err != nil {
-			return nil, nil, err
-		}
-		if scale := scaleFactor(lb, in.PMax(), 4*g*g); scale > 1 {
-			in = scaleInstance(in, scale)
-		}
-	}
-	lo, err := lowerBoundInt(in, sc.variant)
+	bound, err := certifiedBound(in, sc.variant)
 	if err != nil {
 		return nil, nil, err
 	}
+	if sc.descale != nil {
+		if scale := scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
+			in = scaleInstance(in, scale)
+			bound = bound.MulInt(scale)
+		}
+	}
+	lo := max(1, bound.Ceil())
 	tm, err := sc.template(in, g, opts)
 	if err != nil {
 		return nil, nil, err

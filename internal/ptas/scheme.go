@@ -8,6 +8,7 @@ import (
 
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
+	"ccsched/internal/rat"
 	"ccsched/internal/trace"
 )
 
@@ -20,9 +21,10 @@ type scheme[G guess[S], S any] struct {
 	variant core.Variant
 	// template builds the guess-independent state of one search.
 	template func(in *core.Instance, g int64, opts Options) (guessTemplate[G], error)
-	// approx is the constant-factor algorithm: it sets the top of the guess
-	// grid and is the fallback and the best-of floor.
-	approx   func(in *core.Instance) (S, error)
+	// approx is the constant-factor algorithm, given the instance's
+	// certified bound: it sets the top of the guess grid and is the
+	// fallback and the best-of floor.
+	approx   func(in *core.Instance, bound rat.R) (S, error)
 	makespan func(in *core.Instance, s S) *big.Rat
 	// shortcut, when set, returns the optimal one-job-per-machine schedule
 	// for m ≥ n. The splittable scheme has none: its optimum can lie below
@@ -68,8 +70,9 @@ type accepted[S any] struct {
 // constant-factor one — or the constant-factor one alone when no guess is
 // accepted within budget. Cancelling ctx stops in-flight N-fold solves at
 // their next iteration boundary and returns ctx.Err(); a recovered engine
-// panic is returned, never masked by the fallback.
-func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S]) (S, Report, error) {
+// panic is returned, never masked by the fallback. bound is the caller's
+// core.LowerBoundR(in, sc.variant), computed once per solve.
+func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S], bound rat.R) (S, Report, error) {
 	var none S
 	g, err := opts.delta()
 	if err != nil {
@@ -88,19 +91,16 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	// scaling rescales the seed guess.
 	scale := int64(1)
 	if sc.descale != nil {
-		lb, err := core.LowerBound(in, sc.variant)
-		if err != nil {
-			return none, Report{}, err
-		}
-		if scale = scaleFactor(lb, in.PMax(), 4*g*g); scale > 1 {
+		if scale = scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
+			// The bound is homogeneous in the processing times (see
+			// TestScaledBoundIsExact), so the scaled instance's bound is
+			// the scaled bound.
 			in = scaleInstance(in, scale)
+			bound = bound.MulInt(scale)
 		}
 	}
-	lo, err := lowerBoundInt(in, sc.variant)
-	if err != nil {
-		return none, Report{}, err
-	}
-	apx, err := sc.approx(in)
+	lo := max(1, bound.Ceil())
+	apx, err := sc.approx(in, bound)
 	if err != nil {
 		return none, Report{}, err
 	}

@@ -186,13 +186,24 @@ const DefaultHugeMThreshold int64 = 1 << 16
 // which poll it at iteration boundaries — making ctx.Err() surface within
 // one augmentation iteration or branch-and-bound node.
 func SolveSplittable(ctx context.Context, in *core.Instance, opts Options) (*SplitResult, error) {
+	bound, err := certifiedBound(in, core.Splittable)
+	if err != nil {
+		return nil, err
+	}
+	return SolveSplittableLB(ctx, in, opts, bound)
+}
+
+// SolveSplittableLB is SolveSplittable given the instance's certified bound
+// core.LowerBoundR(in, core.Splittable), for callers that computed it
+// already.
+func SolveSplittableLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*SplitResult, error) {
 	var res *SplitResult
 	var rep Report
 	var err error
 	if in.M > opts.hugeMThreshold() {
-		res, rep, err = runScheme(ctx, in, opts, hugeScheme)
+		res, rep, err = runScheme(ctx, in, opts, hugeScheme, bound)
 	} else {
-		res, rep, err = runScheme(ctx, in, opts, splitScheme)
+		res, rep, err = runScheme(ctx, in, opts, splitScheme, bound)
 	}
 	if err != nil {
 		return nil, err
@@ -208,8 +219,8 @@ var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
 		return splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance) (*SplitResult, error) {
-		apx, err := approx.SolveSplittable(in)
+	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {
+		apx, err := approx.SolveSplittableLB(in, approx.Options{}, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -405,10 +416,11 @@ func BuildSplittableNFold(in *core.Instance, epsilon float64) (*nfold.Problem, e
 	if err != nil {
 		return nil, err
 	}
-	lo, err := lowerBoundInt(in, core.Splittable)
+	bound, err := certifiedBound(in, core.Splittable)
 	if err != nil {
 		return nil, err
 	}
+	lo := max(1, bound.Ceil())
 	tm, err := newSplitTemplate(in, g, Options{}.maxConfigs())
 	if err != nil {
 		return nil, err

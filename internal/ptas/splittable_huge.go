@@ -35,8 +35,8 @@ var hugeScheme = scheme[*hugeGuess, *SplitResult]{
 		tm, err := splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
 		return hugeTemplate{tm}, err
 	},
-	approx: func(in *core.Instance) (*SplitResult, error) {
-		apx, err := approx.SolveSplittable(in)
+	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {
+		apx, err := approx.SolveSplittableLB(in, approx.Options{}, bound)
 		if err != nil {
 			return nil, err
 		}

@@ -196,13 +196,16 @@ func TestSolveExactTier(t *testing.T) {
 	}
 }
 
-// cancelInstance is sized so every variant's PTAS runs for tens of seconds
-// uncancelled (measured ≥ 30s sequential at ε = 0.5 on the development
-// machine); the cancellation tests below abort it after milliseconds.
+// cancelInstance is sized so every variant's PTAS runs for seconds
+// uncancelled (each variant still ran past 5 s sequential at ε = 0.5 on a
+// 2-CPU host); the cancellation tests below abort it after milliseconds.
+// The uniform seed-3 instance used before finishes its non-preemptive
+// solve in about 0.1 s since probes are solved over brick types, which
+// left nothing to cancel.
 func cancelInstance(t *testing.T) *ccsched.Instance {
 	t.Helper()
-	in, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
-		N: 100, Classes: 20, Machines: 10, Slots: 3, PMax: 10000, Seed: 3,
+	in, err := ccsched.Generate("zipf", ccsched.GeneratorConfig{
+		N: 100, Classes: 20, Machines: 10, Slots: 3, PMax: 10000, Seed: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,5 +356,33 @@ func TestSolveConcurrentSharedCache(t *testing.T) {
 	}
 	if cache.Len() == 0 {
 		t.Error("shared cache stayed empty")
+	}
+}
+
+// TestDeadlineSeedsDecideInOneProbe pins three uniform non-preemptive n=200
+// ε=1 draws of the ptas-coarse deck that used to hit its 2 s deadline: the
+// first guess probe spent the whole 4000-node default cap and a second
+// guess was accepted, 4001 nodes in 3–10 s on a 2-CPU host. Solved over
+// brick types, the first probe decides at its root. Node and probe counts are deterministic at
+// Parallelism 1 without a cache, so no wall time is asserted.
+func TestDeadlineSeedsDecideInOneProbe(t *testing.T) {
+	for _, seed := range []int64{3404454616782090989, 2111392068471983631, 1627829365734183404} {
+		in, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
+			N: 200, Classes: 20, Machines: 10, Slots: 3, PMax: 10000, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
+			Variant: ccsched.NonPreemptive, Tier: ccsched.TierPTAS, Epsilon: 1,
+			Parallelism: 1, NoCache: true,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Report.Guesses != 1 || res.Report.BBNodes >= 4000 {
+			t.Errorf("seed %d: %d probes, %d nodes; want 1 probe under 4000 nodes",
+				seed, res.Report.Guesses, res.Report.BBNodes)
+		}
 	}
 }
