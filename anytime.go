@@ -20,6 +20,8 @@ import (
 // exactly Options.Epsilon, so its makespan is bit-identical to a cold
 // TierPTAS solve of the same instance (warm reuse is verdict-preserving;
 // the anytime parity differential pins this on every generator family).
+// The final answer is the best of all rungs: a terminal rung that is worse
+// than an earlier one republishes that earlier result, tagged final.
 
 // AnytimeInfo tags a TierAnytime result with its position on the ε-ladder.
 type AnytimeInfo struct {
@@ -36,7 +38,9 @@ type AnytimeInfo struct {
 	// bound: OPT lies within [Makespan/(1+Gap), Makespan].
 	Gap float64 `json:"gap"`
 	// Final marks the terminal rung: no further refinement will follow
-	// for this instance generation.
+	// for this instance generation. When the terminal rung's own schedule
+	// is worse than an earlier rung's, the final event carries that earlier
+	// schedule (and its Report) under the terminal rung's tag.
 	Final bool `json:"final"`
 }
 
@@ -106,11 +110,11 @@ type Ladder struct {
 	rungs []float64
 	// next is the rung the next Step runs: 0 is the constant-factor first
 	// answer, i ≥ 1 the PTAS at rungs[i-1]. gen is the session generation
-	// the position belongs to (0 = unbound). best is the best makespan
+	// the position belongs to (0 = unbound). best is the best result
 	// published for this generation, the publish-only-improvements filter.
 	next int
 	gen  uint64
-	best *big.Rat
+	best *Result
 }
 
 // NewLadder returns a ladder over the session's ε-ladder (terminal rung at
@@ -125,15 +129,16 @@ func NewLadder(s *Session) *Ladder {
 func (l *Ladder) Rungs() int { return len(l.rungs) + 1 }
 
 // Step runs one rung against the session's current instance and publishes
-// the result into the session if it improves the published best (the
-// terminal rung always publishes — it is the anytime answer, bit-identical
-// to a cold TierPTAS solve at the terminal ε). It returns the published
-// result (nil when the rung brought no improvement or a concurrent delta
-// invalidated it) and whether the ladder has reached the terminal rung for
-// the current instance generation. After a delta, the next Step restarts
-// the ladder from rung 0 automatically. Cancellation via ctx aborts only
-// the in-flight rung; the ladder position is unchanged and Step may be
-// retried.
+// the result into the session if it improves the published best. The
+// terminal rung always publishes: its own result (bit-identical to a cold
+// TierPTAS solve at the terminal ε) unless that is worse than the best so
+// far, which it then republishes as a copy tagged final. It returns the
+// published result (nil when the rung brought no improvement or a
+// concurrent delta invalidated it) and whether the ladder has reached the
+// terminal rung for the current instance generation. After a delta, the
+// next Step restarts the ladder from rung 0 automatically. Cancellation via
+// ctx aborts only the in-flight rung; the ladder position is unchanged and
+// Step may be retried.
 func (l *Ladder) Step(ctx context.Context) (*Result, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -212,15 +217,20 @@ func (l *Ladder) Step(ctx context.Context) (*Result, bool, error) {
 		return nil, false, nil
 	}
 	l.next++
-	improved := l.best == nil || res.Makespan.Cmp(l.best) < 0
-	if improved {
-		l.best = res.Makespan
+	switch {
+	case l.best == nil || res.Makespan.Cmp(l.best.Makespan) < 0:
+		l.best = res
+	case final && res.Makespan.Cmp(l.best.Makespan) > 0:
+		// Results are shared and immutable: re-tag a copy.
+		best, tag := *l.best, *res.Anytime
+		tag.Gap = l.best.Anytime.Gap
+		best.Anytime = &tag
+		res = &best
+	case !final:
+		return nil, false, nil
 	}
-	if improved || final {
-		l.s.last, l.s.lastGen = res, gen
-		return res, final, nil
-	}
-	return nil, final, nil
+	l.s.last, l.s.lastGen = res, gen
+	return res, final, nil
 }
 
 // SolveAnytime runs the whole TierAnytime ladder synchronously: the

@@ -80,13 +80,13 @@ func TestAnytimeFinalParityAllFamilies(t *testing.T) {
 	}{
 		{Splittable,
 			GeneratorConfig{N: 40, Classes: 6, Machines: 5, Slots: 2, PMax: 200},
-			Options{Variant: Splittable, Epsilon: 0.5, Parallelism: 2}},
+			Options{Variant: Splittable, Epsilon: 0.5}},
 		{Preemptive,
 			GeneratorConfig{N: 8, Classes: 2, Machines: 2, Slots: 1, PMax: 30},
-			Options{Variant: Preemptive, Epsilon: 1, MaxNodes: 120, Parallelism: 2}},
+			Options{Variant: Preemptive, Epsilon: 1, MaxNodes: 120}},
 		{NonPreemptive,
 			GeneratorConfig{N: 10, Classes: 3, Machines: 3, Slots: 2, PMax: 40},
-			Options{Variant: NonPreemptive, Epsilon: 1, Parallelism: 2}},
+			Options{Variant: NonPreemptive, Epsilon: 1}},
 	}
 	for _, fam := range GeneratorFamilies() {
 		for _, tc := range cases {
@@ -100,6 +100,66 @@ func TestAnytimeFinalParityAllFamilies(t *testing.T) {
 				anytimeParityCase(t, in, tc.opts)
 			})
 		}
+	}
+}
+
+// TestAnytimeFinalIsBestRung scans seeds for ladders whose terminal rung,
+// solved on its own, is worse than an earlier rung (the budgeted engines
+// make the PTAS at a finer ε occasionally lose to a coarser one), and
+// checks that the final event republishes the best answer instead: its
+// makespan is the minimum over every rung, it is tagged as the terminal
+// rung, and the published gaps never grow.
+func TestAnytimeFinalIsBestRung(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Variant: Splittable, Epsilon: 0.5}
+	rungs := anytimeLadder(opts.Epsilon)
+	shown := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		in, err := Generate("uniform", GeneratorConfig{N: 10, Classes: 3, Machines: 3, Slots: 2, PMax: 40, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every rung on its own: the constant-factor answer, then a cold
+		// PTAS solve per ladder ε.
+		first, err := Solve(ctx, in, Options{Variant: opts.Variant, Tier: TierApprox})
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, terminal := first.Makespan, first.Makespan
+		for _, eps := range rungs {
+			r, err := Solve(ctx, in, Options{Variant: opts.Variant, Tier: TierPTAS, Epsilon: eps, Cache: NewFeasibilityCache()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if terminal = r.Makespan; terminal.Cmp(best) < 0 {
+				best = terminal
+			}
+		}
+		if terminal.Cmp(best) == 0 {
+			continue
+		}
+		shown++
+		t.Logf("seed %d: terminal rung alone %s, best rung %s", seed, terminal.RatString(), best.RatString())
+		var updates []*Result
+		final, err := SolveAnytime(ctx, in, opts, func(r *Result) { updates = append(updates, r) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.Makespan.Cmp(best) != 0 || !final.Anytime.Final || final.Anytime.Rung != len(rungs) {
+			t.Errorf("seed %d: final event (rung %d, final %v) makespan %s; want the best rung's %s (terminal alone %s)",
+				seed, final.Anytime.Rung, final.Anytime.Final, final.Makespan.RatString(), best.RatString(), terminal.RatString())
+		}
+		if final.Anytime.Gap != anytimeGap(final.Makespan, final.LowerBound) {
+			t.Errorf("seed %d: final gap %v does not match its makespan", seed, final.Anytime.Gap)
+		}
+		for i := 1; i < len(updates); i++ {
+			if updates[i].Anytime.Gap > updates[i-1].Anytime.Gap {
+				t.Errorf("seed %d: gap grew from %v to %v at update %d", seed, updates[i-1].Anytime.Gap, updates[i].Anytime.Gap, i)
+			}
+		}
+	}
+	if shown == 0 {
+		t.Fatal("no seed in the scan has a terminal rung worse than an earlier one; widen the scan")
 	}
 }
 

@@ -218,12 +218,12 @@ func BenchmarkE8NFold(b *testing.B) {
 // across branch-and-bound nodes). The cold sub-benchmarks set NoWarmStart —
 // results are bit-identical by construction (see the warm parity tests), so
 // the ns/op delta is pure warm-start effect; the warm rows also report the
-// branch-and-bound work via b.ReportMetric. Sequential and uncached so the
-// numbers measure the solver, not speculation or memoization.
+// branch-and-bound work via b.ReportMetric. Uncached so the numbers
+// measure the solver, not memoization.
 func BenchmarkE10PTASTier(b *testing.B) {
 	run := func(b *testing.B, variant string, n int, warm bool) {
 		in := benchInstance(n, 101)
-		opts := ptas.Options{Epsilon: 1, Parallelism: 1, NoWarmStart: !warm}
+		opts := ptas.Options{Epsilon: 1, NoWarmStart: !warm}
 		var nodes, pivots, hits int64
 		for i := 0; i < b.N; i++ {
 			var rep ptas.Report
@@ -269,7 +269,7 @@ func BenchmarkE10PTASTier(b *testing.B) {
 
 func benchE10Fine(b *testing.B, noWarm bool) {
 	in := benchInstance(60, 101)
-	opts := ptas.Options{Epsilon: 0.5, Parallelism: 1, MaxNodes: 1500, NoWarmStart: noWarm}
+	opts := ptas.Options{Epsilon: 0.5, MaxNodes: 1500, NoWarmStart: noWarm}
 	var nodes, pivots, hits int64
 	for i := 0; i < b.N; i++ {
 		r, err := ptas.SolveSplittable(context.Background(), in, opts)
@@ -302,7 +302,7 @@ func benchE10Fine(b *testing.B, noWarm bool) {
 func BenchmarkE11EngineParallelism(b *testing.B) {
 	b.Run("nodeheavy/ep=1", func(b *testing.B) {
 		in := benchInstance(60, 101)
-		opts := ptas.Options{Epsilon: 0.5, Parallelism: 1, MaxNodes: 1500}
+		opts := ptas.Options{Epsilon: 0.5, MaxNodes: 1500}
 		var nodes int64
 		for i := 0; i < b.N; i++ {
 			r, err := ptas.SolveSplittable(context.Background(), in, opts)
@@ -333,7 +333,7 @@ func BenchmarkE11EngineParallelism(b *testing.B) {
 	b.Run("redrawchurn/ep=1", func(b *testing.B) {
 		opts := Options{
 			Variant: Splittable, Tier: TierPTAS, Epsilon: 1,
-			Parallelism: 1, MaxNodes: 400, NoCache: true,
+			MaxNodes: 400, NoCache: true,
 		}
 		for i := 0; i < b.N; i++ {
 			for _, in := range drifted {

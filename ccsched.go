@@ -8,10 +8,10 @@
 // preemptive and non-preemptive (see Variant).
 //
 // Solve is the recommended entry point: it selects a variant and algorithm
-// tier from an Options value, runs the PTAS makespan-guess search with
-// speculative parallelism and a feasibility cache, honors
-// context cancellation and deadlines down to the individual ILP iteration,
-// and returns the schedule together with the certified lower bound.
+// tier from an Options value, runs the PTAS makespan-guess search with a
+// feasibility cache, honors context cancellation and deadlines down to the
+// individual ILP iteration, and returns the schedule together with the
+// certified lower bound.
 //
 // The algorithm tiers from the paper, all reached through Solve, are:
 //
@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
 	"slices"
 
 	"ccsched/internal/approx"
@@ -238,8 +237,10 @@ func (t Tier) String() string {
 }
 
 // Options configures a Solve call. The zero value solves the splittable
-// variant with TierAuto, ε = 0.5, hardware parallelism and the shared
-// default feasibility cache.
+// variant with TierAuto, ε = 0.5 and the shared default feasibility cache.
+// A solve runs on the calling goroutine; to use more cores, run independent
+// solves concurrently (they share the default cache). JSON that still
+// carries the removed "parallelism" field decodes with the field ignored.
 type Options struct {
 	// Variant selects splittable (default), preemptive or non-preemptive
 	// semantics.
@@ -249,12 +250,6 @@ type Options struct {
 	// Epsilon is the PTAS accuracy target (makespan ≤ (1+O(ε))·OPT). Zero
 	// selects 0.5. Ignored by TierApprox and TierExact.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Parallelism is the number of concurrent speculative makespan-guess
-	// probes in the PTAS search. Zero selects runtime.GOMAXPROCS(0); 1 (or
-	// any negative value) forces the sequential search. Any value returns
-	// bit-identical schedules — speculation only reorders work, never
-	// which probes decide the outcome.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Cache overrides the feasibility cache. Nil selects a process-wide
 	// shared cache (see NewFeasibilityCache to isolate workloads); set
 	// NoCache to disable caching entirely. Never serialized: a cache is a
@@ -417,11 +412,9 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 // branch-and-bound node even mid-ILP), and the exact tier polls it inside
 // its exponential searches. TierApprox runs to completion: the
 // constant-factor algorithms are strongly polynomial (milliseconds at
-// n=1000), so ctx is only checked on entry. PTAS tiers probe several
-// makespan guesses speculatively in parallel (Options.Parallelism) and
-// memoize guess feasibility verdicts (Options.Cache); results are
-// bit-identical to the sequential, uncached search for any setting of
-// either knob.
+// n=1000), so ctx is only checked on entry. PTAS tiers memoize guess
+// feasibility verdicts (Options.Cache); results are bit-identical to the
+// uncached search.
 func Solve(ctx context.Context, in *Instance, opts Options) (*Result, error) {
 	return solveWith(ctx, in, opts, nil)
 }
@@ -584,25 +577,20 @@ func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
 	return nil
 }
 
-// solvePTAS dispatches the approximation-scheme tier with the parallel
-// guess search and the feasibility cache resolved from opts. lb is the
-// instance's certified bound and sp the enclosing trace span (disabled
-// when the solve is untraced).
+// solvePTAS dispatches the approximation-scheme tier with the feasibility
+// cache resolved from opts. lb is the instance's certified bound and sp the
+// enclosing trace span (disabled when the solve is untraced).
 func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState, lb rat.R, res *Result, sp trace.Span) error {
 	popts := ptas.Options{
 		Epsilon:        opts.Epsilon,
 		MaxNodes:       opts.MaxNodes,
 		MaxConfigs:     opts.MaxConfigs,
 		HugeMThreshold: opts.HugeMThreshold,
-		Parallelism:    opts.Parallelism,
 		Session:        st,
 		Trace:          sp,
 	}
 	if popts.Epsilon == 0 {
 		popts.Epsilon = 0.5
-	}
-	if popts.Parallelism == 0 {
-		popts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if !opts.NoCache {
 		popts.Cache = opts.Cache

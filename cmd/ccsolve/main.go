@@ -6,7 +6,7 @@
 //
 //	ccsolve -in inst.ccs -variant splittable -algo approx
 //	ccsolve -in inst.ccs -variant nonpreemptive -algo ptas -eps 0.5
-//	ccsolve -in inst.ccs -variant nonpreemptive -algo ptas -parallelism 8 -timeout 30s
+//	ccsolve -in inst.ccs -variant nonpreemptive -algo ptas -timeout 30s
 //	ccsolve -in inst.ccs -variant nonpreemptive -algo exact
 //	ccsolve -in inst.ccs -variant splittable -algo ptas -trace
 //	ccgen -n 50 -json | ccsolve -variant preemptive -algo ptas
@@ -15,8 +15,6 @@
 // textual format and the JSON wire format are accepted; a leading '{'
 // selects JSON.
 //
-// -parallelism controls the PTAS's speculative makespan-guess probes
-// (default: all CPUs; results are bit-identical at any setting) and
 // -timeout aborts the solve via context cancellation, which reaches the ILP
 // engines at iteration boundaries.
 //
@@ -61,13 +59,12 @@ func parseAnyInstance(data []byte) (*ccsched.Instance, error) {
 
 func main() {
 	var (
-		inFile      = flag.String("in", "-", "instance file, textual or JSON format (- = stdin)")
-		variant     = flag.String("variant", "splittable", "splittable | preemptive | nonpreemptive")
-		algo        = flag.String("algo", "approx", "auto | approx | ptas | exact")
-		eps         = flag.Float64("eps", 0.5, "PTAS accuracy ε")
-		parallelism = flag.Int("parallelism", 0, "concurrent PTAS guess probes (0 = all CPUs, 1 = sequential)")
-		timeout     = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		traceFlag   = flag.Bool("trace", false, "record a per-stage span timeline and print it after the report")
+		inFile    = flag.String("in", "-", "instance file, textual or JSON format (- = stdin)")
+		variant   = flag.String("variant", "splittable", "splittable | preemptive | nonpreemptive")
+		algo      = flag.String("algo", "approx", "auto | approx | ptas | exact")
+		eps       = flag.Float64("eps", 0.5, "PTAS accuracy ε")
+		timeout   = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
+		traceFlag = flag.Bool("trace", false, "record a per-stage span timeline and print it after the report")
 	)
 	flag.Parse()
 	var (
@@ -118,11 +115,10 @@ func main() {
 	}
 	start := time.Now()
 	res, err := ccsched.Solve(ctx, in, ccsched.Options{
-		Variant:     v,
-		Tier:        tier,
-		Epsilon:     *eps,
-		Parallelism: *parallelism,
-		Trace:       *traceFlag,
+		Variant: v,
+		Tier:    tier,
+		Epsilon: *eps,
+		Trace:   *traceFlag,
 	})
 	if err != nil {
 		fail(err)

@@ -9,9 +9,8 @@ import (
 )
 
 // ExampleSolve runs the unified context-aware entry point: variant and
-// tier come from Options, the deadline cancels the solve down to the ILP
-// iteration, and parallel speculative guess probes return bit-identical
-// schedules at any Parallelism.
+// tier come from Options, and the deadline cancels the solve down to the
+// ILP iteration.
 func ExampleSolve() {
 	in := &ccsched.Instance{
 		P:     []int64{9, 7, 6, 5, 4, 4, 3, 2},
@@ -22,10 +21,9 @@ func ExampleSolve() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	res, err := ccsched.Solve(ctx, in, ccsched.Options{
-		Variant:     ccsched.NonPreemptive,
-		Tier:        ccsched.TierPTAS,
-		Epsilon:     0.5,
-		Parallelism: 4,
+		Variant: ccsched.NonPreemptive,
+		Tier:    ccsched.TierPTAS,
+		Epsilon: 0.5,
 	})
 	if err != nil {
 		panic(err)

@@ -124,8 +124,7 @@ func enumerateMoves(p *Problem, opt AugmentOptions, tmpl *Template) []*brickMove
 			continue
 		}
 		if tmpl != nil {
-			if v, ok := tmpl.moves.Load(ck); ok {
-				bm := v.(*brickMoves)
+			if bm, ok := tmpl.moves[ck]; ok {
 				cache[ck] = bm
 				out[i] = bm
 				continue
@@ -224,10 +223,7 @@ func enumerateMoves(p *Problem, opt AugmentOptions, tmpl *Template) []*brickMove
 		}
 		cache[ck] = bm
 		if tmpl != nil {
-			// Concurrent probes may race to compute the same block's moves;
-			// enumeration is deterministic, so either value is identical and
-			// last-write-wins is safe.
-			tmpl.moves.Store(ck, bm)
+			tmpl.moves[ck] = bm
 		}
 		out[i] = bm
 	}

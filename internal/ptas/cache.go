@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"hash"
 	"sync"
-	"sync/atomic"
 
 	"ccsched/internal/faultinject"
 	"ccsched/internal/nfold"
@@ -296,23 +295,21 @@ func probeCacheKey(variant byte, digest [sha256.Size]byte, g int64, opts Options
 	}
 }
 
-// probeStats aggregates per-probe diagnostics across one guess search.
-// Counters are atomic because speculative probes run concurrently; with
-// Parallelism > 1 the set of probes that complete (and hence the totals)
-// can vary run to run, so these are diagnostics, never solver inputs.
+// probeStats aggregates per-probe diagnostics across one guess search. The
+// search runs only the probes it consumes, so the totals are deterministic.
 type probeStats struct {
-	cacheHits atomic.Int64
-	nodes     atomic.Int64
-	pivots    atomic.Int64
-	warmHits  atomic.Int64
+	cacheHits int
+	nodes     int64
+	pivots    int64
+	warmHits  int64
 }
 
 // report fills the aggregate counter fields of a Report.
 func (st *probeStats) report(rep *Report) {
-	rep.CacheHits = int(st.cacheHits.Load())
-	rep.BBNodes = st.nodes.Load()
-	rep.BBPivots = st.pivots.Load()
-	rep.WarmHits = st.warmHits.Load()
+	rep.CacheHits = st.cacheHits
+	rep.BBNodes = st.nodes
+	rep.BBPivots = st.pivots
+	rep.WarmHits = st.warmHits
 }
 
 // fallbackReport is the Report of runScheme's approx-fallback exit.
@@ -325,16 +322,16 @@ func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 // solveGuessCached runs one guess probe's N-fold through the feasibility
 // cache — the shared step of all four probe shapes. A hit returns the
 // memoized verdict (counted in stats.cacheHits); a miss builds the N-fold,
-// solves it under pctx with the search's shared nfold.Template and
-// memoizes the verdict. Errors — including cancellation of a losing
-// speculative probe — are never cached. Neither the warm restore nor the
-// move cache in tmpl ever changes a verdict (restores are verdict-only and
-// the augment move cache is content-deterministic), so cached entries stay
-// valid across NoWarmStart settings and between session and cold solves.
-func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem) (cacheEntry, error) {
+// solves it under ctx with the search's shared nfold.Template and
+// memoizes the verdict. Errors — including cancellation — are never
+// cached. Neither the warm restore nor the move cache in tmpl ever changes
+// a verdict (restores are verdict-only and the augment move cache is
+// content-deterministic), so cached entries stay valid across NoWarmStart
+// settings and between session and cold solves.
+func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem) (cacheEntry, error) {
 	// Chaos hook: one injection point per feasibility probe. A delay here
-	// pushes a solve past its soft deadline; a panic exercises the search
-	// workers' recovery; an error must surface as a clean typed failure.
+	// pushes a solve past its soft deadline; a panic must leave the solve as
+	// a typed internal error; an error must surface as a clean typed failure.
 	if err := faultinject.Check("ptas.probe"); err != nil {
 		return cacheEntry{}, err
 	}
@@ -342,7 +339,7 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	var prob *nfold.Problem
 	if entry, ok := opts.Cache.lookup(key); ok {
 		if !entry.restored {
-			stats.cacheHits.Add(1)
+			stats.cacheHits++
 			sp.End(trace.A("t", t), trace.A("cache_hit", 1), trace.A("feasible", b2i(entry.feasible)))
 			return entry, nil
 		}
@@ -357,7 +354,7 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 		prob = build()
 		if verified, ok := entry.reverify(prob); ok {
 			opts.Cache.store(key, verified)
-			stats.cacheHits.Add(1)
+			stats.cacheHits++
 			sp.End(trace.A("t", t), trace.A("cache_hit", 1), trace.A("reverified", 1), trace.A("feasible", b2i(verified.feasible)))
 			return verified, nil
 		}
@@ -368,19 +365,19 @@ func solveGuessCached(pctx context.Context, opts Options, key cacheKey, t int64,
 	}
 	no := opts.nfoldOptions(tmpl)
 	no.Trace = sp
-	res, err := nfold.SolveCtx(pctx, prob, no)
+	res, err := nfold.SolveCtx(ctx, prob, no)
 	if err == nil {
 		// A probe canceled as its engine finished drops the verdict
 		// rather than derive params nobody will read.
-		err = pctx.Err()
+		err = ctx.Err()
 	}
 	if err != nil {
 		sp.End(trace.A("t", t), trace.A("err", 1))
 		return cacheEntry{}, err
 	}
-	stats.nodes.Add(int64(res.Nodes))
-	stats.pivots.Add(int64(res.Pivots))
-	stats.warmHits.Add(int64(res.WarmHits))
+	stats.nodes += int64(res.Nodes)
+	stats.pivots += int64(res.Pivots)
+	stats.warmHits += int64(res.WarmHits)
 	entry := cacheEntry{feasible: res.Status == nfold.Feasible, x: res.X, engine: res.Engine, ray: res.InfeasibleRay}
 	if entry.feasible {
 		entry.params = prob.Params()

@@ -56,12 +56,6 @@ type Options struct {
 	// scheme switches to the Theorem 11 compact treatment. Zero selects
 	// DefaultHugeMThreshold.
 	HugeMThreshold int64
-	// Parallelism is the number of concurrent speculative makespan-guess
-	// probes (see internal/ptas/search.go). Values ≤ 1 run the classic
-	// sequential binary search on the calling goroutine; larger values add
-	// speculation without changing the result — accepted guesses and
-	// schedules are bit-identical for any Parallelism.
-	Parallelism int
 	// Cache memoizes guess feasibility verdicts (keyed by scaled instance,
 	// guess, δ and engine budgets) across calls, so ε-refinement sweeps and
 	// repeated solves of identical workloads skip already-decided N-fold
@@ -77,9 +71,8 @@ type Options struct {
 	// Session carries warm state across the re-solves of a scheduling
 	// session: guess templates and the previous accepted guess (seeding the
 	// search window). All reuse is verdict-preserving, so results are
-	// bit-identical to a cold solve of the same instance; solves with a
-	// Session run the sequential guess search regardless of Parallelism.
-	// A SessionState must not be shared by concurrent solves.
+	// bit-identical to a cold solve of the same instance. A SessionState
+	// must not be shared by concurrent solves.
 	Session *SessionState
 	// Trace is the enclosing span of this solve's timeline (the zero Span
 	// disables tracing at one nil check per would-be span). The schemes
@@ -151,9 +144,7 @@ type Report struct {
 	CertHits int `json:"cert_hits,omitempty"`
 	// BBNodes, BBPivots and WarmHits aggregate the exact engine's
 	// branch-and-bound nodes, simplex pivots, and warm-restore prunes across
-	// every probe this search solved (cache hits add nothing). Under
-	// Parallelism > 1 the set of completed speculative probes varies run to
-	// run, so these are diagnostics rather than deterministic quantities.
+	// every probe this search solved (cache hits add nothing).
 	BBNodes  int64 `json:"bb_nodes,omitempty"`
 	BBPivots int64 `json:"bb_pivots,omitempty"`
 	WarmHits int64 `json:"warm_hits,omitempty"`

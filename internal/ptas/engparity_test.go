@@ -16,10 +16,8 @@ import (
 // 1, 2 and 8 workers. The twin is gone; this test pins the serial engines to
 // the values recorded on that matrix when the two were last compared, so a
 // change to the engines that moves any accepted guess, probe count,
-// makespan or branch-and-bound node total fails here. Runs use the
-// sequential guess search (Parallelism: 1) so the probe set — and hence
-// Report.BBNodes — is deterministic, and no cache, so no run can answer
-// another's probes.
+// makespan or branch-and-bound node total fails here. Runs use no cache,
+// so no run can answer another's probes.
 
 // engParity is the quadruple pinned per solve.
 type engParity struct {
@@ -183,7 +181,7 @@ func TestEngineParallelismParityAllFamilies(t *testing.T) {
 					// δ = 1/2 makes the exact engine branch (δ = 1 for the
 					// preemptive scheme, whose configuration set at 1/2 would
 					// dominate the suite).
-					opts := Options{Epsilon: 0.5, MaxNodes: 150, Parallelism: 1}
+					opts := Options{Epsilon: 0.5, MaxNodes: 150}
 					if variant == "preemptive" {
 						opts.Epsilon = 1.0
 					}

@@ -158,8 +158,7 @@ func TestSchemeExits(t *testing.T) {
 			}
 
 			// A panic is a bug, never a reason to degrade: it must leave the
-			// scheme, either as the speculative search's recovered error or
-			// as the panic itself.
+			// scheme as the panic itself.
 			if err := faultinject.Arm("ptas.probe", faultinject.Spec{Mode: faultinject.ModePanic, Msg: "exits"}); err != nil {
 				t.Fatal(err)
 			}
@@ -172,9 +171,7 @@ func TestSchemeExits(t *testing.T) {
 					}
 				}()
 				defer panicsafe.Recover(&err, "test")
-				par := row.opts
-				par.Parallelism = 2
-				_, err = row.v.solve(context.Background(), row.in, par)
+				_, err = row.v.solve(context.Background(), row.in, row.opts)
 			}()
 			faultinject.Reset()
 

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync/atomic"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"ccsched/internal/core"
 	"ccsched/internal/generator"
@@ -224,7 +225,7 @@ func TestGuessGrid(t *testing.T) {
 func TestSearchGuessesFindsBoundary(t *testing.T) {
 	grid := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	calls := 0
-	best, guess, _, err := searchGuesses(context.Background(), grid, 1, 0, trace.Span{}, func(_ context.Context, t int64) (int64, bool, error) {
+	best, guess, _, err := searchGuesses(grid, 0, trace.Span{}, func(t int64) (int64, bool, error) {
 		calls++
 		return t, t >= 5, nil
 	})
@@ -237,144 +238,101 @@ func TestSearchGuessesFindsBoundary(t *testing.T) {
 }
 
 func TestSearchGuessesAllReject(t *testing.T) {
-	if _, _, _, err := searchGuesses(context.Background(), []int64{1, 2}, 1, 0, trace.Span{}, func(context.Context, int64) (int, bool, error) {
+	if _, _, _, err := searchGuesses([]int64{1, 2}, 0, trace.Span{}, func(int64) (int, bool, error) {
 		return 0, false, nil
 	}); err == nil {
 		t.Error("want error when nothing accepts")
 	}
 }
 
-// TestSearchGuessesParallelIdentical proves the speculative parallel search
-// consumes the exact sequential probe sequence: accepted guess, payload and
-// probe count match the sequential walk for every parallelism, every
-// boundary position — and even for a non-monotone predicate, where the
-// outcome depends on the probe order.
-func TestSearchGuessesParallelIdentical(t *testing.T) {
-	grid := make([]int64, 23)
-	for i := range grid {
-		grid[i] = int64(i + 1)
-	}
-	predicates := map[string]func(int64) bool{
-		"monotone-low":  func(v int64) bool { return v >= 3 },
-		"monotone-mid":  func(v int64) bool { return v >= 12 },
-		"monotone-top":  func(v int64) bool { return v >= 23 },
-		"all-accept":    func(int64) bool { return true },
-		"non-monotone":  func(v int64) bool { return v >= 9 && v != 14 && v != 15 },
-		"non-monotone2": func(v int64) bool { return v%3 == 0 || v >= 20 },
-	}
-	for name, pred := range predicates {
-		probe := func(_ context.Context, v int64) (int64, bool, error) {
-			return v * 10, pred(v), nil
+// goroutineID returns the calling goroutine's id from its stack header
+// ("goroutine 7 [running]: ...").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestSearchGuessesRunsOnlyConsumedProbes pins the search's execution
+// contract on random grids: feasibleAt runs exactly once per consumed
+// verdict (tried), on the caller's goroutine, in plain binary-search order —
+// for monotone predicates and for almost-monotone ones, whose outcome
+// depends on that order — and a context canceled mid-search ends it at the
+// probe that saw the cancel, with no further probe run.
+func TestSearchGuessesRunsOnlyConsumedProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	caller := goroutineID()
+	for round := 0; round < 400; round++ {
+		n := 1 + rng.Intn(40)
+		grid := make([]int64, n)
+		for i := range grid {
+			grid[i] = int64(10 * (i + 1))
 		}
-		wantBest, wantGuess, wantTried, wantErr := searchGuesses(context.Background(), grid, 1, 0, trace.Span{}, probe)
-		for _, par := range []int{2, 3, 8, 64} {
-			best, guess, tried, err := searchGuesses(context.Background(), grid, par, 0, trace.Span{}, probe)
-			if (err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess || tried != wantTried {
-				t.Errorf("%s par=%d: got (%d,%d,%d,%v) want (%d,%d,%d,%v)",
-					name, par, best, guess, tried, err, wantBest, wantGuess, wantTried, wantErr)
+		// accept[i] is the verdict at grid[i]: a monotone boundary, and in
+		// odd rounds a few verdicts flipped.
+		boundary := rng.Intn(n + 1)
+		accept := make([]bool, n)
+		for i := range accept {
+			accept[i] = i >= boundary
+		}
+		if round%2 == 1 {
+			for f := rng.Intn(3); f >= 0; f-- {
+				i := rng.Intn(n)
+				accept[i] = !accept[i]
 			}
 		}
-	}
-}
-
-// TestSearchGuessesSpeculativeOverlap proves the parallel search actually
-// overlaps in-flight probes: with per-probe latency L and enough workers,
-// the walker's whole binary-search path runs concurrently, so wall-clock
-// stays near L instead of path-length × L. Latency-bound probes make the
-// test independent of the host's core count.
-func TestSearchGuessesSpeculativeOverlap(t *testing.T) {
-	grid := make([]int64, 15) // binary-search path length 4
-	for i := range grid {
-		grid[i] = int64(i + 1)
-	}
-	const latency = 100 * time.Millisecond
-	probe := func(pctx context.Context, v int64) (int64, bool, error) {
-		select {
-		case <-time.After(latency):
-		case <-pctx.Done():
-			return 0, false, pctx.Err()
+		// The reference walk: plain binary search over accept.
+		var wantOrder []int
+		wantBest := -1
+		for lo, hi := 0, n-1; lo <= hi; {
+			mid := (lo + hi) / 2
+			wantOrder = append(wantOrder, mid)
+			if accept[mid] {
+				wantBest, hi = mid, mid-1
+			} else {
+				lo = mid + 1
+			}
 		}
-		return v, v >= 11, nil
-	}
-	start := time.Now()
-	_, guess, tried, err := searchGuesses(context.Background(), grid, 16, 0, trace.Span{}, probe)
-	elapsed := time.Since(start)
-	if err != nil || guess != 11 {
-		t.Fatalf("guess %d err %v", guess, err)
-	}
-	if tried != 4 {
-		t.Fatalf("walker consumed %d probes, want 4", tried)
-	}
-	// Sequential cost is 4 × latency; full speculation needs ~1 × latency.
-	// Allow 2.5× for scheduling slop — still far below sequential.
-	if elapsed >= 4*latency {
-		t.Errorf("speculative search took %s, sequential-like for a 4-probe path", elapsed)
-	}
-	if elapsed > latency*5/2 {
-		t.Errorf("speculative search took %s, want ≈%s (overlapped path)", elapsed, latency)
-	}
-}
-
-// TestSearchGuessesParallelCancel proves a canceled context aborts the
-// parallel search with ctx.Err() instead of hanging on in-flight probes.
-func TestSearchGuessesParallelCancel(t *testing.T) {
-	grid := make([]int64, 31)
-	for i := range grid {
-		grid[i] = int64(i + 1)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, len(grid))
-	_, _, _, err := searchGuesses(ctx, grid, 4, 0, trace.Span{}, func(pctx context.Context, v int64) (int64, bool, error) {
-		started <- struct{}{}
+		// cancelAt ≥ 0 cancels the context inside that probe (in
+		// consumption order), which then returns the context error.
+		cancelAt := -1
+		if round%4 == 3 {
+			cancelAt = rng.Intn(len(wantOrder))
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var order []int
+		payload, guess, tried, err := searchGuesses(grid, 0, trace.Span{}, func(v int64) (int64, bool, error) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("round %d: probe ran on goroutine %s, caller is %s", round, id, caller)
+			}
+			if len(order) == cancelAt {
+				cancel()
+			}
+			order = append(order, int(v/10)-1)
+			if err := ctx.Err(); err != nil {
+				return 0, false, err
+			}
+			return v * 3, accept[int(v/10)-1], nil
+		})
 		cancel()
-		<-pctx.Done()
-		return 0, false, pctx.Err()
-	})
-	if err == nil {
-		t.Fatal("want a context error after cancel")
-	}
-	if ctx.Err() == nil {
-		t.Fatal("outer context should be canceled")
-	}
-}
-
-// TestSearchGuessesWaitsForProbes proves searchGuesses returns only after
-// every speculative probe has: at Parallelism 4 the walk ends while other
-// workers' probes are in flight, and each of those needs a few milliseconds
-// to notice its cancellation. No feasibleAt call may still be running once
-// the search returns, whether it succeeded or its context was canceled.
-func TestSearchGuessesWaitsForProbes(t *testing.T) {
-	grid := make([]int64, 31)
-	for i := range grid {
-		grid[i] = int64(i + 1)
-	}
-	var running atomic.Int64
-	probe := func(pctx context.Context, v int64) (int64, bool, error) {
-		running.Add(1)
-		defer running.Add(-1)
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-pctx.Done():
-			time.Sleep(5 * time.Millisecond) // a slow reaction to cancel
-			return 0, false, pctx.Err()
+		name := fmt.Sprintf("round %d (n=%d, accept=%v, cancelAt=%d)", round, n, accept, cancelAt)
+		if tried != len(order) {
+			t.Fatalf("%s: feasibleAt ran %d times, tried reports %d", name, len(order), tried)
 		}
-		return v, v >= 20, nil
-	}
-	for round := 0; round < 10; round++ {
-		if _, guess, _, err := searchGuesses(context.Background(), grid, 4, 0, trace.Span{}, probe); err != nil || guess != 20 {
-			t.Fatalf("round %d: guess %d err %v", round, guess, err)
+		if cancelAt >= 0 {
+			if !errors.Is(err, context.Canceled) || fmt.Sprint(order) != fmt.Sprint(wantOrder[:cancelAt+1]) {
+				t.Fatalf("%s: canceled search ran %v and returned %v; want %v and context.Canceled",
+					name, order, err, wantOrder[:cancelAt+1])
+			}
+			continue
 		}
-		if n := running.Load(); n != 0 {
-			t.Fatalf("round %d: %d probes still running after searchGuesses returned", round, n)
+		if fmt.Sprint(order) != fmt.Sprint(wantOrder) {
+			t.Fatalf("%s: probe order %v, want binary-search order %v", name, order, wantOrder)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 7*time.Millisecond)
-		_, _, _, err := searchGuesses(ctx, grid, 4, 0, trace.Span{}, probe)
-		cancel()
-		if err == nil {
-			t.Fatalf("round %d: want a context error", round)
-		}
-		if n := running.Load(); n != 0 {
-			t.Fatalf("round %d: %d probes still running after a canceled search returned", round, n)
+		switch {
+		case wantBest < 0 && err == nil:
+			t.Fatalf("%s: accepted %d with no accepting probe", name, guess)
+		case wantBest >= 0 && (err != nil || guess != grid[wantBest] || payload != 3*grid[wantBest]):
+			t.Fatalf("%s: got (%d, %d, %v), want guess %d", name, payload, guess, err, grid[wantBest])
 		}
 	}
 }
@@ -401,7 +359,7 @@ func TestSearchGuessesSeedWindow(t *testing.T) {
 				// search runs the seeded search with the probe at index fail
 				// (if any) returning errProbe.
 				search := func(seed int64, fail int) (best int64, guess int64, calls int, failed bool, err error) {
-					best, guess, _, err = searchGuesses(context.Background(), grid, 1, seed, trace.Span{}, func(_ context.Context, v int64) (int64, bool, error) {
+					best, guess, _, err = searchGuesses(grid, seed, trace.Span{}, func(v int64) (int64, bool, error) {
 						calls++
 						i := int(v/10) - 1
 						if i == fail {

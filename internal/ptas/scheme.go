@@ -69,8 +69,9 @@ type accepted[S any] struct {
 // guess, and returns the better of the scheme's schedule and the
 // constant-factor one — or the constant-factor one alone when no guess is
 // accepted within budget. Cancelling ctx stops in-flight N-fold solves at
-// their next iteration boundary and returns ctx.Err(); a recovered engine
-// panic is returned, never masked by the fallback. bound is the caller's
+// their next iteration boundary and returns ctx.Err(); an engine panic
+// unwinds through the driver, never masked by the fallback (Solve turns it
+// into ErrInternal). bound is the caller's
 // core.LowerBoundR(in, sc.variant), computed once per solve.
 func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S], bound rat.R) (S, Report, error) {
 	var none S
@@ -121,7 +122,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 		seed := opts.Session.seedFor(sc.tag, g, scale)
 		ssp := opts.Trace.Child("guess_search")
 		opts.Trace = ssp // probes hang their spans off the search span
-		probe := func(pctx context.Context, t int64) (accepted[S], bool, error) {
+		probe := func(t int64) (accepted[S], bool, error) {
 			gc, err := tm.instantiate(t)
 			if err == errGuessTooSmall {
 				return accepted[S]{}, false, nil
@@ -129,18 +130,17 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 			if err != nil {
 				return accepted[S]{}, false, err
 			}
-			// The search waits for every canceled speculative probe, so
-			// each unpolled step (digest, build, schedule) a canceled
-			// probe skips is time Solve does not spend waiting.
-			if err := pctx.Err(); err != nil {
+			// A canceled solve stops at each unpolled step (digest, build,
+			// schedule) instead of finishing the probe.
+			if err := ctx.Err(); err != nil {
 				return accepted[S]{}, false, err
 			}
 			key := probeCacheKey(sc.tag, gc.digest(), g, opts)
-			entry, err := solveGuessCached(pctx, opts, key, t, &stats, tm.engines(), gc.buildNFold)
+			entry, err := solveGuessCached(ctx, opts, key, t, &stats, tm.engines(), gc.buildNFold)
 			if err != nil || !entry.feasible {
 				return accepted[S]{}, false, err
 			}
-			if err := pctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return accepted[S]{}, false, err
 			}
 			sched, err := gc.constructSchedule(entry.x)
@@ -152,18 +152,16 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 				TheoreticalCostLog2: entry.params.CostLog2(),
 			}}, true, nil
 		}
-		// A session searches sequentially (its template is retargeted
-		// between searches, which speculative stragglers could race) and
-		// traces its seed_window/binary_search path.
-		par, sp := opts.Parallelism, trace.Span{}
+		// Only a session traces its seed_window/binary_search walk; a
+		// one-shot solve's probes stay the search span's only children.
+		sp := trace.Span{}
 		if opts.Session != nil {
-			par, sp = 1, ssp
+			sp = ssp
 		}
-		best, guess, tried, err = searchGuesses(ctx, grid, par, seed, sp, probe)
+		best, guess, tried, err = searchGuesses(grid, seed, sp, probe)
 		ssp.End(
 			trace.A("guesses", int64(tried)), trace.A("guess", guess),
-			trace.A("grid", int64(len(grid))), trace.A("parallelism", int64(opts.Parallelism)),
-			trace.A("seeded", b2i(opts.Session != nil)),
+			trace.A("grid", int64(len(grid))), trace.A("seeded", b2i(opts.Session != nil)),
 		)
 		if err == nil {
 			opts.Session.noteSearch(sc.tag, g, guess, scale)
@@ -172,9 +170,6 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	if err != nil {
 		if ctx.Err() != nil {
 			return none, Report{}, ctx.Err()
-		}
-		if recoveredPanic(err) {
-			return none, Report{}, err
 		}
 		// Degrade gracefully: the constant-factor schedule is always
 		// available when every guess is rejected within budget or the

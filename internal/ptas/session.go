@@ -32,11 +32,7 @@ import (
 // The end-to-end guarantee is proven by the session differential tests.
 //
 // A SessionState is NOT safe for concurrent use: it belongs to exactly one
-// session, whose re-solves are serialized by the owner. Solves carrying a
-// SessionState therefore run the sequential guess search regardless of
-// Options.Parallelism (a re-solve probes a handful of guesses; speculation
-// has nothing to overlap, and a speculative straggler could otherwise race
-// a later retarget).
+// session, whose re-solves are serialized by the owner.
 type SessionState struct {
 	split *splitTemplate
 	pre   *preTemplate
@@ -127,7 +123,7 @@ func preTemplateFor(st *SessionState, in *core.Instance, g int64, limit int) (*p
 // retarget points a carried splittable template at a mutated instance: the
 // enumerations and shared blocks depend only on (g, slots, limit) and stay;
 // the class loads and the brick order are re-derived. Only safe between
-// searches (sessions run sequential searches, so no probe is in flight).
+// searches (a search runs its probes on the caller, so none is in flight).
 func (tm *splitTemplate) retarget(in *core.Instance) {
 	tm.in = in
 	tm.loads = in.ClassLoads()

@@ -1,8 +1,6 @@
 package ptas
 
 import (
-	"sync"
-
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
 )
@@ -26,9 +24,9 @@ import (
 // preemptive schemes, whose block values do not depend on the guess) across
 // guesses — so the move cache in the embedded nfold.Template enumerates
 // each distinct brick shape exactly once per search. All template state is
-// immutable after construction except the sync.Map block caches, so the
-// speculative parallel search shares one template across workers without
-// cloning or locking.
+// immutable after construction except the block caches, which fill on
+// first use; a template serves one search (or one session's serialized
+// searches) at a time, so the caches need no lock.
 
 // splitTemplate is the guess-independent part of the splittable scheme's
 // construction (Section 4.1): the module/configuration enumeration and the
@@ -53,13 +51,13 @@ type splitTemplate struct {
 	sharedB   [][]int64
 	zeroRow   []int64
 	smallLRHS []int64
-	smallA    sync.Map // pUnits int64 -> [][]int64
+	smallA    map[int64][][]int64 // by pUnits
 	nf        *nfold.Template
 }
 
 // newSplitTemplate enumerates the guess-independent structures once.
 func newSplitTemplate(in *core.Instance, g int64, limit int) (*splitTemplate, error) {
-	tm := &splitTemplate{in: in, g: g, limit: limit, nf: nfold.NewTemplate()}
+	tm := &splitTemplate{in: in, g: g, limit: limit, smallA: make(map[int64][][]int64), nf: nfold.NewTemplate()}
 	tm.loads = in.ClassLoads()
 	for u, pu := range tm.loads {
 		if pu > 0 {
@@ -163,8 +161,8 @@ func (tm *splitTemplate) buildSharedBlocks() {
 // recur across classes and guesses), so the move-set cache sees one block
 // per distinct load.
 func (tm *splitTemplate) smallABlock(pu int64) [][]int64 {
-	if v, ok := tm.smallA.Load(pu); ok {
-		return v.([][]int64)
+	if a, ok := tm.smallA[pu]; ok {
+		return a
 	}
 	nM, nK, nHB := len(tm.modules), len(tm.configs), len(tm.hbPairs)
 	zOff := nK + nM
@@ -176,8 +174,8 @@ func (tm *splitTemplate) smallABlock(pu int64) [][]int64 {
 		row[zOff+hi] = pu
 		a[ri] = row
 	}
-	actual, _ := tm.smallA.LoadOrStore(pu, a)
-	return actual.([][]int64)
+	tm.smallA[pu] = a
+	return a
 }
 
 // npTemplate is the guess-independent part of the non-preemptive scheme.
@@ -225,8 +223,8 @@ type preTemplate struct {
 	configs   []preConfig
 	hbPairs   []hbPair
 	hbIndex   map[hbKey]int
-	blocks    sync.Map // nP int -> *preBlocks
-	smallA    sync.Map // [2]int64{nP, smallUnits} -> [][]int64
+	blocks    map[int]*preBlocks     // by nP
+	smallA    map[[2]int64][][]int64 // by {nP, smallUnits}
 	nf        *nfold.Template
 }
 
@@ -244,8 +242,8 @@ type preBlocks struct {
 // (4)–(6) of B reference sizes only by index, never by value, so the block
 // contents are a pure function of (template, nP).
 func (tm *preTemplate) blocksFor(nP int) *preBlocks {
-	if v, ok := tm.blocks.Load(nP); ok {
-		return v.(*preBlocks)
+	if b, ok := tm.blocks[nP]; ok {
+		return b
 	}
 	nM, nK, nHB, nL := len(tm.modules), len(tm.configs), len(tm.hbPairs), tm.layers
 	tWidth := nK + nM + 3*nHB + nP*nL
@@ -315,8 +313,8 @@ func (tm *preTemplate) blocksFor(nP int) *preBlocks {
 	b.zeroRow = make([]int64, tWidth)
 	b.smallLRHS = make([]int64, s)
 	b.smallLRHS[nP+nL] = 1
-	actual, _ := tm.blocks.LoadOrStore(nP, b)
-	return actual.(*preBlocks)
+	tm.blocks[nP] = b
+	return b
 }
 
 // smallABlock returns the A block of a small class with rounded load units:
@@ -325,8 +323,8 @@ func (tm *preTemplate) blocksFor(nP int) *preBlocks {
 // so recurring loads share blocks across classes and guesses.
 func (tm *preTemplate) smallABlock(nP int, units int64) [][]int64 {
 	ck := [2]int64{int64(nP), units}
-	if v, ok := tm.smallA.Load(ck); ok {
-		return v.([][]int64)
+	if a, ok := tm.smallA[ck]; ok {
+		return a
 	}
 	bl := tm.blocksFor(nP)
 	nM, nK, nHB := len(tm.modules), len(tm.configs), len(tm.hbPairs)
@@ -339,12 +337,15 @@ func (tm *preTemplate) smallABlock(nP int, units int64) [][]int64 {
 		row[zOff+hi] = units
 		a[ri] = row
 	}
-	actual, _ := tm.smallA.LoadOrStore(ck, a)
-	return actual.([][]int64)
+	tm.smallA[ck] = a
+	return a
 }
 
 func newPreTemplate(in *core.Instance, g int64, limit int) (*preTemplate, error) {
-	tm := &preTemplate{in: in, g: g, limit: limit, byClass: in.ClassJobs(), nf: nfold.NewTemplate()}
+	tm := &preTemplate{
+		in: in, g: g, limit: limit, byClass: in.ClassJobs(), nf: nfold.NewTemplate(),
+		blocks: make(map[int]*preBlocks), smallA: make(map[[2]int64][][]int64),
+	}
 	c := int64(in.Slots)
 	tm.tBarUnits = (g*g + 3*g + 2) * c
 	tm.layers = int(g*g + 3*g + 2) // tBarUnits / c

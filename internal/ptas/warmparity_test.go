@@ -16,10 +16,7 @@ import (
 // accept the same guess after the same number of probes and emit a schedule
 // with the same makespan as a cold search — bit-identically, on every
 // generator family, at a δ fine enough that the exact engine's branch and
-// bound actually branches (and the warm restore actually prunes). The test
-// runs with Parallelism > 1 so `go test -race` also exercises the shared
-// template paths (block sharing across bricks and guesses, and the move
-// cache) under concurrency.
+// bound actually branches (and the warm restore actually prunes).
 
 // paritySummary is the triple that must match bit-identically.
 type paritySummary struct {
@@ -79,7 +76,7 @@ func TestWarmStartParityAllFamilies(t *testing.T) {
 					// at δ = 1: its interval-configuration set at δ = 1/2 is
 					// orders of magnitude larger and would dominate the whole
 					// suite without adding warm-path coverage.
-					opts := Options{Epsilon: 0.5, MaxNodes: 150, Parallelism: 3}
+					opts := Options{Epsilon: 0.5, MaxNodes: 150}
 					if variant == "preemptive" {
 						opts.Epsilon = 1.0
 					}

@@ -106,8 +106,8 @@ func sortedJobs(in *ccsched.Instance) []int {
 type key [sha256.Size]byte
 
 // requestKey digests the canonical instance together with the
-// result-affecting options. Parallelism and caching knobs are excluded —
-// Solve guarantees bit-identical results for any setting of either — and
+// result-affecting options. Caching knobs are excluded — Solve guarantees
+// bit-identical results for any setting of them — and
 // TierAuto resolves to TierPTAS (and ε to its 0.5 default) so equivalent
 // requests share one entry.
 func requestKey(canon *ccsched.Instance, opts ccsched.Options) key {

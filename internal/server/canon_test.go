@@ -192,13 +192,12 @@ func TestCanonicalizeMatchesOracle(t *testing.T) {
 }
 
 // TestRequestKeyOptionSensitivity checks result-affecting options split the
-// key space while result-neutral knobs (parallelism, caching, TierAuto
-// aliasing, the ε default) do not.
+// key space while result-neutral knobs (caching, TierAuto aliasing, the ε
+// default) do not.
 func TestRequestKeyOptionSensitivity(t *testing.T) {
 	in := canonicalize(genInstance(t, "uniform", 20, 4, 3, 2, 1)).in
 	base := requestKey(in, ccsched.Options{Variant: ccsched.Splittable, Tier: ccsched.TierPTAS})
 	same := []ccsched.Options{
-		{Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Parallelism: 8},
 		{Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, NoCache: true},
 		{Variant: ccsched.Splittable, Tier: ccsched.TierAuto},
 		{Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Epsilon: 0.5},

@@ -117,25 +117,23 @@ func TestAdmissionBounds(t *testing.T) {
 }
 
 // TestSanitizeOptionsClampsResourceKnobs pins the admission-side clamp on
-// wire-settable resource knobs: a hostile parallelism or machine-
-// materialization request must not reach the solver unbounded, and the
+// wire-settable resource knobs: a hostile machine-materialization request
+// must not reach the solver unbounded, and the
 // clamp must happen before the request key so sanitized duplicates share a
 // solve.
 func TestSanitizeOptionsClampsResourceKnobs(t *testing.T) {
 	hostile := ccsched.Options{
 		Variant:              ccsched.Splittable,
 		Tier:                 ccsched.TierPTAS,
-		Parallelism:          1 << 30,
 		ExplicitMachineLimit: 1 << 40,
 		HugeMThreshold:       1 << 40,
 	}
 	got := sanitizeOptions(hostile, false)
-	if got.Parallelism == hostile.Parallelism || got.ExplicitMachineLimit != 1<<20 || got.HugeMThreshold != 1<<20 {
+	if got.ExplicitMachineLimit != 1<<20 || got.HugeMThreshold != 1<<20 {
 		t.Fatalf("sanitize left resource knobs unbounded: %+v", got)
 	}
 	in := canonicalize(genInstance(t, "uniform", 12, 3, 2, 2, 3)).in
 	tame := hostile
-	tame.Parallelism = got.Parallelism
 	tame.ExplicitMachineLimit, tame.HugeMThreshold = 1<<20, 1<<20
 	if requestKey(in, sanitizeOptions(hostile, false)) != requestKey(in, tame) {
 		t.Fatal("sanitized hostile options do not share the tame request key")

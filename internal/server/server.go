@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -390,20 +389,15 @@ type submission struct {
 }
 
 // sanitizeOptions clamps the wire-settable Options fields that control
-// resource consumption rather than results. Parallelism bounds goroutines
-// per solve (an unchecked huge value would fork that many speculative-probe
-// workers); ExplicitMachineLimit and HugeMThreshold bound how many machines
-// a schedule materializes explicitly. Clamping happens before the request
+// resource consumption rather than results: ExplicitMachineLimit and
+// HugeMThreshold bound how many machines a schedule materializes
+// explicitly. Clamping happens before the request
 // key is computed, so equally-sanitized requests share one solve.
 // forceTrace (the trace ring's doing) turns tracing on regardless of the
 // request — responses still strip the trace unless the client asked for it.
 func sanitizeOptions(opts ccsched.Options, forceTrace bool) ccsched.Options {
 	if forceTrace {
 		opts.Trace = true
-	}
-	maxPar := runtime.GOMAXPROCS(0)
-	if opts.Parallelism > maxPar {
-		opts.Parallelism = maxPar
 	}
 	const maxExplicitMachines = 1 << 20
 	if opts.ExplicitMachineLimit > maxExplicitMachines {

@@ -221,14 +221,14 @@ func TestResultCacheHit(t *testing.T) {
 	if m := s.Metrics(); m.ResultCacheHitsTotal != 1 {
 		t.Fatalf("result cache hits %d, want 1", m.ResultCacheHitsTotal)
 	}
-	// Bodies carrying the removed engine_parallelism and no_warm_start
-	// options still decode (unknown fields are ignored) and answer from the
-	// same cache entry.
+	// Bodies carrying the removed engine_parallelism, no_warm_start and
+	// parallelism options still decode (unknown fields are ignored) and
+	// answer from the same cache entry.
 	body, err := json.Marshal(server.SolveRequest{Instance: in, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, field := range []string{`"engine_parallelism":2`, `"no_warm_start":true`} {
+	for i, field := range []string{`"engine_parallelism":2`, `"no_warm_start":true`, `"parallelism":2`} {
 		legacy := bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{`+field+`,`), 1)
 		if bytes.Equal(legacy, body) {
 			t.Fatalf("request body has no options object: %s", body)

@@ -19,14 +19,13 @@ import (
 // tiers as names, knobs as numbers, and the process-local Cache excluded.
 func TestOptionsJSONRoundTrip(t *testing.T) {
 	opts := ccsched.Options{
-		Variant:     ccsched.NonPreemptive,
-		Tier:        ccsched.TierPTAS,
-		Epsilon:     0.25,
-		Parallelism: 3,
-		Cache:       ccsched.NewFeasibilityCache(),
-		NoCache:     false,
-		MaxNodes:    500,
-		MaxConfigs:  9000,
+		Variant:    ccsched.NonPreemptive,
+		Tier:       ccsched.TierPTAS,
+		Epsilon:    0.25,
+		Cache:      ccsched.NewFeasibilityCache(),
+		NoCache:    false,
+		MaxNodes:   500,
+		MaxConfigs: 9000,
 	}
 	data, err := json.Marshal(opts)
 	if err != nil {

@@ -49,7 +49,7 @@ func churnBase(b *testing.B) *Instance {
 	return in
 }
 
-var churnOpts = Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 1, Parallelism: 1}
+var churnOpts = Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 1}
 
 // resizeRound applies round i of the resize-churn workload to p (the
 // current processing times, mutated in place): 5% of jobs re-estimate by up

@@ -4,9 +4,8 @@ package ccsched
 // return a makespan bit-identical to a cold Solve of the mutated instance.
 // Random delta streams (resizes, removals, arrivals, machine changes) run
 // against every generator family; the cold reference solves with an
-// isolated fresh cache and no session state, under Parallelism=3 so the
-// speculative search is exercised on the reference side while the session
-// side runs its seeded sequential search — the two must agree exactly.
+// isolated fresh cache and no session state while the session side runs
+// its seeded search — the two must agree exactly.
 
 import (
 	"context"
@@ -102,7 +101,7 @@ func TestSessionDeltaParityAllFamilies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 1, Parallelism: 3}
+				opts := Options{Variant: Splittable, Tier: TierPTAS, Epsilon: 1}
 				sessionParityCase(t, in, opts, 5, seed, 200, 6)
 			})
 		}
@@ -119,10 +118,10 @@ func TestSessionDeltaParityVariants(t *testing.T) {
 	}{
 		{Preemptive,
 			GeneratorConfig{N: 8, Classes: 2, Machines: 2, Slots: 1, PMax: 30, Seed: 7},
-			Options{Variant: Preemptive, Tier: TierPTAS, Epsilon: 1, MaxNodes: 120, Parallelism: 3}},
+			Options{Variant: Preemptive, Tier: TierPTAS, Epsilon: 1, MaxNodes: 120}},
 		{NonPreemptive,
 			GeneratorConfig{N: 10, Classes: 3, Machines: 3, Slots: 2, PMax: 40, Seed: 7},
-			Options{Variant: NonPreemptive, Tier: TierPTAS, Epsilon: 1, Parallelism: 3}},
+			Options{Variant: NonPreemptive, Tier: TierPTAS, Epsilon: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.variant.String(), func(t *testing.T) {

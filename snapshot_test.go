@@ -114,10 +114,10 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	requireColdParity(t, restored)
 
 	// Snapshots written by older versions carry sections this one no longer
-	// reads: an engine_parallelism option, and a "seeds" section whose seeds
-	// also carry a Farkas "ray" and a root-basis "root". Such a snapshot
-	// must still restore and re-solve to the makespan of a fresh session on
-	// the same instance.
+	// reads: engine_parallelism and parallelism options, and a "seeds"
+	// section whose seeds also carry a Farkas "ray" and a root-basis "root".
+	// Such a snapshot must still restore and re-solve to the makespan of a
+	// fresh session on the same instance.
 	fresh, err := NewSession(sess.Instance(), sess.Options())
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, splice := range []struct{ at, with string }{
-		{`"options":{`, `"options":{"engine_parallelism":4,`},
+		{`"options":{`, `"options":{"engine_parallelism":4,"parallelism":2,`},
 		{`"state":{`, `"state":{"seeds":[{"tag":0,"guess":40,"scale":1,"ray":[4607182418800017408,0],` +
 			`"root":{"cols":[1],"status":[0,3],"art_sign":[1],"m":1,"ncols":2}}],`},
 	} {

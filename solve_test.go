@@ -53,13 +53,12 @@ func variantCases(t *testing.T, seed int64) []variantCase {
 
 // TestSolveParityWithWrappers proves the unified Solve facade returns the
 // same makespans as the ptas and approx solvers it dispatches to, and that
-// the parallel speculative guess search and the feasibility cache leave
-// results bit-identical to the sequential, uncached path.
+// the feasibility cache leaves results bit-identical to the uncached path.
 func TestSolveParityWithWrappers(t *testing.T) {
 	for _, tc := range variantCases(t, 11) {
 		seq, err := ccsched.Solve(context.Background(), tc.in, ccsched.Options{
 			Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes,
-			Parallelism: 1, NoCache: true,
+			NoCache: true,
 		})
 		if err != nil {
 			t.Fatalf("variant %v sequential: %v", tc.variant, err)
@@ -68,13 +67,13 @@ func TestSolveParityWithWrappers(t *testing.T) {
 			t.Errorf("variant %v: makespan %s below certified lower bound %s",
 				tc.variant, seq.Makespan.RatString(), seq.LowerBound.RatString())
 		}
-		// Parallel speculative search, fresh cache, and warm cache must all
-		// reproduce the sequential result exactly.
+		// A repeat uncached solve, a fresh cache and a warm cache must all
+		// reproduce the first result exactly.
 		cache := ccsched.NewFeasibilityCache()
 		for _, opts := range []ccsched.Options{
-			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, Parallelism: 4, NoCache: true},
-			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, Parallelism: 4, Cache: cache},
-			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, Parallelism: 1, Cache: cache},
+			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, NoCache: true},
+			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, Cache: cache},
+			{Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes, Cache: cache},
 		} {
 			got, err := ccsched.Solve(context.Background(), tc.in, opts)
 			if err != nil {
@@ -92,7 +91,7 @@ func TestSolveParityWithWrappers(t *testing.T) {
 		// The third run above re-walked a fully warmed cache.
 		warm, err := ccsched.Solve(context.Background(), tc.in, ccsched.Options{
 			Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes,
-			Parallelism: 1, Cache: cache,
+			Cache: cache,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +108,7 @@ func TestSolveParityWithWrappers(t *testing.T) {
 		t.Fatal(err)
 	}
 	uni, err := ccsched.Solve(context.Background(), in, ccsched.Options{
-		Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: 300, Parallelism: 1, NoCache: true,
+		Variant: ccsched.Splittable, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: 300, NoCache: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +126,38 @@ func TestSolveParityWithWrappers(t *testing.T) {
 	}
 	if apxRes.Makespan().Cmp(apxUni.Makespan) != 0 {
 		t.Errorf("approx.SolveSplittable %s != Solve/TierApprox %s", apxRes.Makespan().RatString(), apxUni.Makespan.RatString())
+	}
+}
+
+// TestReportCountersDeterministic pins that a search counts only the probes
+// it consumed: two solves of one instance, each over a fresh cache, report
+// identical probe, cache-hit, branch-and-bound node, pivot and warm-hit
+// counts.
+func TestReportCountersDeterministic(t *testing.T) {
+	var nodes int64
+	for _, seed := range []int64{11, 12} {
+		for _, tc := range variantCases(t, seed) {
+			var reps [2]ccsched.PTASReport
+			for i := range reps {
+				res, err := ccsched.Solve(context.Background(), tc.in, ccsched.Options{
+					Variant: tc.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: tc.maxNodes,
+					Cache: ccsched.NewFeasibilityCache(),
+				})
+				if err != nil {
+					t.Fatalf("variant %v seed %d: %v", tc.variant, seed, err)
+				}
+				reps[i] = res.Report
+			}
+			a, b := reps[0], reps[1]
+			if a.Guesses != b.Guesses || a.CacheHits != b.CacheHits || a.BBNodes != b.BBNodes ||
+				a.BBPivots != b.BBPivots || a.WarmHits != b.WarmHits {
+				t.Errorf("variant %v seed %d: counters differ between identical solves:\n%+v\n%+v", tc.variant, seed, a, b)
+			}
+			nodes += a.BBNodes
+		}
+	}
+	if nodes == 0 {
+		t.Fatal("no solve explored a branch-and-bound node; the counters went unchecked")
 	}
 }
 
@@ -215,29 +246,25 @@ func cancelInstance(t *testing.T) *ccsched.Instance {
 
 // TestSolveCancellation proves Solve honors context cancellation promptly —
 // within one N-fold iteration boundary, not after the full multi-second
-// solve — for each variant, sequentially and with parallel probes.
+// solve — for each variant.
 func TestSolveCancellation(t *testing.T) {
 	in := cancelInstance(t)
 	for _, variant := range []ccsched.Variant{ccsched.Splittable, ccsched.Preemptive, ccsched.NonPreemptive} {
-		for _, par := range []int{1, 4} {
-			ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
-			start := time.Now()
-			_, err := ccsched.Solve(ctx, in, ccsched.Options{
-				Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 0.5,
-				Parallelism: par, NoCache: true,
-			})
-			elapsed := time.Since(start)
-			cancel()
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("variant %v par=%d: err %v, want DeadlineExceeded", variant, par, err)
-			}
-			// Generous bound for slow CI and the race detector's overhead:
-			// the solve runs tens of seconds uncancelled, so returning this
-			// fast proves promptness.
-			if elapsed > 10*time.Second {
-				t.Errorf("variant %v par=%d: returned after %s, cancellation not prompt",
-					variant, par, elapsed)
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		start := time.Now()
+		_, err := ccsched.Solve(ctx, in, ccsched.Options{
+			Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, NoCache: true,
+		})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("variant %v: err %v, want DeadlineExceeded", variant, err)
+		}
+		// Generous bound for slow CI and the race detector's overhead:
+		// the solve runs tens of seconds uncancelled, so returning this
+		// fast proves promptness.
+		if elapsed > 10*time.Second {
+			t.Errorf("variant %v: returned after %s, cancellation not prompt", variant, elapsed)
 		}
 	}
 }
@@ -279,8 +306,8 @@ func TestSolvePreCanceledContext(t *testing.T) {
 
 // TestSolveConcurrentSharedCache hammers one FeasibilityCache from
 // concurrent Solve calls across variants and workloads. Run under the race
-// detector (the CI docs job does) it proves the cache and the speculative
-// search are data-race free; in any mode it checks cross-call result
+// detector (the CI race job does) it proves concurrent solves sharing the
+// cache are data-race free; in any mode it checks cross-call result
 // consistency against an uncached reference.
 func TestSolveConcurrentSharedCache(t *testing.T) {
 	cache := ccsched.NewFeasibilityCache()
@@ -317,7 +344,7 @@ func TestSolveConcurrentSharedCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref, err := ccsched.Solve(context.Background(), in, ccsched.Options{
-			Variant: j.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: maxNodes, Parallelism: 1, NoCache: true,
+			Variant: j.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: maxNodes, NoCache: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -337,7 +364,7 @@ func TestSolveConcurrentSharedCache(t *testing.T) {
 					return
 				}
 				res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
-					Variant: j.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: maxNodes, Parallelism: 2, Cache: cache,
+					Variant: j.variant, Tier: ccsched.TierPTAS, Epsilon: 0.5, MaxNodes: maxNodes, Cache: cache,
 				})
 				if err != nil {
 					errs <- err
@@ -363,8 +390,8 @@ func TestSolveConcurrentSharedCache(t *testing.T) {
 // ε=1 draws of the ptas-coarse deck that used to hit its 2 s deadline: the
 // first guess probe spent the whole 4000-node default cap and a second
 // guess was accepted, 4001 nodes in 3–10 s on a 2-CPU host. Solved over
-// brick types, the first probe decides at its root. Node and probe counts are deterministic at
-// Parallelism 1 without a cache, so no wall time is asserted.
+// brick types, the first probe decides at its root. Node and probe counts are deterministic
+// without a cache, so no wall time is asserted.
 func TestDeadlineSeedsDecideInOneProbe(t *testing.T) {
 	for _, seed := range []int64{3404454616782090989, 2111392068471983631, 1627829365734183404} {
 		in, err := ccsched.Generate("uniform", ccsched.GeneratorConfig{
@@ -375,7 +402,7 @@ func TestDeadlineSeedsDecideInOneProbe(t *testing.T) {
 		}
 		res, err := ccsched.Solve(context.Background(), in, ccsched.Options{
 			Variant: ccsched.NonPreemptive, Tier: ccsched.TierPTAS, Epsilon: 1,
-			Parallelism: 1, NoCache: true,
+			NoCache: true,
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -100,7 +100,7 @@ func TestTraceParityAllFamilies(t *testing.T) {
 					// runs this whole matrix.
 					opts := ccsched.Options{
 						Variant: variant, Tier: ccsched.TierPTAS, Epsilon: 1,
-						MaxNodes: vc.maxNodes, Parallelism: 1, NoCache: true,
+						MaxNodes: vc.maxNodes, NoCache: true,
 					}
 					if engPar > 1 {
 						opts = legacyOptions(t, opts, engPar)
@@ -138,7 +138,7 @@ func TestTraceParityAllFamilies(t *testing.T) {
 // perfbench folds into its ptas.*_self_ms rows: template_build and
 // guess_search are sibling children of the root solve span, every probe is a
 // child of guess_search, and guess_search carries exactly the guesses,
-// guess, grid, parallelism and seeded attributes.
+// guess, grid and seeded attributes.
 func checkSchemeSpans(t *testing.T, tr *ccsched.SolveTrace) {
 	t.Helper()
 	search := -1
@@ -162,8 +162,8 @@ func checkSchemeSpans(t *testing.T, tr *ccsched.SolveTrace) {
 			for _, a := range sp.Attrs {
 				keys = append(keys, a.Key)
 			}
-			if got := fmt.Sprint(keys); got != "[guesses guess grid parallelism seeded]" {
-				t.Errorf("guess_search attributes %s, want [guesses guess grid parallelism seeded]", got)
+			if got := fmt.Sprint(keys); got != "[guesses guess grid seeded]" {
+				t.Errorf("guess_search attributes %s, want [guesses guess grid seeded]", got)
 			}
 		case "probe":
 			if search < 0 || sp.Parent != search {
