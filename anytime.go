@@ -14,12 +14,12 @@ import (
 // polynomial 2-approx (7/3 non-preemptive) with its certified LowerBound,
 // so the caller holds a bounded answer in milliseconds. Refinement is
 // explicit: a Ladder steps through PTAS rungs at ε = 1, ½, ¼, … down to
-// Options.Epsilon, reusing the session's warm-start templates and
-// feasibility cache between rungs, and installs each improvement as the
-// session's current result atomically. The terminal rung runs the PTAS at
-// exactly Options.Epsilon, so its makespan is bit-identical to a cold
-// TierPTAS solve of the same instance (warm reuse is verdict-preserving;
-// the anytime parity differential pins this on every generator family).
+// Options.Epsilon, each a plain Solve over the session's feasibility cache,
+// and installs each improvement as the session's current result
+// atomically. The terminal rung runs the PTAS at exactly Options.Epsilon,
+// so its makespan is bit-identical to a cold TierPTAS solve of the same
+// instance (cache hits are verdict-preserving; the anytime parity
+// differential pins this on every generator family).
 // The final answer is the best of all rungs: a terminal rung that is worse
 // than an earlier one republishes that earlier result, tagged final.
 
@@ -101,8 +101,8 @@ func solveAnytimeFirst(in *Instance, opts Options, lb rat.R, res *Result) error 
 // landing mid-rung discards that rung's result and the next Step restarts
 // from the fresh constant-factor first answer.
 //
-// A Ladder is safe for concurrent use, but steps serialize internally:
-// the session's warm state belongs to one PTAS solve at a time.
+// A Ladder is safe for concurrent use, but steps serialize internally on
+// the ladder position.
 type Ladder struct {
 	s *Session
 
@@ -165,25 +165,21 @@ func (l *Ladder) Step(ctx context.Context) (*Result, bool, error) {
 		return nil, true, nil
 	}
 
-	// The solve runs outside the session lock so deltas stay responsive
-	// mid-rung; only the ladder's own warm PTAS solves touch the session
-	// state, and l.mu serializes those.
+	// The solve runs on a clone outside the session lock so deltas stay
+	// responsive mid-rung.
 	var res *Result
 	if cached != nil {
 		res = cached
 	} else {
 		opts.Trace = false
 		opts.FallbackTier = TierAuto
-		var err error
-		if rung == 0 {
-			opts.Tier = TierAnytime
-			res, err = solveWith(ctx, in, opts, nil)
-		} else {
+		opts.Tier = TierAnytime
+		if rung > 0 {
 			opts.Tier = TierPTAS
 			opts.Epsilon = l.rungs[rung-1]
-			res, err = solveWith(ctx, in, opts, l.s.state)
 		}
-		if err != nil {
+		var err error
+		if res, err = Solve(ctx, in, opts); err != nil {
 			return nil, false, err
 		}
 	}

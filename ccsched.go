@@ -416,14 +416,6 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 // feasibility verdicts (Options.Cache); results are bit-identical to the
 // uncached search.
 func Solve(ctx context.Context, in *Instance, opts Options) (*Result, error) {
-	return solveWith(ctx, in, opts, nil)
-}
-
-// solveWith is Solve with optional session warm state (nil for one-shot
-// solves). Sessions thread their ptas.SessionState here; every reuse it
-// enables is verdict-preserving, so the result is bit-identical to a
-// stateless Solve of the same instance and options.
-func solveWith(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -446,7 +438,7 @@ func solveWith(ctx context.Context, in *Instance, opts Options, st *ptas.Session
 		}
 		return nil, wrapCanceled(err)
 	}
-	res, err := runTiers(ctx, in, opts, st)
+	res, err := runTiers(ctx, in, opts)
 	if err != nil {
 		err = wrapCanceled(err)
 		// Degraded fallback: the requested tier died at its deadline, but
@@ -468,7 +460,7 @@ func solveWith(ctx context.Context, in *Instance, opts Options, st *ptas.Session
 // goroutine or an engine worker whose captured panic was re-raised here —
 // returns as an error wrapping ErrInternal instead of unwinding the
 // caller.
-func runTiers(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState) (res *Result, err error) {
+func runTiers(ctx context.Context, in *Instance, opts Options) (res *Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, panicsafe.Capture(v, "solve")
@@ -491,7 +483,7 @@ func runTiers(ctx context.Context, in *Instance, opts Options, st *ptas.SessionS
 		err = solveApprox(in, opts, lb, res)
 	case TierAuto, TierPTAS:
 		res.Tier = TierPTAS
-		err = solvePTAS(ctx, in, opts, st, lb, res, root)
+		err = solvePTAS(ctx, in, opts, lb, res, root)
 	case TierExact:
 		err = solveExact(ctx, in, opts, res)
 	case TierAnytime:
@@ -580,13 +572,12 @@ func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
 // solvePTAS dispatches the approximation-scheme tier with the feasibility
 // cache resolved from opts. lb is the instance's certified bound and sp the
 // enclosing trace span (disabled when the solve is untraced).
-func solvePTAS(ctx context.Context, in *Instance, opts Options, st *ptas.SessionState, lb rat.R, res *Result, sp trace.Span) error {
+func solvePTAS(ctx context.Context, in *Instance, opts Options, lb rat.R, res *Result, sp trace.Span) error {
 	popts := ptas.Options{
 		Epsilon:        opts.Epsilon,
 		MaxNodes:       opts.MaxNodes,
 		MaxConfigs:     opts.MaxConfigs,
 		HugeMThreshold: opts.HugeMThreshold,
-		Session:        st,
 		Trace:          sp,
 	}
 	if popts.Epsilon == 0 {

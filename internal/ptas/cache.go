@@ -327,7 +327,7 @@ func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 // cached. Neither the warm restore nor the move cache in tmpl ever changes
 // a verdict (restores are verdict-only and the augment move cache is
 // content-deterministic), so cached entries stay valid across NoWarmStart
-// settings and between session and cold solves.
+// settings and across the solves that share the cache.
 func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem) (cacheEntry, error) {
 	// Chaos hook: one injection point per feasibility probe. A delay here
 	// pushes a solve past its soft deadline; a panic must leave the solve as

@@ -68,12 +68,6 @@ type Options struct {
 	// bit-identical either way; this is the measurement baseline and
 	// determinism escape hatch checked by the warm-parity tests.
 	NoWarmStart bool
-	// Session carries warm state across the re-solves of a scheduling
-	// session: guess templates and the previous accepted guess (seeding the
-	// search window). All reuse is verdict-preserving, so results are
-	// bit-identical to a cold solve of the same instance. A SessionState
-	// must not be shared by concurrent solves.
-	Session *SessionState
 	// Trace is the enclosing span of this solve's timeline (the zero Span
 	// disables tracing at one nil check per would-be span). The schemes
 	// re-point it at the current stage span as they descend — variant

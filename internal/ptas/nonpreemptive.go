@@ -357,10 +357,6 @@ func SolveNonPreemptiveLB(ctx context.Context, in *core.Instance, opts Options, 
 // npScheme never scales: the non-preemptive optimum is integral.
 var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 	tag: cacheNonPreemptive, variant: core.NonPreemptive,
-	// The non-preemptive template is guess-dependent almost entirely (see
-	// npTemplate), so sessions rebuild it per re-solve — carrying it would
-	// only grow the move cache without reuse — and warm up through the seed
-	// and the derived-digest cache instead.
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
 		return newNPTemplate(in, g, opts.maxConfigs()), nil
 	},

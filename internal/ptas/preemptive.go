@@ -281,7 +281,7 @@ func SolvePreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bou
 var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 	tag: cachePreemptive, variant: core.Preemptive,
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
-		return preTemplateFor(opts.Session, in, g, opts.maxConfigs())
+		return newPreTemplate(in, g, opts.maxConfigs())
 	},
 	approx: func(in *core.Instance, bound rat.R) (*core.PreemptiveSchedule, error) {
 		apx, err := approx.SolvePreemptiveLB(in, bound)

@@ -13,7 +13,6 @@ import (
 	"ccsched/internal/core"
 	"ccsched/internal/generator"
 	"ccsched/internal/nfold"
-	"ccsched/internal/trace"
 )
 
 func ratioAtMost(t *testing.T, name string, makespan, lb *big.Rat, num, den int64) {
@@ -225,7 +224,7 @@ func TestGuessGrid(t *testing.T) {
 func TestSearchGuessesFindsBoundary(t *testing.T) {
 	grid := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	calls := 0
-	best, guess, _, err := searchGuesses(grid, 0, trace.Span{}, func(t int64) (int64, bool, error) {
+	best, guess, _, err := searchGuesses(grid, func(t int64) (int64, bool, error) {
 		calls++
 		return t, t >= 5, nil
 	})
@@ -238,7 +237,7 @@ func TestSearchGuessesFindsBoundary(t *testing.T) {
 }
 
 func TestSearchGuessesAllReject(t *testing.T) {
-	if _, _, _, err := searchGuesses([]int64{1, 2}, 0, trace.Span{}, func(int64) (int, bool, error) {
+	if _, _, _, err := searchGuesses([]int64{1, 2}, func(int64) (int, bool, error) {
 		return 0, false, nil
 	}); err == nil {
 		t.Error("want error when nothing accepts")
@@ -300,7 +299,7 @@ func TestSearchGuessesRunsOnlyConsumedProbes(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		var order []int
-		payload, guess, tried, err := searchGuesses(grid, 0, trace.Span{}, func(v int64) (int64, bool, error) {
+		payload, guess, tried, err := searchGuesses(grid, func(v int64) (int64, bool, error) {
 			if id := goroutineID(); id != caller {
 				t.Errorf("round %d: probe ran on goroutine %s, caller is %s", round, id, caller)
 			}
@@ -333,75 +332,6 @@ func TestSearchGuessesRunsOnlyConsumedProbes(t *testing.T) {
 			t.Fatalf("%s: accepted %d with no accepting probe", name, guess)
 		case wantBest >= 0 && (err != nil || guess != grid[wantBest] || payload != 3*grid[wantBest]):
 			t.Fatalf("%s: got (%d, %d, %v), want guess %d", name, payload, guess, err, grid[wantBest])
-		}
-	}
-}
-
-// TestSearchGuessesSeedWindow drives the seeded walk over every grid of 1–12
-// guesses, every monotone boundary (including none) and seeds at every grid
-// value, zero, below the bottom and above the top. The seeded search must
-// return the unseeded search's payload and guess; when the window brackets
-// the boundary it must stop there, after at most seedWindow+1 probes; and a
-// failing probe, wherever it sits, must surface as the search error once the
-// walk asks for it.
-func TestSearchGuessesSeedWindow(t *testing.T) {
-	errProbe := errors.New("probe failed")
-	for n := 1; n <= 12; n++ {
-		grid := make([]int64, n)
-		for i := range grid {
-			grid[i] = int64(10 * (i + 1))
-		}
-		seeds := []int64{0, 5, grid[n-1] + 5}
-		seeds = append(seeds, grid...)
-		for b := 0; b <= n; b++ { // grid[b] is the first accepted guess
-			for _, seed := range seeds {
-				name := fmt.Sprintf("n=%d/boundary=%d/seed=%d", n, b, seed)
-				// search runs the seeded search with the probe at index fail
-				// (if any) returning errProbe.
-				search := func(seed int64, fail int) (best int64, guess int64, calls int, failed bool, err error) {
-					best, guess, _, err = searchGuesses(grid, seed, trace.Span{}, func(v int64) (int64, bool, error) {
-						calls++
-						i := int(v/10) - 1
-						if i == fail {
-							failed = true
-							return 0, false, errProbe
-						}
-						return v * 7, i >= b, nil
-					})
-					return best, guess, calls, failed, err
-				}
-				wantBest, wantGuess, _, _, wantErr := search(0, -1)
-				best, guess, calls, _, err := search(seed, -1)
-				if (err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess {
-					t.Fatalf("%s: seeded (%d, %d, %v), unseeded (%d, %d, %v)",
-						name, best, guess, err, wantBest, wantGuess, wantErr)
-				}
-				i0 := min(n-1, int((seed+9)/10)-1)
-				lo := i0 - seedWindow
-				bracketed := n > 1 && seed > 0 && b < n && b <= i0+seedWindow && (b > lo || b == 0 && lo <= 0)
-				if bracketed {
-					// The walk stops at the first verdict that closes the
-					// bracket: one probe per step from i0 to the boundary's
-					// reject side (or to the grid bottom).
-					want := b - i0 + 1
-					if b <= i0 {
-						want = i0 - max(b-1, 0) + 1
-					}
-					if calls != want || calls > seedWindow+1 {
-						t.Errorf("%s: window brackets the boundary with %d probes, want %d (at most %d)",
-							name, calls, want, seedWindow+1)
-					}
-				}
-				for fail := 0; fail < n; fail++ {
-					best, guess, _, failed, err := search(seed, fail)
-					if failed && !errors.Is(err, errProbe) {
-						t.Fatalf("%s/fail=%d: probe error not surfaced (%d, %d, %v)", name, fail, best, guess, err)
-					}
-					if !failed && ((err == nil) != (wantErr == nil) || best != wantBest || guess != wantGuess) {
-						t.Fatalf("%s/fail=%d: unasked failing probe changed the result to (%d, %d, %v)", name, fail, best, guess, err)
-					}
-				}
-			}
 		}
 	}
 }

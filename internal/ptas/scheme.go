@@ -15,7 +15,7 @@ import (
 // scheme describes one PTAS variant to runScheme. G is its per-guess state,
 // S the schedule it returns.
 type scheme[G guess[S], S any] struct {
-	// tag separates the variant's cache keys and session seeds.
+	// tag separates the variant's cache keys.
 	tag byte
 	// variant selects the certified lower bound.
 	variant core.Variant
@@ -88,8 +88,6 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	if sc.shortcut != nil && in.M >= int64(in.N()) {
 		return sc.shortcut(in), Report{InvDelta: g, Guess: in.PMax()}, nil
 	}
-	// scale is recorded with session seeds, so a re-solve under a different
-	// scaling rescales the seed guess.
 	scale := int64(1)
 	if sc.descale != nil {
 		if scale = scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
@@ -119,7 +117,6 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	tm, err := sc.template(in, g, opts)
 	tsp.End()
 	if err == nil {
-		seed := opts.Session.seedFor(sc.tag, g, scale)
 		ssp := opts.Trace.Child("guess_search")
 		opts.Trace = ssp // probes hang their spans off the search span
 		probe := func(t int64) (accepted[S], bool, error) {
@@ -152,20 +149,8 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 				TheoreticalCostLog2: entry.params.CostLog2(),
 			}}, true, nil
 		}
-		// Only a session traces its seed_window/binary_search walk; a
-		// one-shot solve's probes stay the search span's only children.
-		sp := trace.Span{}
-		if opts.Session != nil {
-			sp = ssp
-		}
-		best, guess, tried, err = searchGuesses(grid, seed, sp, probe)
-		ssp.End(
-			trace.A("guesses", int64(tried)), trace.A("guess", guess),
-			trace.A("grid", int64(len(grid))), trace.A("seeded", b2i(opts.Session != nil)),
-		)
-		if err == nil {
-			opts.Session.noteSearch(sc.tag, g, guess, scale)
-		}
+		best, guess, tried, err = searchGuesses(grid, probe)
+		ssp.End(trace.A("guesses", int64(tried)), trace.A("guess", guess), trace.A("grid", int64(len(grid))))
 	}
 	if err != nil {
 		if ctx.Err() != nil {

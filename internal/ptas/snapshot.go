@@ -6,27 +6,18 @@ import (
 	"math"
 	"sort"
 
-	"ccsched/internal/core"
 	"ccsched/internal/nfold"
 )
 
-// Snapshot codec for the session warm state. Durable sessions serialize
-// everything a SessionState and its feasibility cache learned, in a form a
-// later process can restore without ever trusting it:
-//
-//   - templates persist only their parameters (g, limit, slot budget) — the
-//     enumerations, shared blocks and move-set caches are deterministic
-//     functions of those and are rebuilt from the live instance on restore;
-//   - search seeds are not persisted: a seed is only valid at the accuracy
-//     g it was found at, so a restored session starts its first search
-//     from the plain binary search (snapshots written with a "seeds"
-//     section still decode; the section is ignored);
-//   - cache entries persist their key, verdict and evidence (the solution
-//     for feasible entries, the ray for infeasible ones) and come back
-//     marked restored: the first hit re-verifies the evidence against a
-//     freshly built N-fold and drops the entry on any mismatch (see
-//     solveGuessCached). Infeasible verdicts without a ray are not
-//     exportable — there is nothing to re-verify — and are skipped.
+// Snapshot codec for the feasibility cache. Durable sessions serialize the
+// verdicts their private cache learned, in a form a later process can
+// restore without ever trusting them: cache entries persist their key,
+// verdict and evidence (the solution for feasible entries, the ray for
+// infeasible ones) and come back marked restored, so the first hit
+// re-verifies the evidence against a freshly built N-fold and drops the
+// entry on any mismatch (see solveGuessCached). Infeasible verdicts without
+// a ray are not exportable — there is nothing to re-verify — and are
+// skipped.
 //
 // Floats (rays) are serialized as IEEE-754 bit patterns in uint64 fields,
 // so the JSON round trip is exact and NaN/Inf can be rejected on decode.
@@ -62,69 +53,6 @@ func bitsToFloats(bits []uint64) ([]float64, bool) {
 		out[i] = f
 	}
 	return out, true
-}
-
-// TemplateSnapshot is the serializable form of a carried guess template:
-// only the parameters, since the template body is a deterministic function
-// of (instance, g, limit) and is rebuilt on restore.
-type TemplateSnapshot struct {
-	// G is the accuracy parameter 1/δ the template was built for.
-	G int64 `json:"g"`
-	// Limit is the configuration-count limit.
-	Limit int `json:"limit"`
-	// Slots is the per-machine class-slot budget of the instance the
-	// template was built from; a restore against an instance with a
-	// different budget drops the template (brick shapes changed).
-	Slots int `json:"slots"`
-}
-
-// StateSnapshot is the serializable warm state of one scheduling session.
-type StateSnapshot struct {
-	// Split and Pre are the carried splittable and preemptive guess
-	// templates, when present.
-	Split *TemplateSnapshot `json:"split,omitempty"`
-	Pre   *TemplateSnapshot `json:"pre,omitempty"`
-}
-
-// Export returns the serializable form of the session state (nil for nil
-// or empty state).
-func (st *SessionState) Export() *StateSnapshot {
-	if st == nil {
-		return nil
-	}
-	out := &StateSnapshot{}
-	if st.split != nil {
-		out.Split = &TemplateSnapshot{G: st.split.g, Limit: st.split.limit, Slots: st.split.in.Slots}
-	}
-	if st.pre != nil {
-		out.Pre = &TemplateSnapshot{G: st.pre.g, Limit: st.pre.limit, Slots: st.pre.in.Slots}
-	}
-	if out.Split == nil && out.Pre == nil {
-		return nil
-	}
-	return out
-}
-
-// RestoreState rebuilds session warm state for in from a snapshot,
-// degrading component-by-component: a template whose parameters are invalid
-// or whose slot budget no longer matches the instance is dropped (the next
-// solve rebuilds cold). A nil snapshot restores empty state.
-func RestoreState(snap *StateSnapshot, in *core.Instance) *SessionState {
-	st := NewSessionState()
-	if snap == nil {
-		return st
-	}
-	if t := snap.Split; t != nil && t.G >= 1 && t.Limit >= 1 && t.Slots == in.Slots {
-		if tm, err := newSplitTemplate(in, t.G, t.Limit); err == nil {
-			st.split = tm
-		}
-	}
-	if t := snap.Pre; t != nil && t.G >= 1 && t.Limit >= 1 && t.Slots == in.Slots {
-		if tm, err := newPreTemplate(in, t.G, t.Limit); err == nil {
-			st.pre = tm
-		}
-	}
-	return st
 }
 
 // CacheEntrySnapshot is one serialized feasibility-cache verdict: the full

@@ -217,7 +217,7 @@ func SolveSplittableLB(ctx context.Context, in *core.Instance, opts Options, bou
 var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
 	tag: cacheSplit, variant: core.Splittable,
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
-		return splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
+		return newSplitTemplate(in, g, opts.maxConfigs())
 	},
 	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {
 		apx, err := approx.SolveSplittableLB(in, approx.Options{}, bound)

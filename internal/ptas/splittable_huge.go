@@ -32,7 +32,7 @@ import (
 var hugeScheme = scheme[*hugeGuess, *SplitResult]{
 	tag: cacheSplitHuge, variant: core.Splittable,
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*hugeGuess], error) {
-		tm, err := splitTemplateFor(opts.Session, in, g, opts.maxConfigs())
+		tm, err := newSplitTemplate(in, g, opts.maxConfigs())
 		return hugeTemplate{tm}, err
 	},
 	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {

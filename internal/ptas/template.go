@@ -25,8 +25,7 @@ import (
 // guesses — so the move cache in the embedded nfold.Template enumerates
 // each distinct brick shape exactly once per search. All template state is
 // immutable after construction except the block caches, which fill on
-// first use; a template serves one search (or one session's serialized
-// searches) at a time, so the caches need no lock.
+// first use; a template serves one search, so the caches need no lock.
 
 // splitTemplate is the guess-independent part of the splittable scheme's
 // construction (Section 4.1): the module/configuration enumeration and the
@@ -34,7 +33,6 @@ import (
 type splitTemplate struct {
 	in      *core.Instance
 	g       int64
-	limit   int
 	loads   []int64
 	classes []int
 	cStar   int64
@@ -57,7 +55,7 @@ type splitTemplate struct {
 
 // newSplitTemplate enumerates the guess-independent structures once.
 func newSplitTemplate(in *core.Instance, g int64, limit int) (*splitTemplate, error) {
-	tm := &splitTemplate{in: in, g: g, limit: limit, smallA: make(map[int64][][]int64), nf: nfold.NewTemplate()}
+	tm := &splitTemplate{in: in, g: g, smallA: make(map[int64][][]int64), nf: nfold.NewTemplate()}
 	tm.loads = in.ClassLoads()
 	for u, pu := range tm.loads {
 		if pu > 0 {
@@ -214,7 +212,6 @@ func newNPTemplate(in *core.Instance, g int64, limit int) *npTemplate {
 type preTemplate struct {
 	in        *core.Instance
 	g         int64
-	limit     int
 	layers    int
 	cStar     int64
 	tBarUnits int64
@@ -343,7 +340,7 @@ func (tm *preTemplate) smallABlock(nP int, units int64) [][]int64 {
 
 func newPreTemplate(in *core.Instance, g int64, limit int) (*preTemplate, error) {
 	tm := &preTemplate{
-		in: in, g: g, limit: limit, byClass: in.ClassJobs(), nf: nfold.NewTemplate(),
+		in: in, g: g, byClass: in.ClassJobs(), nf: nfold.NewTemplate(),
 		blocks: make(map[int]*preBlocks), smallA: make(map[[2]int64][][]int64),
 	}
 	c := int64(in.Slots)

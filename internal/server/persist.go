@@ -3,7 +3,7 @@
 // to <state-dir>/<id>.ccsnap and restores all readable snapshots on boot, so
 // a crash — including kill -9 — costs at most the work since the last
 // checkpoint, never correctness: restores go through ccsched.RestoreSession,
-// whose warm sections are dropped-never-trusted, so a corrupt file degrades
+// whose cache section is dropped-never-trusted, so a corrupt file degrades
 // to a cold solve with an identical makespan.
 //
 // The disk format is magic ("CCSNAP01") + SHA-256 of the payload + the
@@ -260,11 +260,11 @@ func (s *Server) checkpointSessions() {
 }
 
 // checkpointSession persists one session iff it mutated — by delta
-// (generation) or by solve (resolve count; solves grow the warm state
-// without touching the generation) — since its last checkpoint. Both
-// counters are read before the snapshot is taken, so anything landing in
-// between leaves the session dirty and the next tick rewrites it — a
-// checkpoint can be fresher than its recorded counters but never staler.
+// (generation) or by solve (resolve count; solves grow the cache without
+// touching the generation) — since its last checkpoint. Both counters are
+// read before the snapshot is taken, so anything landing in between
+// leaves the session dirty and the next tick rewrites it — a checkpoint can
+// be fresher than its recorded counters but never staler.
 // A failed write retries with backoff; exhausting the retries leaves the
 // session dirty for the next tick and feeds the degradation streak.
 func (s *Server) checkpointSession(sv *svcSession) {
@@ -419,7 +419,7 @@ func (s *Server) handleSessionExport(w http.ResponseWriter, r *http.Request) {
 
 // handleSessionImport serves PUT /v1/sessions/{id}/export: restores an
 // exported snapshot under the given id. The restore validates the envelope
-// strictly (400 on damage) and degrades warm sections per the
+// strictly (400 on damage) and degrades the cache section per the
 // dropped-never-trusted rule; the imported session answers with status
 // "imported" and is checkpointed like any other from then on.
 func (s *Server) handleSessionImport(w http.ResponseWriter, r *http.Request) {

@@ -62,7 +62,7 @@ type Config struct {
 	// policed. Zero selects 100000.
 	MaxJobs int
 	// MaxSessions bounds the number of live scheduling sessions (each holds
-	// an instance, warm solver state and a private feasibility cache).
+	// an instance and a private feasibility cache).
 	// Creations beyond it are refused with 429 until sessions are deleted.
 	// Zero selects 1024.
 	MaxSessions int
@@ -200,7 +200,7 @@ type flight struct {
 	opts ccsched.Options
 	// run, when non-nil, replaces the configured Solver for this flight: it
 	// is set exactly for session re-solves, which execute through their
-	// Session's warm state, and labels the flight for the metrics split
+	// Session and its kept cache, and labels the flight for the metrics split
 	// (session_solve_latency vs solve_latency). It must return the result in
 	// canonical job order, like the Solver path, so coalesced one-shot
 	// waiters and the result LRU stay correct.

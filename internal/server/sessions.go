@@ -1,20 +1,20 @@
-// Scheduling sessions over HTTP: a session holds a live instance plus the
-// solver's warm state (ccsched.Session) on the server, and clients send
+// Scheduling sessions over HTTP: a session holds a live instance plus its
+// feasibility cache (ccsched.Session) on the server, and clients send
 // deltas instead of full instances:
 //
 //	POST   /v1/sessions        {instance, options, timeout_ms} → create + solve
 //	PATCH  /v1/sessions/{id}   {add, remove, resize, set_machines, set_slots}
 //	                           → apply deltas + incremental re-solve
 //	GET    /v1/sessions/{id}   → current schedule (re-solving if needed)
-//	DELETE /v1/sessions/{id}   → drop the session and its warm state
+//	DELETE /v1/sessions/{id}   → drop the session and its cache
 //
 // Session re-solves run through the same pipeline as /v1/solve: the current
 // instance is canonicalized, the result LRU and in-flight coalescing are
 // consulted first (a re-solve identical to anything already solved — by a
 // one-shot request or another session — costs nothing), and misses are
 // admitted into the bounded worker queue under the same deadline plumbing;
-// the flight's runner executes the session's warm re-solve instead of a
-// stateless ccsched.Solve and publishes the result in canonical order, so
+// the flight's runner executes the session's re-solve (a ccsched.Solve over
+// the session's kept cache) and publishes the result in canonical order, so
 // one-shot requests coalesce onto session flights and vice versa. The
 // session parity invariant (re-solve makespan ≡ cold solve of the mutated
 // instance, proven by the ccsched differential tests) is what makes this
@@ -35,8 +35,8 @@ import (
 )
 
 // svcSession is one live server-side session. mu serializes delta
-// application and re-solves (the warm state belongs to one solve at a
-// time); concurrent PATCHes to the same session queue up behind it.
+// application and re-solves (a re-solve sees the instance exactly as the
+// deltas before it left it); concurrent PATCHes to the same session queue up behind it.
 type svcSession struct {
 	id string
 
@@ -56,11 +56,11 @@ type svcSession struct {
 
 	// ckptGen/ckptRes are the session generation and resolve count captured
 	// by the last successful checkpoint; the checkpointer skips sessions
-	// where both still match. Generation alone is not enough — warm state
-	// (cache verdicts, seeds) grows on solves, which do not bump the
-	// generation, so a checkpoint taken between a delta and its re-solve
-	// must leave the session dirty for the next tick. Atomics so the
-	// checkpointer never waits behind a re-solve holding mu.
+	// where both still match. Generation alone is not enough — the cache
+	// gains verdicts on solves, which do not bump the generation, so a
+	// checkpoint taken between a delta and its re-solve must leave the
+	// session dirty for the next tick. Atomics so the checkpointer never
+	// waits behind a re-solve holding mu.
 	ckptGen atomic.Uint64
 	ckptRes atomic.Int64
 }

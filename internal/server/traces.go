@@ -21,8 +21,8 @@ type traceEntry struct {
 	// Variant and N identify the workload shape.
 	Variant string `json:"variant"`
 	N       int    `json:"n"`
-	// Session marks session re-solves (their traces show the delta path:
-	// seeded window vs binary search, cache hits).
+	// Session marks session re-solves (their probe spans show which
+	// guesses the session's kept cache answered).
 	Session bool `json:"session,omitempty"`
 	// Trace is the span timeline.
 	Trace *ccsched.SolveTrace `json:"trace"`

@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 	"sync"
-
-	"ccsched/internal/ptas"
 )
 
 // A Session is a live scheduling instance that accepts deltas — jobs
 // arriving, finishing and changing size, machines joining and leaving — and
-// re-solves incrementally: each Solve reuses what the previous solve
-// learned (the guess templates with their move-set caches, the accepted
-// makespan guess as the next search's seed, and a session-keyed
-// feasibility cache). All reuse is verdict-preserving, so a session
-// re-solve returns a makespan bit-identical to a cold Solve of the mutated
-// instance — only faster; the session differential tests prove the
-// equivalence across random delta streams on every generator family.
+// re-solves incrementally: each re-solve is exactly Solve over the session's
+// private feasibility cache, which the session keeps across solves. The
+// cache is keyed on each probe's derived data (the rounded class loads or
+// grouped job sizes), so after a small delta most guess probes are answered
+// from it. Cache hits are verdict-preserving, so a session re-solve returns
+// a makespan bit-identical to a cold Solve of the mutated instance — only
+// faster; the session differential tests prove the equivalence across
+// random delta streams on every generator family.
 //
 // Jobs are addressed by stable ids (int64) minted by NewSession and
 // AddJobs, so removals never invalidate handles. Schedules in a session's
@@ -24,15 +23,15 @@ import (
 // id slice for translating positions back to handles.
 //
 // A Session is safe for concurrent use; deltas and solves serialize on an
-// internal mutex (the warm state belongs to one solve at a time). Deltas
-// only mutate the instance — the next Solve picks them all up at once.
+// internal mutex (Solve reads the instance that deltas mutate in place).
+// Deltas only mutate the instance — the next Solve picks them all up at
+// once.
 type Session struct {
 	mu     sync.Mutex
 	in     *Instance
 	ids    []int64
 	nextID int64
 	opts   Options
-	state  *ptas.SessionState
 	// gen counts instance mutations; last/lastGen implement the no-delta
 	// fast path (last is current iff lastGen == gen) and let SolveSnapshot
 	// decide whether a result computed from an older snapshot may be
@@ -46,8 +45,8 @@ type Session struct {
 // NewSession starts a session on a copy of in (later deltas never touch the
 // caller's instance). Unless opts names a cache explicitly, the session gets
 // its own feasibility cache, so its guess verdicts stay hot under the
-// session and are evicted with it. The initial solve happens on the first
-// Solve call.
+// session and are evicted with it; that cache is all a session carries from
+// one solve to the next. The initial solve happens on the first Solve call.
 func NewSession(in *Instance, opts Options) (*Session, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -60,12 +59,7 @@ func NewSession(in *Instance, opts Options) (*Session, error) {
 	if opts.Cache == nil && !opts.NoCache {
 		opts.Cache = NewFeasibilityCache()
 	}
-	s := &Session{
-		in:    in.Clone(),
-		opts:  opts,
-		state: ptas.NewSessionState(),
-		gen:   1,
-	}
+	s := &Session{in: in.Clone(), opts: opts, gen: 1}
 	s.ids = make([]int64, in.N())
 	for i := range s.ids {
 		s.nextID++
@@ -209,9 +203,8 @@ func (s *Session) SetMachines(m int64) error {
 	return nil
 }
 
-// SetSlots changes the per-machine class-slot budget. Changing it
-// invalidates the carried guess templates (brick shapes change), which the
-// next Solve rebuilds transparently.
+// SetSlots changes the per-machine class-slot budget. The slot budget is
+// part of every cache key, so the next Solve finds no cached verdicts.
 func (s *Session) SetSlots(c int) error {
 	if c < 1 {
 		return fmt.Errorf("ccsched: SetSlots: need at least one class slot, got %d", c)
@@ -223,8 +216,8 @@ func (s *Session) SetSlots(c int) error {
 	return nil
 }
 
-// Solve re-solves the session's current instance, reusing the warm state of
-// earlier solves, and returns the result (jobs indexed in the session's
+// Solve re-solves the session's current instance over the session's
+// feasibility cache and returns the result (jobs indexed in the session's
 // current order; see JobIDs). When nothing changed since the last solve the
 // cached result is returned as is. The returned Result is shared — treat it
 // as immutable. Cancellation and deadlines propagate exactly as in Solve;
@@ -236,7 +229,7 @@ func (s *Session) Solve(ctx context.Context) (*Result, error) {
 	if s.last != nil && s.lastGen == s.gen {
 		return s.last, nil
 	}
-	res, err := solveWith(ctx, s.in, s.opts, s.state)
+	res, err := Solve(ctx, s.in, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -256,8 +249,8 @@ func (s *Session) Snapshot() (*Instance, []int64, uint64) {
 	return s.in.Clone(), append([]int64(nil), s.ids...), s.gen
 }
 
-// SolveSnapshot solves a Snapshot-returned instance with the session's
-// warm state. The result is installed as the session's current result only
+// SolveSnapshot solves a Snapshot-returned instance over the session's
+// feasibility cache. The result is installed as the session's current result only
 // when gen still matches the session's generation — a solve of an outdated
 // snapshot returns its (snapshot-consistent) result without clobbering the
 // newer state, so callers that keyed work off the snapshot always receive
@@ -268,7 +261,7 @@ func (s *Session) SolveSnapshot(ctx context.Context, in *Instance, gen uint64) (
 	if s.last != nil && s.lastGen == gen && gen == s.gen {
 		return s.last, nil
 	}
-	res, err := solveWith(ctx, in, s.opts, s.state)
+	res, err := Solve(ctx, in, s.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,8 @@ package ccsched
 // return a makespan bit-identical to a cold Solve of the mutated instance.
 // Random delta streams (resizes, removals, arrivals, machine changes) run
 // against every generator family; the cold reference solves with an
-// isolated fresh cache and no session state while the session side runs
-// its seeded search — the two must agree exactly.
+// isolated fresh cache while the session side solves over the cache it kept
+// from earlier rounds — the two must agree exactly.
 
 import (
 	"context"
@@ -131,6 +131,63 @@ func TestSessionDeltaParityVariants(t *testing.T) {
 			}
 			sessionParityCase(t, in, tc.opts, 3, tc.cfg.Seed, tc.cfg.PMax, tc.cfg.Classes)
 		})
+	}
+}
+
+// TestSessionSolveMatchesKeptCacheSolve pins what a session re-solve is:
+// plain Solve over one feasibility cache kept across rounds. The churn
+// benchmarks' resize stream (5% of jobs re-estimated by up to ±2% per round)
+// runs through a Session while Solve replays the same instances over its
+// own kept cache; makespan, probe count and cache hits must agree every
+// round, so the session searches exactly like Solve does.
+func TestSessionSolveMatchesKeptCacheSolve(t *testing.T) {
+	ctx := context.Background()
+	for _, fam := range []string{"uniform", "zipf"} {
+		for _, variant := range []Variant{Splittable, Preemptive, NonPreemptive} {
+			t.Run(fam+"/"+variant.String(), func(t *testing.T) {
+				in, err := Generate(fam, GeneratorConfig{
+					N: churnN, Classes: churnClasses, Machines: churnM, Slots: churnSlots, PMax: churnPMax, Seed: 101,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := Options{Variant: variant, Tier: TierPTAS, Epsilon: 1}
+				sess, err := NewSession(in, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept := opts
+				kept.Cache = NewFeasibilityCache()
+				mirror, ids := in.Clone(), sess.JobIDs()
+				for round := 0; round <= 24; round++ {
+					if round > 0 {
+						prev := append([]int64(nil), mirror.P...)
+						resizeRound(round, mirror.P)
+						for pos, p := range mirror.P {
+							if p != prev[pos] {
+								if err := sess.Resize(ids[pos], p); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+					}
+					got, err := sess.Solve(ctx)
+					if err != nil {
+						t.Fatalf("round %d: session solve: %v", round, err)
+					}
+					want, err := Solve(ctx, mirror.Clone(), kept)
+					if err != nil {
+						t.Fatalf("round %d: kept-cache solve: %v", round, err)
+					}
+					if got.Makespan.Cmp(want.Makespan) != 0 ||
+						got.Report.Guesses != want.Report.Guesses || got.Report.CacheHits != want.Report.CacheHits {
+						t.Fatalf("round %d: session makespan %s (guesses %d, cache hits %d), kept-cache Solve %s (%d, %d)",
+							round, got.Makespan.RatString(), got.Report.Guesses, got.Report.CacheHits,
+							want.Makespan.RatString(), want.Report.Guesses, want.Report.CacheHits)
+					}
+				}
+			})
+		}
 	}
 }
 

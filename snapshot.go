@@ -12,22 +12,21 @@ import (
 
 // Durable sessions. SnapshotState serializes everything a Session is —
 // its instance, stable job ids, options — plus everything it has learned
-// (the ptas warm state and the guess-feasibility cache) into one versioned,
-// self-describing JSON document; RestoreSession rebuilds a Session from it
-// in a later process.
+// (the guess-feasibility cache) into one versioned, self-describing JSON
+// document; RestoreSession rebuilds a Session from it in a later process.
 //
 // The envelope (version, options, instance, job ids) is validated strictly:
 // any defect there fails the restore, because a session with a wrong
-// instance or dangling ids is not degraded, it is wrong. The warm sections
-// (templates, cache verdicts) follow the opposite rule — *dropped, never
-// trusted*: each section is validated independently and a stale or corrupt
-// one is discarded, degrading that component to a cold solve. What survives
-// never decides a verdict unchecked (templates are rebuilt from the live
-// instance, restored cache verdicts re-verify their evidence against a
-// freshly built N-fold before the first hit counts), so a restored session
-// can never return a makespan different from a cold solve of the same
-// instance — only reach it faster. Search seeds are not persisted; a
-// restored session's first search is the plain binary search.
+// instance or dangling ids is not degraded, it is wrong. The cache section
+// follows the opposite rule — *dropped, never trusted*: each entry is
+// validated independently and a stale or corrupt one is discarded,
+// degrading that probe to a cold solve. What survives never decides a
+// verdict unchecked (restored cache verdicts re-verify their evidence
+// against a freshly built N-fold before the first hit counts), so a
+// restored session can never return a makespan different from a cold solve
+// of the same instance — only reach it faster. Snapshots written when
+// sessions also carried guess templates and search seeds have a "state"
+// member; decoding ignores it.
 
 // SnapshotVersion is the schema version written by Session.SnapshotState
 // and required by RestoreSession. Bump it on any incompatible change to the
@@ -42,11 +41,10 @@ type sessionSnapshot struct {
 	Instance *Instance `json:"instance"`
 	JobIDs   []int64   `json:"job_ids"`
 	NextID   int64     `json:"next_id"`
-	// Digest is the hex SHA-256 of the instance content. The warm sections
-	// below were learned on exactly this instance; a mismatch (a spliced or
-	// hand-edited document) drops them while the envelope still restores.
+	// Digest is the hex SHA-256 of the instance content. The cache below
+	// was learned on exactly this instance; a mismatch (a spliced or
+	// hand-edited document) drops it while the envelope still restores.
 	Digest string              `json:"instance_digest"`
-	State  *ptas.StateSnapshot `json:"state,omitempty"`
 	Cache  *ptas.CacheSnapshot `json:"cache,omitempty"`
 }
 
@@ -71,7 +69,7 @@ func instanceDigest(in *Instance) string {
 }
 
 // SnapshotState serializes the session — instance, job ids, options, and
-// all warm solver state including the feasibility cache — into a versioned
+// its feasibility cache — into a versioned
 // JSON document for RestoreSession. The snapshot is consistent: it is taken
 // under the session lock, so it never interleaves with a delta or a solve.
 // Taking a snapshot does not disturb the session.
@@ -85,7 +83,6 @@ func (s *Session) SnapshotState() ([]byte, error) {
 		JobIDs:   s.ids,
 		NextID:   s.nextID,
 		Digest:   instanceDigest(s.in),
-		State:    s.state.Export(),
 		Cache:    s.opts.Cache.Export(),
 	}
 	return json.Marshal(snap)
@@ -93,15 +90,14 @@ func (s *Session) SnapshotState() ([]byte, error) {
 
 // RestoreSession rebuilds a session from a SnapshotState document. The
 // envelope — schema version, options, instance, job ids — must be valid in
-// full or the restore fails. The warm sections are restored on the
-// dropped-never-trusted rule: a section that fails validation (or whose
-// instance digest no longer matches) is discarded and that component starts
-// cold, and everything that does restore is re-verified before it can
-// influence a verdict, so the restored session's first Solve returns a
-// makespan bit-identical to a cold solve of the same instance. The restored
-// session owns a private feasibility cache seeded from the snapshot (unless
-// the options say NoCache); its first Solve call re-solves from the
-// restored warm state.
+// full or the restore fails. The cache section is restored on the
+// dropped-never-trusted rule: entries that fail validation (or the whole
+// section, when the instance digest no longer matches) are discarded, and
+// everything that does restore is re-verified before it can influence a
+// verdict, so the restored session's first Solve returns a makespan
+// bit-identical to a cold solve of the same instance. The restored session
+// owns a private feasibility cache seeded from the snapshot (unless the
+// options say NoCache); its first Solve call re-solves over that cache.
 func RestoreSession(data []byte) (*Session, error) {
 	var snap sessionSnapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -136,24 +132,22 @@ func RestoreSession(data []byte) (*Session, error) {
 		seen[id] = true
 	}
 	// The envelope is good; everything beyond this point degrades instead
-	// of failing. Warm sections learned on a different instance (digest
-	// mismatch) are dropped wholesale.
-	state, cache := snap.State, snap.Cache
+	// of failing. A cache learned on a different instance (digest
+	// mismatch) is dropped wholesale.
+	cache := snap.Cache
 	if snap.Digest != instanceDigest(in) {
-		state, cache = nil, nil
+		cache = nil
 	}
 	opts := snap.Options
 	opts.Cache = nil
 	if !opts.NoCache {
 		opts.Cache = ptas.RestoreCache(cache)
 	}
-	s := &Session{
+	return &Session{
 		in:     in.Clone(),
 		ids:    append([]int64(nil), snap.JobIDs...),
 		nextID: snap.NextID,
 		opts:   opts,
 		gen:    1,
-	}
-	s.state = ptas.RestoreState(state, s.in)
-	return s, nil
+	}, nil
 }

@@ -4,10 +4,10 @@ package ccsched
 // session back from its snapshot. One op = RestoreSession on the serialized
 // state of the resize-churn workload (uniform n=1000, splittable PTAS at
 // ε=1) after several solved rounds — envelope validation, instance-digest
-// check, and the per-section decode of templates, seeds, carried bases and
-// the feasibility cache. It bounds the boot-time line in ccserved's
-// restore-on-boot path and the latency of a PUT /v1/sessions/{id}/export
-// migration; the CI perf gate tracks it via scripts/benchdiff.
+// check, and the decode of the feasibility cache section. It bounds the
+// boot-time line in ccserved's restore-on-boot path and the latency of a
+// PUT /v1/sessions/{id}/export migration; the CI perf gate tracks it via
+// scripts/benchdiff.
 
 import (
 	"context"
@@ -50,7 +50,7 @@ func churnSnapshot(b *testing.B, rounds int) []byte {
 }
 
 // BenchmarkSessionRestore measures RestoreSession on the resize-churn
-// session's snapshot after four solved rounds (the warm state a ccserved
+// session's snapshot after four solved rounds (the cache a ccserved
 // checkpoint or export carries at steady state).
 func BenchmarkSessionRestore(b *testing.B) {
 	data := churnSnapshot(b, 4)

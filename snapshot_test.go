@@ -2,7 +2,7 @@ package ccsched
 
 // Crash-recovery tests for durable sessions. The contract under test is
 // two-sided: a clean snapshot restores *warm* (the next solve answers its
-// probes from the restored verdicts and seeds), while a damaged one —
+// probes from the restored verdicts), while a damaged one —
 // truncated, bit-flipped, version-bumped, digest-spliced — either fails the
 // restore outright (envelope damage) or degrades the damaged section to a
 // cold solve (warm-section damage). In every surviving case the restored
@@ -114,10 +114,11 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	requireColdParity(t, restored)
 
 	// Snapshots written by older versions carry sections this one no longer
-	// reads: engine_parallelism and parallelism options, and a "seeds"
-	// section whose seeds also carry a Farkas "ray" and a root-basis "root".
-	// Such a snapshot must still restore and re-solve to the makespan of a
-	// fresh session on the same instance.
+	// reads: engine_parallelism and parallelism options, and a "state"
+	// member with carried template parameters and a "seeds" section whose
+	// seeds also carry a Farkas "ray" and a root-basis "root". Such a
+	// snapshot must still restore and re-solve to the makespan of a fresh
+	// session on the same instance.
 	fresh, err := NewSession(sess.Instance(), sess.Options())
 	if err != nil {
 		t.Fatal(err)
@@ -128,8 +129,9 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	}
 	for _, splice := range []struct{ at, with string }{
 		{`"options":{`, `"options":{"engine_parallelism":4,"parallelism":2,`},
-		{`"state":{`, `"state":{"seeds":[{"tag":0,"guess":40,"scale":1,"ray":[4607182418800017408,0],` +
-			`"root":{"cols":[1],"status":[0,3],"art_sign":[1],"m":1,"ncols":2}}],`},
+		{`"job_ids":`, `"state":{"split":{"g":1,"limit":100000,"slots":2},"pre":{"g":2,"limit":100000,"slots":2},` +
+			`"seeds":[{"tag":0,"guess":40,"scale":1,"ray":[4607182418800017408,0],` +
+			`"root":{"cols":[1],"status":[0,3],"art_sign":[1],"m":1,"ncols":2}}]},"job_ids":`},
 	} {
 		legacy := bytes.Replace(data, []byte(splice.at), []byte(splice.with), 1)
 		if bytes.Equal(legacy, data) {
@@ -325,10 +327,9 @@ func TestSessionSnapshotDigestMismatchDropsWarmState(t *testing.T) {
 		t.Fatalf("digest-mismatched snapshot must still restore the envelope: %v", err)
 	}
 	res := requireColdParity(t, restored)
-	// With the warm sections dropped, the restored session's first solve
+	// With the cache section dropped, the restored session's first solve
 	// must search exactly like a fresh session's on the edited instance:
-	// a surviving cache section would answer probes, a surviving seed would
-	// move the search window.
+	// a surviving cache section would answer probes.
 	fresh, err := NewSession(&in, sess.Options())
 	if err != nil {
 		t.Fatal(err)

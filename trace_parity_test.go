@@ -128,17 +128,45 @@ func TestTraceParityAllFamilies(t *testing.T) {
 						t.Errorf("traced result diverges\nuntraced: %s\ntraced:   %s", a, b)
 					}
 					checkSchemeSpans(t, traced.Trace)
+					if engPar == 1 {
+						checkSessionResolveSpans(t, in, opts)
+					}
 				})
 			}
 		}
 	}
 }
 
+// checkSessionResolveSpans runs checkSchemeSpans on a traced session
+// re-solve: a session's first solve, one resize, then the re-solve whose
+// trace must have the same shape as a one-shot solve's.
+func checkSessionResolveSpans(t *testing.T, in *ccsched.Instance, opts ccsched.Options) {
+	t.Helper()
+	sess, err := ccsched.NewSession(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Solve(context.Background()); err != nil {
+		t.Fatalf("session solve: %v", err)
+	}
+	if err := sess.Resize(sess.JobIDs()[0], in.P[0]+1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatalf("session re-solve: %v", err)
+	}
+	if res.Trace == nil {
+		t.Fatal("traced session re-solve has no trace")
+	}
+	checkSchemeSpans(t, res.Trace)
+}
+
 // checkSchemeSpans pins the span tree every PTAS scheme records, whose names
 // perfbench folds into its ptas.*_self_ms rows: template_build and
-// guess_search are sibling children of the root solve span, every probe is a
-// child of guess_search, and guess_search carries exactly the guesses,
-// guess, grid and seeded attributes.
+// guess_search are sibling children of the root solve span, every child of
+// guess_search is a probe, and guess_search carries exactly the guesses,
+// guess and grid attributes.
 func checkSchemeSpans(t *testing.T, tr *ccsched.SolveTrace) {
 	t.Helper()
 	search := -1
@@ -162,13 +190,16 @@ func checkSchemeSpans(t *testing.T, tr *ccsched.SolveTrace) {
 			for _, a := range sp.Attrs {
 				keys = append(keys, a.Key)
 			}
-			if got := fmt.Sprint(keys); got != "[guesses guess grid seeded]" {
-				t.Errorf("guess_search attributes %s, want [guesses guess grid seeded]", got)
+			if got := fmt.Sprint(keys); got != "[guesses guess grid]" {
+				t.Errorf("guess_search attributes %s, want [guesses guess grid]", got)
 			}
 		case "probe":
 			if search < 0 || sp.Parent != search {
 				t.Errorf("probe parent %d, want guess_search %d", sp.Parent, search)
 			}
+		}
+		if search >= 0 && sp.Parent == search && sp.Name != "probe" {
+			t.Errorf("guess_search child %q, want only probe spans", sp.Name)
 		}
 	}
 	if templates != 1 || search < 0 {
