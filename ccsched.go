@@ -543,28 +543,29 @@ func wrapCanceled(err error) error {
 }
 
 // solveApprox dispatches the constant-factor tier; lb is the instance's
-// certified bound.
+// certified bound. The makespan is the plan's: it equals the realized
+// schedule's.
 func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
 	switch opts.Variant {
 	case Splittable:
-		r, err := approx.SolveSplittableLB(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit}, lb)
+		p, err := approx.PlanSplittable(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit}, lb)
 		if err != nil {
 			return err
 		}
-		res.Split, res.CompactSplit, res.Makespan = r.Explicit, r.Compact, r.Makespan()
+		r := p.Realize()
+		res.Split, res.CompactSplit, res.Makespan = r.Explicit, r.Compact, p.Makespan().Rat()
 	case Preemptive:
-		r, err := approx.SolvePreemptiveLB(in, lb)
+		p, err := approx.PlanPreemptive(in, lb)
 		if err != nil {
 			return err
 		}
-		res.Preemptive, res.Makespan = r.Schedule, r.Makespan()
+		res.Preemptive, res.Makespan = p.Realize().Schedule, p.Makespan().Rat()
 	case NonPreemptive:
-		r, err := approx.SolveNonPreemptiveLB(in, lb)
+		p, err := approx.PlanNonPreemptive(in, lb)
 		if err != nil {
 			return err
 		}
-		res.NonPreemptive = r.Schedule
-		res.Makespan = new(big.Rat).SetInt64(r.Makespan(in))
+		res.NonPreemptive, res.Makespan = p.Realize().Schedule, new(big.Rat).SetInt64(p.Makespan())
 	}
 	return nil
 }
@@ -607,8 +608,7 @@ func solvePTAS(ctx context.Context, in *Instance, opts Options, lb rat.R, res *R
 		if err != nil {
 			return err
 		}
-		res.NonPreemptive, res.Report = r.Schedule, r.Report
-		res.Makespan = new(big.Rat).SetInt64(r.Schedule.Makespan(in))
+		res.NonPreemptive, res.Makespan, res.Report = r.Schedule, r.Makespan(), r.Report
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 package approx
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ccsched/internal/core"
 	"ccsched/internal/rat"
@@ -35,27 +36,40 @@ func SolveNonPreemptive(in *core.Instance) (*NonPreemptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolveNonPreemptiveLB(in, bound)
+	p, err := PlanNonPreemptive(in, bound)
+	if err != nil {
+		return nil, err
+	}
+	return p.Realize(), nil
 }
 
-// SolveNonPreemptiveLB is SolveNonPreemptive given the instance's certified
-// bound core.LowerBoundR(in, core.NonPreemptive), for callers that
-// computed it already; any other value voids the guarantee.
-func SolveNonPreemptiveLB(in *core.Instance, bound rat.R) (*NonPreemptiveResult, error) {
+// NonPreemptivePlan is SolveNonPreemptive before its schedule is built:
+// the accepted guess T̂, the group loads in the order round robin deals
+// them (non-ascending, Lemma 3) and each job's group.
+type NonPreemptivePlan struct {
+	in        *core.Instance
+	guess, lb int64
+	loads     []int64
+	// pos[j] is the position of job j's group in loads; nil when m ≥ n
+	// and every job runs alone on its own machine.
+	pos      []int
+	makespan int64
+}
+
+// PlanNonPreemptive plans SolveNonPreemptive given the instance's certified
+// bound core.LowerBoundR(in, core.NonPreemptive); any other value voids the
+// guarantee.
+func PlanNonPreemptive(in *core.Instance, bound rat.R) (*NonPreemptivePlan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	if err := core.CheckFeasible(in); err != nil {
 		return nil, err
 	}
-	n := in.N()
 	// With m >= n each job gets its own machine: makespan p_max = OPT.
-	if in.M >= int64(n) {
-		s := &core.NonPreemptiveSchedule{Assign: make([]int64, n)}
-		for j := range s.Assign {
-			s.Assign[j] = int64(j)
-		}
-		return &NonPreemptiveResult{Schedule: s, Guess: in.PMax(), LB: in.PMax(), Groups: n}, nil
+	if in.M >= int64(in.N()) {
+		pm := in.PMax()
+		return &NonPreemptivePlan{in: in, guess: pm, lb: pm, makespan: pm}, nil
 	}
 	lb := in.PMax()
 	if area := core.RatCeilDiv(in.TotalLoad(), in.M); area > lb {
@@ -63,71 +77,86 @@ func SolveNonPreemptiveLB(in *core.Instance, bound rat.R) (*NonPreemptiveResult,
 	}
 	// T̂ = max(LB, slot bound) = ⌈certified bound⌉: p_max and the slot
 	// bound are integers.
-	guess := bound.Ceil()
-	groups := splitClassesLPT(in, guess)
-	// Round robin over the groups in non-ascending load order (Lemma 3).
-	sort.SliceStable(groups, func(a, b int) bool { return groups[a].load > groups[b].load })
-	perMachine := roundRobin(len(groups), in.M)
-	s := &core.NonPreemptiveSchedule{Assign: make([]int64, n)}
-	for i, idxs := range perMachine {
-		for _, gi := range idxs {
-			for _, j := range groups[gi].jobs {
-				s.Assign[j] = int64(i)
-			}
-		}
+	p := &NonPreemptivePlan{in: in, guess: bound.Ceil(), lb: lb}
+	p.lptGroups()
+	w := dealWidth(int64(len(p.loads)), in.M)
+	for k := int64(0); k < int64(len(p.loads)); k += w {
+		p.makespan += p.loads[k]
 	}
-	return &NonPreemptiveResult{Schedule: s, Guess: guess, LB: lb, Groups: len(groups)}, nil
+	return p, nil
 }
 
-// jobGroup is one of the C_u sub-classes of a class: whole jobs only.
-type jobGroup struct {
-	class int
-	load  int64
-	jobs  []int
-}
-
-// splitClassesLPT divides every class u into C_u(T) groups using LPT. By the
-// analysis of Theorem 6, each group's load is at most T + T/3 when T is a
-// feasible guess.
-func splitClassesLPT(in *core.Instance, t int64) []jobGroup {
-	byClass := in.ClassJobs()
-	var out []jobGroup
-	for u, jobs := range byClass {
+// lptGroups divides every class u into C_u(T̂) groups using LPT and
+// orders the groups for round robin. By the analysis of Theorem 6, each
+// group's load is at most T̂ + T̂/3.
+func (p *NonPreemptivePlan) lptGroups() {
+	in := p.in
+	group := make([]int, in.N())
+	var loads []int64
+	var ps []int64
+	for _, jobs := range in.ClassJobs() {
 		if len(jobs) == 0 {
 			continue
 		}
-		ps := make([]int64, len(jobs))
+		// One sort serves the slot count and LPT: largest first, ties in
+		// index order.
+		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(in.P[b], in.P[a]) })
+		ps = ps[:0]
 		var pu int64
-		for i, j := range jobs {
-			ps[i] = in.P[j]
-			pu += ps[i]
+		for _, j := range jobs {
+			ps = append(ps, in.P[j])
+			pu += in.P[j]
 		}
-		sort.Slice(ps, func(a, b int) bool { return ps[a] > ps[b] })
-		k := core.NonPreemptiveClassSlots(ps, pu, t)
-		if k < 1 {
-			k = 1
-		}
-		if k > int64(len(jobs)) {
-			k = int64(len(jobs))
-		}
-		// LPT over the class's jobs into k groups.
-		ordered := append([]int(nil), jobs...)
-		sort.SliceStable(ordered, func(a, b int) bool { return in.P[ordered[a]] > in.P[ordered[b]] })
-		gs := make([]jobGroup, k)
-		for i := range gs {
-			gs[i].class = u
-		}
-		for _, j := range ordered {
+		k := min(max(core.NonPreemptiveClassSlots(ps, pu, p.guess), 1), int64(len(jobs)))
+		base := len(loads)
+		loads = append(loads, make([]int64, k)...)
+		gs := loads[base:]
+		for _, j := range jobs {
 			best := 0
 			for g := 1; g < len(gs); g++ {
-				if gs[g].load < gs[best].load {
+				if gs[g] < gs[best] {
 					best = g
 				}
 			}
-			gs[best].jobs = append(gs[best].jobs, j)
-			gs[best].load += in.P[j]
+			gs[best] += in.P[j]
+			group[j] = base + best
 		}
-		out = append(out, gs...)
 	}
-	return out
+	// Round robin over the groups in non-ascending load order (Lemma 3),
+	// ties in construction order.
+	order := make([]int, len(loads))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	rank := make([]int, len(loads))
+	p.loads = make([]int64, len(loads))
+	for k, g := range order {
+		rank[g] = k
+		p.loads[k] = loads[g]
+	}
+	for j, g := range group {
+		group[j] = rank[g]
+	}
+	p.pos = group
+}
+
+// Makespan returns the makespan of the schedule Realize builds.
+func (p *NonPreemptivePlan) Makespan() int64 { return p.makespan }
+
+// Realize builds the planned schedule.
+func (p *NonPreemptivePlan) Realize() *NonPreemptiveResult {
+	n := p.in.N()
+	s := &core.NonPreemptiveSchedule{Assign: make([]int64, n)}
+	if p.pos == nil {
+		for j := range s.Assign {
+			s.Assign[j] = int64(j)
+		}
+		return &NonPreemptiveResult{Schedule: s, Guess: p.guess, LB: p.lb, Groups: n}
+	}
+	w := dealWidth(int64(len(p.loads)), p.in.M)
+	for j, k := range p.pos {
+		s.Assign[j] = int64(k) % w
+	}
+	return &NonPreemptiveResult{Schedule: s, Guess: p.guess, LB: p.lb, Groups: len(p.loads)}
 }

@@ -38,13 +38,29 @@ func SolvePreemptive(in *core.Instance) (*PreemptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolvePreemptiveLB(in, bound)
+	p, err := PlanPreemptive(in, bound)
+	if err != nil {
+		return nil, err
+	}
+	return p.Realize(), nil
 }
 
-// SolvePreemptiveLB is SolvePreemptive given the instance's certified bound
-// core.LowerBoundR(in, core.Preemptive), for callers that computed it
-// already; any other value voids the guarantee.
-func SolvePreemptiveLB(in *core.Instance, bound rat.R) (*PreemptiveResult, error) {
+// PreemptivePlan is SolvePreemptive before its schedule is built: the
+// accepted guess T̂ and the sub-classes in the order round robin deals
+// them.
+type PreemptivePlan struct {
+	in        *core.Instance
+	guess, lb rat.R
+	// oneEach is the m ≥ n case: every job runs alone on its own machine.
+	oneEach  bool
+	subs     subClasses
+	makespan rat.R
+}
+
+// PlanPreemptive plans SolvePreemptive given the instance's certified
+// bound core.LowerBoundR(in, core.Preemptive); any other value voids the
+// guarantee.
+func PlanPreemptive(in *core.Instance, bound rat.R) (*PreemptivePlan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,45 +70,57 @@ func SolvePreemptiveLB(in *core.Instance, bound rat.R) (*PreemptiveResult, error
 	// With m >= n an optimal schedule places every job on its own machine
 	// and achieves p_max exactly, as observed in the proof of Theorem 5.
 	if in.M >= int64(in.N()) {
-		sched := &core.PreemptiveSchedule{}
+		pm := rat.FromInt(in.PMax())
+		return &PreemptivePlan{in: in, guess: pm, lb: pm, oneEach: true, makespan: pm}, nil
+	}
+	// T̂ = max(LB, border) is the certified bound.
+	p := &PreemptivePlan{
+		in: in, guess: bound,
+		lb:   rat.Max(rat.FromInt(in.PMax()), rat.Frac(in.TotalLoad(), in.M)),
+		subs: newSubClasses(in, bound),
+	}
+	// When Algorithm 2 repacks, machine 0's first sub-class is a full
+	// window of load T̂, so the shift to T̂ adds nothing there and machine
+	// 0 still ends last.
+	p.makespan = p.subs.firstMachineLoad(in.M)
+	return p, nil
+}
+
+// Makespan returns the makespan of the schedule Realize builds.
+func (p *PreemptivePlan) Makespan() rat.R { return p.makespan }
+
+// Realize builds the planned schedule.
+func (p *PreemptivePlan) Realize() *PreemptiveResult {
+	in := p.in
+	sched := &core.PreemptiveSchedule{}
+	if p.oneEach {
 		for j := range in.P {
 			sched.Pieces = append(sched.Pieces, core.PreemptivePiece{
 				Job: j, Machine: int64(j), Size: rat.FromInt(in.P[j]),
 			})
 		}
-		pm := core.RatInt(in.PMax())
-		return &PreemptiveResult{Schedule: sched, Guess: pm, LB: new(big.Rat).Set(pm)}, nil
+		return &PreemptiveResult{Schedule: sched, Guess: p.guess.Rat(), LB: p.lb.Rat()}
 	}
-	// T̂ = max(LB, border) is the certified bound.
-	lb := rat.Max(rat.FromInt(in.PMax()), rat.Frac(in.TotalLoad(), in.M))
-	guess := bound
-	bundles := cutClasses(in, guess)
-	sortBundles(bundles)
 	// Algorithm 2's repack condition: some sub-class has load exactly T̂,
 	// which happens exactly when a class with P_u > T̂ was split.
-	repack := false
-	for i := range bundles {
-		if bundles[i].load.Cmp(guess) == 0 {
-			repack = true
-			break
-		}
-	}
-	perMachine := roundRobin(len(bundles), in.M)
-	sched := &core.PreemptiveSchedule{}
-	for i, idxs := range perMachine {
+	repack := p.subs.nFull > 0
+	bundles := p.subs.bundles(in)
+	count := int64(len(bundles))
+	w := dealWidth(count, in.M)
+	for i := int64(0); i < w; i++ {
 		var clock rat.R
-		for row, bi := range idxs {
-			if repack && row == 1 && clock.Cmp(guess) < 0 {
+		for k, row := i, 0; k < count; k, row = k+w, row+1 {
+			if repack && row == 1 && clock.Cmp(p.guess) < 0 {
 				// Shift everything above the first sub-class to start at T̂.
-				clock = guess
+				clock = p.guess
 			}
-			for _, pc := range bundles[bi].pieces {
+			for _, pc := range bundles[k].pieces {
 				sched.Pieces = append(sched.Pieces, core.PreemptivePiece{
-					Job: pc.job, Machine: int64(i), Start: clock, Size: pc.size,
+					Job: pc.job, Machine: i, Start: clock, Size: pc.size,
 				})
 				clock = clock.Add(pc.size)
 			}
 		}
 	}
-	return &PreemptiveResult{Schedule: sched, Guess: guess.Rat(), LB: lb.Rat(), Repacked: repack}, nil
+	return &PreemptiveResult{Schedule: sched, Guess: p.guess.Rat(), LB: p.lb.Rat(), Repacked: repack}
 }

@@ -10,6 +10,14 @@
 // sub-classes any schedule with makespan T must use, and distribute the
 // sub-classes by round robin in non-ascending load order (Lemma 3).
 //
+// Each algorithm is split into a plan and its realization. The plan
+// (PlanSplittable, PlanPreemptive, PlanNonPreemptive) holds T̂ and the
+// sub-classes' loads in their round-robin order, which puts the makespan on
+// machine 0: its Makespan needs no schedule. Realize builds the schedule
+// from the plan. The PTAS driver reads only the plan's makespan, as its
+// guess-grid top and best-of floor, and realizes the schedule only when it
+// returns it (its approx-fallback and approx-min exits).
+//
 // All cutting and load accounting runs on rat.R, the int64 fraction fast
 // path of internal/rat; *big.Rat appears only in the result structs at the
 // API boundary.
@@ -18,7 +26,7 @@ package approx
 import (
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"ccsched/internal/core"
 	"ccsched/internal/rat"
@@ -99,38 +107,88 @@ func SolveSplittableOpts(in *core.Instance, opts Options) (*SplitResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return SolveSplittableLB(in, opts, bound)
+	p, err := PlanSplittable(in, opts, bound)
+	if err != nil {
+		return nil, err
+	}
+	return p.Realize(), nil
 }
 
-// SolveSplittableLB is SolveSplittableOpts given the instance's certified
-// bound core.LowerBoundR(in, core.Splittable), for callers that computed
-// it already; any other value voids the guarantee.
-func SolveSplittableLB(in *core.Instance, opts Options, bound rat.R) (*SplitResult, error) {
+// SplitPlan is Algorithm 1 before its schedule is built: the accepted guess
+// T̂ and the sub-classes in the order round robin deals them. Above the
+// explicit-machine limit the compact schedule is built eagerly instead: it
+// pairs remainders with full windows rather than dealing round robin, so
+// its makespan is read off the schedule.
+type SplitPlan struct {
+	in        *core.Instance
+	guess, lb rat.R
+	subs      subClasses
+	compact   *SplitResult
+	makespan  rat.R
+}
+
+// PlanSplittable plans Algorithm 1 given the instance's certified bound
+// core.LowerBoundR(in, core.Splittable); any other value voids the
+// guarantee. It returns core.ErrInfeasible when C > c·m.
+func PlanSplittable(in *core.Instance, opts Options, bound rat.R) (*SplitPlan, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	if err := core.CheckFeasible(in); err != nil {
 		return nil, err
 	}
-	lb := rat.Frac(in.TotalLoad(), in.M)
 	// T̂ = max(LB, smallest feasible border), which is the certified bound.
 	// Both terms lower-bound OPT and the slot count is monotone, so T̂ stays
 	// feasible; cutting at T̂ ≥ LB additionally caps the number of full-size
 	// windows by ΣP/T̂ ≤ m, which the compact path relies on.
-	guess := bound
+	p := &SplitPlan{in: in, guess: bound, lb: rat.Frac(in.TotalLoad(), in.M)}
 	if in.N() == 0 {
-		return &SplitResult{Compact: &core.CompactSplitSchedule{}, Guess: guess.Rat(), LB: lb.Rat()}, nil
+		return p, nil
 	}
-	if in.M <= opts.explicitLimit() {
-		return solveSplittableExplicit(in, lb, guess)
-	}
-	res, err := solveSplittableCompact(in, lb, guess)
-	if err == errCompactNeedsExplicit {
+	if in.M > opts.explicitLimit() {
+		res, err := solveSplittableCompact(in, p.lb, p.guess)
+		if err == nil {
+			p.compact, p.makespan = res, res.Compact.MakespanR()
+			return p, nil
+		}
 		// The compact pairing requires m ≥ C (see solveSplittableCompact);
 		// m < C ≤ n here, so the explicit construction is polynomial.
-		return solveSplittableExplicit(in, lb, guess)
+		if err != errCompactNeedsExplicit {
+			return nil, err
+		}
 	}
-	return res, err
+	p.subs = newSubClasses(in, p.guess)
+	p.makespan = p.subs.firstMachineLoad(in.M)
+	return p, nil
+}
+
+// Makespan returns the makespan of the schedule Realize builds.
+func (p *SplitPlan) Makespan() rat.R { return p.makespan }
+
+// Realize builds the planned schedule.
+func (p *SplitPlan) Realize() *SplitResult {
+	if p.compact != nil {
+		return p.compact
+	}
+	res := &SplitResult{Compact: &core.CompactSplitSchedule{}, Guess: p.guess.Rat(), LB: p.lb.Rat()}
+	if p.in.N() == 0 {
+		return res
+	}
+	bundles := p.subs.bundles(p.in)
+	count := int64(len(bundles))
+	w := dealWidth(count, p.in.M)
+	sched := &core.SplitSchedule{}
+	for i := int64(0); i < w; i++ {
+		for k := i; k < count; k += w {
+			for _, pc := range bundles[k].pieces {
+				sched.Pieces = append(sched.Pieces, core.SplitPiece{
+					Job: pc.job, Machine: i, Size: pc.size,
+				})
+			}
+		}
+	}
+	res.Compact, res.Explicit, res.SubClasses = core.FromSplit(sched), sched, count
+	return res
 }
 
 // errCompactNeedsExplicit reports that the compact construction's
@@ -139,88 +197,131 @@ func SolveSplittableLB(in *core.Instance, opts Options, bound rat.R) (*SplitResu
 // sub-classes per machine.
 var errCompactNeedsExplicit = fmt.Errorf("approx: compact construction needs m >= C")
 
-// cutClasses slices every class into sub-classes of load at most t: full
-// windows of size exactly t plus at most one remainder per class. Jobs are
-// consumed in index order, so a job is cut only at window boundaries. All
-// arithmetic stays on rat.R values; no per-window heap rationals are
-// allocated.
-func cutClasses(in *core.Instance, t rat.R) []bundle {
-	byClass := in.ClassJobs()
-	var out []bundle
-	for u, jobs := range byClass {
-		if len(jobs) == 0 {
+// subClasses is the cut of every class into sub-classes of load at most T̂
+// in the order round robin deals them (Lemma 3): non-ascending load. First
+// come the ⌊P_u/T̂⌋ full windows of load exactly T̂ of every class, classes
+// ascending, then each class's remainder P_u − ⌊P_u/T̂⌋·T̂ > 0 by
+// non-ascending load, ties by class. A class's full windows stay adjacent,
+// which the preemptive repacking relies on. This is the only place that
+// order is computed: the makespan and the schedules read it.
+type subClasses struct {
+	guess rat.R
+	full  []classWindows // classes with a full window, ascending
+	nFull int64
+	rems  []remainder
+}
+
+// classWindows is a class's run of full windows.
+type classWindows struct {
+	class int
+	count int64
+}
+
+// remainder is a class's last, partial window.
+type remainder struct {
+	class int
+	load  rat.R
+}
+
+func newSubClasses(in *core.Instance, t rat.R) subClasses {
+	s := subClasses{guess: t}
+	for u, pu := range in.ClassLoads() {
+		if pu == 0 {
 			continue
 		}
-		cur := bundle{class: u}
-		for _, j := range jobs {
-			remaining := rat.FromInt(in.P[j])
-			for remaining.Sign() > 0 {
-				room := t.Sub(cur.load)
-				take := remaining
-				if take.Cmp(room) > 0 {
-					take = room
-				}
-				cur.pieces = append(cur.pieces, pieceRef{job: j, size: take})
-				cur.load = cur.load.Add(take)
-				remaining = remaining.Sub(take)
-				if cur.load.Cmp(t) == 0 {
-					out = append(out, cur)
-					cur = bundle{class: u}
-				}
-			}
+		load := rat.FromInt(pu)
+		k := load.FloorQuo(t)
+		if k > 0 {
+			s.full = append(s.full, classWindows{class: u, count: k})
+			s.nFull += k
 		}
-		if cur.load.Sign() > 0 {
-			out = append(out, cur)
+		if rem := load.Sub(t.MulInt(k)); rem.Sign() > 0 {
+			s.rems = append(s.rems, remainder{class: u, load: rem})
 		}
+	}
+	slices.SortStableFunc(s.rems, func(a, b remainder) int { return b.load.Cmp(a.load) })
+	return s
+}
+
+// count is the number of sub-classes.
+func (s *subClasses) count() int64 { return s.nFull + int64(len(s.rems)) }
+
+// load is the load of the sub-class at position k.
+func (s *subClasses) load(k int64) rat.R {
+	if k < s.nFull {
+		return s.guess
+	}
+	return s.rems[k-s.nFull].load
+}
+
+// firstMachineLoad is the load round robin deals to machine 0: positions
+// 0, m′, 2m′, … with m′ = min(m, count). The loads are non-ascending, so
+// machine 0's r-th sub-class is at least any other machine's r-th and no
+// machine gets more sub-classes: machine 0 carries the makespan.
+func (s *subClasses) firstMachineLoad(m int64) rat.R {
+	count := s.count()
+	w := dealWidth(count, m)
+	var sum rat.R
+	for k := int64(0); k < count; k += w {
+		sum = sum.Add(s.load(k))
+	}
+	return sum
+}
+
+// bundles cuts the classes into the planned sub-classes and lists them in
+// dealing order. Jobs are consumed in index order, so a job is cut only at
+// window boundaries.
+func (s *subClasses) bundles(in *core.Instance) []bundle {
+	byClass := in.ClassJobs()
+	windows := make([][]bundle, len(byClass))
+	for u, jobs := range byClass {
+		windows[u] = cutClass(in, u, jobs, s.guess)
+	}
+	out := make([]bundle, 0, s.count())
+	for _, fw := range s.full {
+		out = append(out, windows[fw.class][:fw.count]...)
+	}
+	for _, r := range s.rems {
+		ws := windows[r.class]
+		out = append(out, ws[len(ws)-1])
 	}
 	return out
 }
 
-// sortBundles orders sub-classes by non-ascending load; ties keep the
-// construction order so that consecutive windows of one class stay adjacent
-// (the preemptive repacking argument relies on this).
-func sortBundles(bs []bundle) {
-	sort.SliceStable(bs, func(a, b int) bool { return bs[a].load.Cmp(bs[b].load) > 0 })
-}
-
-// roundRobin assigns sub-classes cyclically to machines 0..m-1 in the given
-// order and returns, per machine, the indices of its sub-classes.
-func roundRobin(count int, m int64) [][]int {
-	if int64(count) < m {
-		m = int64(count)
+// cutClass slices class u, whose jobs are given in index order, into full
+// windows of load exactly t followed by at most one remainder. All
+// arithmetic stays on rat.R values; no per-window heap rationals are
+// allocated.
+func cutClass(in *core.Instance, u int, jobs []int, t rat.R) []bundle {
+	var out []bundle
+	cur := bundle{class: u}
+	for _, j := range jobs {
+		remaining := rat.FromInt(in.P[j])
+		for remaining.Sign() > 0 {
+			room := t.Sub(cur.load)
+			take := remaining
+			if take.Cmp(room) > 0 {
+				take = room
+			}
+			cur.pieces = append(cur.pieces, pieceRef{job: j, size: take})
+			cur.load = cur.load.Add(take)
+			remaining = remaining.Sub(take)
+			if cur.load.Cmp(t) == 0 {
+				out = append(out, cur)
+				cur = bundle{class: u}
+			}
+		}
 	}
-	if m == 0 {
-		return nil
-	}
-	out := make([][]int, m)
-	for i := 0; i < count; i++ {
-		out[int64(i)%m] = append(out[int64(i)%m], i)
+	if cur.load.Sign() > 0 {
+		out = append(out, cur)
 	}
 	return out
 }
 
-func solveSplittableExplicit(in *core.Instance, lb, guess rat.R) (*SplitResult, error) {
-	bundles := cutClasses(in, guess)
-	sortBundles(bundles)
-	perMachine := roundRobin(len(bundles), in.M)
-	sched := &core.SplitSchedule{}
-	for i, idxs := range perMachine {
-		for _, bi := range idxs {
-			for _, pc := range bundles[bi].pieces {
-				sched.Pieces = append(sched.Pieces, core.SplitPiece{
-					Job: pc.job, Machine: int64(i), Size: pc.size,
-				})
-			}
-		}
-	}
-	return &SplitResult{
-		Compact:    core.FromSplit(sched),
-		Explicit:   sched,
-		Guess:      guess.Rat(),
-		LB:         lb.Rat(),
-		SubClasses: int64(len(bundles)),
-	}, nil
-}
+// dealWidth is the number of machines round robin deals count sub-classes
+// onto, m′ = min(m, count): the sub-class at position k goes to machine
+// k mod m′.
+func dealWidth(count, m int64) int64 { return min(count, m) }
 
 // solveSplittableCompact emits a machine-group schedule whose encoding stays
 // polynomial in n even for exponential m. The construction follows the

@@ -169,7 +169,8 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 func TestCutClassesInvariants(t *testing.T) {
 	in := generator.Zipf(generator.Config{N: 80, Classes: 10, Machines: 5, Slots: 3, PMax: 200, Seed: 31})
 	guess := rat.FromInt(137)
-	bundles := cutClasses(in, guess)
+	subs := newSubClasses(in, guess)
+	bundles := subs.bundles(in)
 	perJob := make(map[int]rat.R)
 	for _, b := range bundles {
 		if b.load.Cmp(guess) > 0 {
@@ -190,6 +191,12 @@ func TestCutClassesInvariants(t *testing.T) {
 	for j := range in.P {
 		if perJob[j].Cmp(rat.FromInt(in.P[j])) != 0 {
 			t.Errorf("job %d not fully covered by bundles", j)
+		}
+	}
+	// Round robin deals the sub-classes in non-ascending load order.
+	for k := 1; k < len(bundles); k++ {
+		if bundles[k].load.Cmp(bundles[k-1].load) > 0 {
+			t.Errorf("sub-class %d load %s above its predecessor's %s", k, bundles[k].load.RatString(), bundles[k-1].load.RatString())
 		}
 	}
 	// Sub-class count must match the slot formula Σ⌈P_u/T⌉.

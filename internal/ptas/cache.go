@@ -322,26 +322,25 @@ func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 // solveGuessCached runs one guess probe's N-fold through the feasibility
 // cache — the shared step of all four probe shapes. A hit returns the
 // memoized verdict (counted in stats.cacheHits); a miss builds the N-fold,
-// solves it under ctx with the search's shared nfold.Template and
-// memoizes the verdict. Errors — including cancellation — are never
-// cached. Neither the warm restore nor the move cache in tmpl ever changes
+// solves it under ctx with the search's shared nfold.Template (its engine
+// spans hang off the probe span sp) and memoizes the verdict. The caller
+// ends sp with the returned attributes once the whole probe is done.
+// Errors — including cancellation — are never cached. Neither the warm restore nor the move cache in tmpl ever changes
 // a verdict (restores are verdict-only and the augment move cache is
 // content-deterministic), so cached entries stay valid across NoWarmStart
 // settings and across the solves that share the cache.
-func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem) (cacheEntry, error) {
+func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem, sp trace.Span) (cacheEntry, []trace.Attr, error) {
 	// Chaos hook: one injection point per feasibility probe. A delay here
 	// pushes a solve past its soft deadline; a panic must leave the solve as
 	// a typed internal error; an error must surface as a clean typed failure.
 	if err := faultinject.Check("ptas.probe"); err != nil {
-		return cacheEntry{}, err
+		return cacheEntry{}, nil, err
 	}
-	sp := opts.Trace.Child("probe")
 	var prob *nfold.Problem
 	if entry, ok := opts.Cache.lookup(key); ok {
 		if !entry.restored {
 			stats.cacheHits++
-			sp.End(trace.A("t", t), trace.A("cache_hit", 1), trace.A("feasible", b2i(entry.feasible)))
-			return entry, nil
+			return entry, []trace.Attr{trace.A("t", t), trace.A("cache_hit", 1), trace.A("feasible", b2i(entry.feasible))}, nil
 		}
 		// A snapshot-restored entry is a hint, never a verdict: re-verify
 		// it against the N-fold built from the live data before trusting
@@ -355,8 +354,7 @@ func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, 
 		if verified, ok := entry.reverify(prob); ok {
 			opts.Cache.store(key, verified)
 			stats.cacheHits++
-			sp.End(trace.A("t", t), trace.A("cache_hit", 1), trace.A("reverified", 1), trace.A("feasible", b2i(verified.feasible)))
-			return verified, nil
+			return verified, []trace.Attr{trace.A("t", t), trace.A("cache_hit", 1), trace.A("reverified", 1), trace.A("feasible", b2i(verified.feasible))}, nil
 		}
 		opts.Cache.remove(key)
 	}
@@ -372,8 +370,7 @@ func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, 
 		err = ctx.Err()
 	}
 	if err != nil {
-		sp.End(trace.A("t", t), trace.A("err", 1))
-		return cacheEntry{}, err
+		return cacheEntry{}, nil, err
 	}
 	stats.nodes += int64(res.Nodes)
 	stats.pivots += int64(res.Pivots)
@@ -383,12 +380,11 @@ func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, 
 		entry.params = prob.Params()
 	}
 	opts.Cache.store(key, entry)
-	sp.End(
+	return entry, []trace.Attr{
 		trace.A("t", t), trace.A("feasible", b2i(entry.feasible)),
 		trace.A("nodes", int64(res.Nodes)), trace.A("pivots", int64(res.Pivots)),
 		trace.A("warm_hits", int64(res.WarmHits)),
-	)
-	return entry, nil
+	}, nil
 }
 
 // b2i renders a verdict as a span attribute value.

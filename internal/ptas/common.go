@@ -31,7 +31,6 @@ package ptas
 import (
 	"fmt"
 	"math"
-	"math/big"
 
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
@@ -166,15 +165,6 @@ func guessGrid(lo, hi int64, g int64) []int64 {
 	}
 	out = append(out, hi)
 	return out
-}
-
-// ceilRat returns ⌈r⌉ for a nonnegative rational.
-func ceilRat(r *big.Rat) int64 {
-	q := new(big.Int).Quo(r.Num(), r.Denom())
-	if new(big.Int).Mul(q, r.Denom()).Cmp(r.Num()) != 0 {
-		q.Add(q, big.NewInt(1))
-	}
-	return q.Int64()
 }
 
 // ceilDiv is ⌈a/b⌉ for positive a, b.

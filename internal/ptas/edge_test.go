@@ -29,7 +29,7 @@ func TestNonPreemptivePTASAllSmallClasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratioAtMost(t, "all-small", core.RatInt(res.Makespan(in)), lb, 7, 3)
+	ratioAtMost(t, "all-small", core.RatInt(res.Schedule.Makespan(in)), lb, 7, 3)
 }
 
 // TestSplittablePTASSingleClass covers the single-brick N-fold.

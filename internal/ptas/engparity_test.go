@@ -153,7 +153,7 @@ func runEngParity(t *testing.T, variant string, in *core.Instance, opts Options)
 		if err != nil {
 			t.Fatalf("nonpreemptive: %v", err)
 		}
-		rep, mk = r.Report, new(big.Rat).SetInt64(r.Makespan(in))
+		rep, mk = r.Report, new(big.Rat).SetInt64(r.Schedule.Makespan(in))
 	case "preemptive":
 		r, err := SolvePreemptive(ctx, in, opts)
 		if err != nil {

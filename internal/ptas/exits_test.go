@@ -73,7 +73,7 @@ var (
 			if err != nil {
 				return exitOutcome{}, err
 			}
-			return exitOutcome{core.RatInt(r.Makespan(in)), r.Report, r.Schedule.Validate(in), true}, nil
+			return exitOutcome{core.RatInt(r.Schedule.Makespan(in)), r.Report, r.Schedule.Validate(in), true}, nil
 		},
 		approx: func(in *core.Instance) (*big.Rat, error) {
 			r, err := approx.SolveNonPreemptive(in)

@@ -326,10 +326,11 @@ func (ctx *npGuessCtx) buildNFold() *nfold.Problem {
 type NonPreemptiveResult struct {
 	Schedule *core.NonPreemptiveSchedule
 	Report   Report
+	makespan rat.R
 }
 
-// Makespan returns the schedule makespan.
-func (r *NonPreemptiveResult) Makespan(in *core.Instance) int64 { return r.Schedule.Makespan(in) }
+// Makespan returns the schedule makespan, which the solve computed once.
+func (r *NonPreemptiveResult) Makespan() *big.Rat { return r.makespan.Rat() }
 
 // SolveNonPreemptive runs the non-preemptive PTAS (Theorem 14). The context
 // cancels the makespan-guess search — including in-flight N-fold solves —
@@ -347,11 +348,11 @@ func SolveNonPreemptive(ctx context.Context, in *core.Instance, opts Options) (*
 // bound core.LowerBoundR(in, core.NonPreemptive), for callers that
 // computed it already.
 func SolveNonPreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*NonPreemptiveResult, error) {
-	sched, rep, err := runScheme(ctx, in, opts, npScheme, bound)
+	sched, makespan, rep, err := runScheme(ctx, in, opts, npScheme, bound)
 	if err != nil {
 		return nil, err
 	}
-	return &NonPreemptiveResult{Schedule: sched, Report: rep}, nil
+	return &NonPreemptiveResult{Schedule: sched, Report: rep, makespan: makespan}, nil
 }
 
 // npScheme never scales: the non-preemptive optimum is integral.
@@ -360,15 +361,18 @@ var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
 		return newNPTemplate(in, g, opts.maxConfigs()), nil
 	},
-	approx: func(in *core.Instance, bound rat.R) (*core.NonPreemptiveSchedule, error) {
-		apx, err := approx.SolveNonPreemptiveLB(in, bound)
+	approx: func(in *core.Instance, bound rat.R) (approxPlan[*core.NonPreemptiveSchedule], error) {
+		p, err := approx.PlanNonPreemptive(in, bound)
 		if err != nil {
-			return nil, err
+			return approxPlan[*core.NonPreemptiveSchedule]{}, err
 		}
-		return apx.Schedule, nil
+		return approxPlan[*core.NonPreemptiveSchedule]{
+			makespan: rat.FromInt(p.Makespan()),
+			realize:  func() *core.NonPreemptiveSchedule { return p.Realize().Schedule },
+		}, nil
 	},
-	makespan: func(in *core.Instance, s *core.NonPreemptiveSchedule) *big.Rat {
-		return new(big.Rat).SetInt64(s.Makespan(in))
+	makespan: func(in *core.Instance, s *core.NonPreemptiveSchedule) rat.R {
+		return rat.FromInt(s.Makespan(in))
 	},
 	// m ≥ n: one job per machine is optimal (p_max).
 	shortcut: func(in *core.Instance) *core.NonPreemptiveSchedule {

@@ -248,10 +248,11 @@ func (ctx *preGuessCtx) buildNFold() *nfold.Problem {
 type PreemptiveResult struct {
 	Schedule *core.PreemptiveSchedule
 	Report   Report
+	makespan rat.R
 }
 
-// Makespan returns the schedule makespan.
-func (r *PreemptiveResult) Makespan() *big.Rat { return r.Schedule.Makespan() }
+// Makespan returns the schedule makespan, which the solve computed once.
+func (r *PreemptiveResult) Makespan() *big.Rat { return r.makespan.Rat() }
 
 // SolvePreemptive runs the preemptive PTAS (Theorem 19, with the interval-
 // module restriction documented above). The context cancels the
@@ -269,11 +270,11 @@ func SolvePreemptive(ctx context.Context, in *core.Instance, opts Options) (*Pre
 // core.LowerBoundR(in, core.Preemptive), for callers that computed it
 // already.
 func SolvePreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*PreemptiveResult, error) {
-	sched, rep, err := runScheme(ctx, in, opts, preScheme, bound)
+	sched, makespan, rep, err := runScheme(ctx, in, opts, preScheme, bound)
 	if err != nil {
 		return nil, err
 	}
-	return &PreemptiveResult{Schedule: sched, Report: rep}, nil
+	return &PreemptiveResult{Schedule: sched, Report: rep, makespan: makespan}, nil
 }
 
 // preScheme is the Theorem 19 scheme; its instantiate rejects a guess below
@@ -283,14 +284,17 @@ var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
 		return newPreTemplate(in, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance, bound rat.R) (*core.PreemptiveSchedule, error) {
-		apx, err := approx.SolvePreemptiveLB(in, bound)
+	approx: func(in *core.Instance, bound rat.R) (approxPlan[*core.PreemptiveSchedule], error) {
+		p, err := approx.PlanPreemptive(in, bound)
 		if err != nil {
-			return nil, err
+			return approxPlan[*core.PreemptiveSchedule]{}, err
 		}
-		return apx.Schedule, nil
+		return approxPlan[*core.PreemptiveSchedule]{
+			makespan: p.Makespan(),
+			realize:  func() *core.PreemptiveSchedule { return p.Realize().Schedule },
+		}, nil
 	},
-	makespan: func(_ *core.Instance, s *core.PreemptiveSchedule) *big.Rat { return s.Makespan() },
+	makespan: func(_ *core.Instance, s *core.PreemptiveSchedule) rat.R { return s.MakespanR() },
 	// m ≥ n: one job per machine is optimal (p_max).
 	shortcut: func(in *core.Instance) *core.PreemptiveSchedule {
 		sched := &core.PreemptiveSchedule{}

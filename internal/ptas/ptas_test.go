@@ -131,7 +131,7 @@ func TestNonPreemptivePTAS(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ratioAtMost(t, "np-ptas", core.RatInt(res.Makespan(in)), lb, 7, 3)
+		ratioAtMost(t, "np-ptas", core.RatInt(res.Schedule.Makespan(in)), lb, 7, 3)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestNonPreemptivePTASManyMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Makespan(in); got != 9 {
+	if got := res.Schedule.Makespan(in); got != 9 {
 		t.Errorf("makespan = %d, want p_max = 9", got)
 	}
 }

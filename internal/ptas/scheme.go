@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"math/big"
 
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
@@ -21,11 +20,12 @@ type scheme[G guess[S], S any] struct {
 	variant core.Variant
 	// template builds the guess-independent state of one search.
 	template func(in *core.Instance, g int64, opts Options) (guessTemplate[G], error)
-	// approx is the constant-factor algorithm, given the instance's
-	// certified bound: it sets the top of the guess grid and is the
-	// fallback and the best-of floor.
-	approx   func(in *core.Instance, bound rat.R) (S, error)
-	makespan func(in *core.Instance, s S) *big.Rat
+	// approx plans the constant-factor algorithm, given the instance's
+	// certified bound: its makespan sets the top of the guess grid and is
+	// the best-of floor, and its schedule is built only when the driver
+	// returns it (the fallback and approx-min exits).
+	approx   func(in *core.Instance, bound rat.R) (approxPlan[S], error)
+	makespan func(in *core.Instance, s S) rat.R
 	// shortcut, when set, returns the optimal one-job-per-machine schedule
 	// for m ≥ n. The splittable scheme has none: its optimum can lie below
 	// p_max.
@@ -54,6 +54,13 @@ type guess[S any] interface {
 	constructSchedule(x [][]int64) (S, error)
 }
 
+// approxPlan is the constant-factor algorithm before its schedule is
+// built.
+type approxPlan[S any] struct {
+	makespan rat.R
+	realize  func() S
+}
+
 // errGuessTooSmall rejects a guess below which a single job cannot fit.
 var errGuessTooSmall = fmt.Errorf("ptas: guess below the largest job")
 
@@ -65,28 +72,30 @@ type accepted[S any] struct {
 
 // runScheme is the dual-approximation driver of every scheme: it brackets
 // the makespan between the certified lower bound and the constant-factor
-// schedule, searches the (1+δ) guess grid with one configuration N-fold per
-// guess, and returns the better of the scheme's schedule and the
+// plan's makespan, searches the (1+δ) guess grid with one configuration
+// N-fold per guess, and returns the better of the scheme's schedule and the
 // constant-factor one — or the constant-factor one alone when no guess is
-// accepted within budget. Cancelling ctx stops in-flight N-fold solves at
-// their next iteration boundary and returns ctx.Err(); an engine panic
-// unwinds through the driver, never masked by the fallback (Solve turns it
-// into ErrInternal). bound is the caller's
-// core.LowerBoundR(in, sc.variant), computed once per solve.
-func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S], bound rat.R) (S, Report, error) {
+// accepted within budget. The constant-factor schedule is built only at
+// those two exits. It also returns the returned schedule's makespan.
+// Cancelling ctx stops in-flight N-fold solves at their next iteration
+// boundary and returns ctx.Err(); an engine panic unwinds through the
+// driver, never masked by the fallback (Solve turns it into ErrInternal).
+// bound is the caller's core.LowerBoundR(in, sc.variant), computed once per
+// solve.
+func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S], bound rat.R) (S, rat.R, Report, error) {
 	var none S
 	g, err := opts.delta()
 	if err != nil {
-		return none, Report{}, err
+		return none, rat.R{}, Report{}, err
 	}
 	if err := in.Validate(); err != nil {
-		return none, Report{}, err
+		return none, rat.R{}, Report{}, err
 	}
 	if err := core.CheckFeasible(in); err != nil {
-		return none, Report{}, err
+		return none, rat.R{}, Report{}, err
 	}
 	if sc.shortcut != nil && in.M >= int64(in.N()) {
-		return sc.shortcut(in), Report{InvDelta: g, Guess: in.PMax()}, nil
+		return sc.shortcut(in), rat.FromInt(in.PMax()), Report{InvDelta: g, Guess: in.PMax()}, nil
 	}
 	scale := int64(1)
 	if sc.descale != nil {
@@ -101,13 +110,9 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	lo := max(1, bound.Ceil())
 	apx, err := sc.approx(in, bound)
 	if err != nil {
-		return none, Report{}, err
+		return none, rat.R{}, Report{}, err
 	}
-	apxMakespan := sc.makespan(in, apx)
-	hi := ceilRat(apxMakespan)
-	if hi < lo {
-		hi = lo
-	}
+	hi := max(apx.makespan.Ceil(), lo)
 	grid := guessGrid(lo, hi, g)
 	var stats probeStats
 	var best accepted[S]
@@ -120,30 +125,43 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 		ssp := opts.Trace.Child("guess_search")
 		opts.Trace = ssp // probes hang their spans off the search span
 		probe := func(t int64) (accepted[S], bool, error) {
+			// The probe span times the whole probe: instantiate, digest,
+			// the cache lookup or engine, and the schedule.
+			sp := opts.Trace.Child("probe")
+			fail := func(err error) (accepted[S], bool, error) {
+				sp.End(trace.A("t", t), trace.A("err", 1))
+				return accepted[S]{}, false, err
+			}
 			gc, err := tm.instantiate(t)
 			if err == errGuessTooSmall {
+				sp.End(trace.A("t", t), trace.A("feasible", 0))
 				return accepted[S]{}, false, nil
 			}
 			if err != nil {
-				return accepted[S]{}, false, err
+				return fail(err)
 			}
 			// A canceled solve stops at each unpolled step (digest, build,
 			// schedule) instead of finishing the probe.
 			if err := ctx.Err(); err != nil {
-				return accepted[S]{}, false, err
+				return fail(err)
 			}
 			key := probeCacheKey(sc.tag, gc.digest(), g, opts)
-			entry, err := solveGuessCached(ctx, opts, key, t, &stats, tm.engines(), gc.buildNFold)
-			if err != nil || !entry.feasible {
-				return accepted[S]{}, false, err
+			entry, attrs, err := solveGuessCached(ctx, opts, key, t, &stats, tm.engines(), gc.buildNFold, sp)
+			if err != nil {
+				return fail(err)
+			}
+			if !entry.feasible {
+				sp.End(attrs...)
+				return accepted[S]{}, false, nil
 			}
 			if err := ctx.Err(); err != nil {
-				return accepted[S]{}, false, err
+				return fail(err)
 			}
 			sched, err := gc.constructSchedule(entry.x)
 			if err != nil {
-				return accepted[S]{}, false, err
+				return fail(err)
 			}
+			sp.End(attrs...)
 			return accepted[S]{sched, Report{
 				InvDelta: g, Guess: t, NFold: entry.params, Engine: entry.engine,
 				TheoreticalCostLog2: entry.params.CostLog2(),
@@ -152,14 +170,16 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 		best, guess, tried, err = searchGuesses(grid, probe)
 		ssp.End(trace.A("guesses", int64(tried)), trace.A("guess", guess), trace.A("grid", int64(len(grid))))
 	}
+	var makespan rat.R
 	if err != nil {
 		if ctx.Err() != nil {
-			return none, Report{}, ctx.Err()
+			return none, rat.R{}, Report{}, ctx.Err()
 		}
 		// Degrade gracefully: the constant-factor schedule is always
 		// available when every guess is rejected within budget or the
 		// configuration enumeration exceeds its limit.
-		best = accepted[S]{apx, fallbackReport(g, hi, tried, &stats)}
+		best = accepted[S]{apx.realize(), fallbackReport(g, hi, tried, &stats)}
+		makespan = apx.makespan
 	} else {
 		best.report.Guess = guess
 		best.report.Guesses = tried
@@ -167,12 +187,14 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 		// The accepted guess's schedule may be worse than the
 		// constant-factor one (the scheme's constants are large for coarse
 		// δ); both are feasible, so return the better one.
-		if apxMakespan.Cmp(sc.makespan(in, best.sched)) < 0 {
-			best.sched, best.report.Engine = apx, "approx-min"
+		makespan = sc.makespan(in, best.sched)
+		if apx.makespan.Cmp(makespan) < 0 {
+			best.sched, best.report.Engine, makespan = apx.realize(), "approx-min", apx.makespan
 		}
 	}
 	if scale > 1 {
 		sc.descale(best.sched, scale)
+		makespan = makespan.DivInt(scale)
 	}
-	return best.sched, best.report, nil
+	return best.sched, makespan, best.report, nil
 }

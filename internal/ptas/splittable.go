@@ -167,10 +167,11 @@ type SplitResult struct {
 	Schedule *core.SplitSchedule
 	Compact  *core.CompactSplitSchedule
 	Report   Report
+	makespan rat.R
 }
 
-// Makespan returns the schedule makespan.
-func (r *SplitResult) Makespan() *big.Rat { return r.Compact.Makespan() }
+// Makespan returns the schedule makespan, which the solve computed once.
+func (r *SplitResult) Makespan() *big.Rat { return r.makespan.Rat() }
 
 // DefaultHugeMThreshold is the default machine count above which the
 // splittable PTAS switches to the Theorem 11 treatment
@@ -198,17 +199,18 @@ func SolveSplittable(ctx context.Context, in *core.Instance, opts Options) (*Spl
 // already.
 func SolveSplittableLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*SplitResult, error) {
 	var res *SplitResult
+	var makespan rat.R
 	var rep Report
 	var err error
 	if in.M > opts.hugeMThreshold() {
-		res, rep, err = runScheme(ctx, in, opts, hugeScheme, bound)
+		res, makespan, rep, err = runScheme(ctx, in, opts, hugeScheme, bound)
 	} else {
-		res, rep, err = runScheme(ctx, in, opts, splitScheme, bound)
+		res, makespan, rep, err = runScheme(ctx, in, opts, splitScheme, bound)
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Report = rep
+	res.Report, res.makespan = rep, makespan
 	return res, nil
 }
 
@@ -219,18 +221,29 @@ var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
 	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
 		return newSplitTemplate(in, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {
-		apx, err := approx.SolveSplittableLB(in, approx.Options{}, bound)
-		if err != nil {
-			return nil, err
-		}
-		return &SplitResult{Schedule: apx.Explicit, Compact: apx.Compact}, nil
+	approx: func(in *core.Instance, bound rat.R) (approxPlan[*SplitResult], error) {
+		return planSplit(in, bound, func(r *approx.SplitResult) *SplitResult {
+			return &SplitResult{Schedule: r.Explicit, Compact: r.Compact}
+		})
 	},
 	makespan: splitMakespan,
 	descale:  descaleSplit,
 }
 
-func splitMakespan(_ *core.Instance, r *SplitResult) *big.Rat { return r.Makespan() }
+// planSplit plans the 2-approximation for the splittable schemes; wrap
+// keeps the parts of its schedule a scheme returns.
+func planSplit(in *core.Instance, bound rat.R, wrap func(*approx.SplitResult) *SplitResult) (approxPlan[*SplitResult], error) {
+	p, err := approx.PlanSplittable(in, approx.Options{}, bound)
+	if err != nil {
+		return approxPlan[*SplitResult]{}, err
+	}
+	return approxPlan[*SplitResult]{
+		makespan: p.Makespan(),
+		realize:  func() *SplitResult { return wrap(p.Realize()) },
+	}, nil
+}
+
+func splitMakespan(_ *core.Instance, r *SplitResult) rat.R { return r.Compact.MakespanR() }
 
 // digest keys the feasibility cache (see splitDigest).
 func (ctx *splitGuessCtx) digest() [sha256.Size]byte {

@@ -35,12 +35,10 @@ var hugeScheme = scheme[*hugeGuess, *SplitResult]{
 		tm, err := newSplitTemplate(in, g, opts.maxConfigs())
 		return hugeTemplate{tm}, err
 	},
-	approx: func(in *core.Instance, bound rat.R) (*SplitResult, error) {
-		apx, err := approx.SolveSplittableLB(in, approx.Options{}, bound)
-		if err != nil {
-			return nil, err
-		}
-		return &SplitResult{Compact: apx.Compact}, nil
+	approx: func(in *core.Instance, bound rat.R) (approxPlan[*SplitResult], error) {
+		return planSplit(in, bound, func(r *approx.SplitResult) *SplitResult {
+			return &SplitResult{Compact: r.Compact}
+		})
 	},
 	makespan: splitMakespan,
 	descale:  descaleSplit,

@@ -42,7 +42,7 @@ func runParity(t *testing.T, variant string, in *core.Instance, opts Options) pa
 		if err != nil {
 			t.Fatalf("nonpreemptive: %v", err)
 		}
-		return paritySummary{r.Report.Guess, r.Report.Guesses, new(big.Rat).SetInt64(r.Makespan(in)), r.Report.WarmHits}
+		return paritySummary{r.Report.Guess, r.Report.Guesses, new(big.Rat).SetInt64(r.Schedule.Makespan(in)), r.Report.WarmHits}
 	case "preemptive":
 		r, err := SolvePreemptive(ctx, in, opts)
 		if err != nil {

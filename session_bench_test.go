@@ -2,7 +2,8 @@ package ccsched
 
 // The PR 5 churn benchmarks: the acceptance workloads for scheduling
 // sessions. One op = one churn round: mutate 5% of a uniform n=1000
-// instance and re-solve with the splittable PTAS at ε=1. The session
+// instance and re-solve with the splittable PTAS at ε=1 (the
+// nonpreemptive row: the non-preemptive PTAS). The session
 // sub-benchmarks re-solve through a Session, whose private feasibility
 // cache (keyed on derived digests) is kept across rounds; the cold
 // sub-benchmarks solve the identical mutated instances from scratch with an
@@ -72,41 +73,15 @@ func resizeRound(i int, p []int64) {
 
 // BenchmarkSessionChurn is the PR 5 acceptance benchmark (resize churn);
 // the CI perf gate tracks the session and cold rows via scripts/benchdiff.
+// The nonpreemptive row re-solves the same stream with the non-preemptive
+// PTAS, whose constant-factor floor is the 7/3-approximation's plan.
 func BenchmarkSessionChurn(b *testing.B) {
 	ctx := context.Background()
-	b.Run("session", func(b *testing.B) {
-		sess, err := NewSession(churnBase(b), churnOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sess.Solve(ctx); err != nil {
-			b.Fatal(err)
-		}
-		mirror := sess.Instance()
-		ids := sess.JobIDs()
-		var cacheHits, probes int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			prev := append([]int64(nil), mirror.P...)
-			resizeRound(i, mirror.P)
-			for pos := range mirror.P {
-				if mirror.P[pos] != prev[pos] {
-					if err := sess.Resize(ids[pos], mirror.P[pos]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StartTimer()
-			res, err := sess.Solve(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cacheHits += int64(res.Report.CacheHits)
-			probes += int64(res.Report.Guesses)
-		}
-		b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
-		b.ReportMetric(float64(cacheHits)/float64(b.N), "cachehits/op")
+	b.Run("session", func(b *testing.B) { benchSessionResize(b, churnOpts) })
+	b.Run("nonpreemptive", func(b *testing.B) {
+		opts := churnOpts
+		opts.Variant = NonPreemptive
+		benchSessionResize(b, opts)
 	})
 	b.Run("cold", func(b *testing.B) {
 		in := churnBase(b)
@@ -145,6 +120,44 @@ func BenchmarkSessionChurn(b *testing.B) {
 		b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
 		b.ReportMetric(float64(cacheHits)/float64(b.N), "cachehits/op")
 	})
+}
+
+// benchSessionResize re-solves the resize-churn stream through a Session
+// with opts, one round per op.
+func benchSessionResize(b *testing.B, opts Options) {
+	ctx := context.Background()
+	sess, err := NewSession(churnBase(b), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sess.Solve(ctx); err != nil {
+		b.Fatal(err)
+	}
+	mirror := sess.Instance()
+	ids := sess.JobIDs()
+	var cacheHits, probes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		prev := append([]int64(nil), mirror.P...)
+		resizeRound(i, mirror.P)
+		for pos := range mirror.P {
+			if mirror.P[pos] != prev[pos] {
+				if err := sess.Resize(ids[pos], mirror.P[pos]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
+		res, err := sess.Solve(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cacheHits += int64(res.Report.CacheHits)
+		probes += int64(res.Report.Guesses)
+	}
+	b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+	b.ReportMetric(float64(cacheHits)/float64(b.N), "cachehits/op")
 }
 
 // churnDelta is one redraw round's mutation batch, expressed positionally
