@@ -10,7 +10,11 @@
 // (b) encode the existence of a well-structured schedule as a configuration
 // ILP with N-fold structure (one brick per class), (c) solve it with
 // internal/nfold, and (d) transform a solution back into a feasible
-// schedule with makespan (1+O(δ))T.
+// schedule with makespan (1+O(δ))T. The configuration ILP of (b) and the
+// scheme-independent half of (d) — machine expansion, module slots and the
+// small-class round robin — are written once, in configilp.go; a scheme
+// supplies its module shape, its extra rows and columns, and its job
+// placement.
 //
 // Deviations from the paper, both recorded in the "Paper-to-code map" of
 // docs/ARCHITECTURE.md:
@@ -166,9 +170,6 @@ func guessGrid(lo, hi int64, g int64) []int64 {
 	out = append(out, hi)
 	return out
 }
-
-// ceilDiv is ⌈a/b⌉ for positive a, b.
-func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // certifiedBound validates in and returns the variant's certified lower
 // bound core.LowerBoundR(in, v).

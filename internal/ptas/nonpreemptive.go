@@ -33,25 +33,15 @@ type npJob struct {
 	units int64 // rounded size in δ²T/c units (multiples of c for large classes)
 }
 
-// npGuessCtx carries the per-guess state for the non-preemptive PTAS.
+// npGuessCtx carries the per-guess state for the non-preemptive PTAS: the
+// grouped instance and the guess's module and configuration enumerations.
 type npGuessCtx struct {
-	in    *core.Instance
-	g, t  int64
-	cStar int64
-	// grouped jobs per class and classification.
-	jobs  [][]npJob
-	small []bool
-	// sizes: distinct rounded sizes (units) of large-class jobs.
-	sizes []int64
-	nUP   map[[2]int64]int64 // (class, size) -> count
-	// modules: multisets over sizes with total ≤ T̄.
-	modules    []moduleVec
-	modSizes   []int64 // distinct module totals (units)
-	configs    []configK
-	hbPairs    []hbPair
-	hbIndex    map[hbKey]int
-	tBarUnits  int64
-	smallUnits []int64 // rounded small-class load per class
+	groupedGuess
+	// modules: multisets over sizes with total ≤ T̄; their distinct totals
+	// are the module kinds of the configurations.
+	modules  []moduleVec
+	modSizes []int64 // distinct module totals (units)
+	ilp      *configILP
 }
 
 type moduleVec struct {
@@ -99,52 +89,78 @@ func groupJobs(in *core.Instance, jobs []int, g, t int64) ([]npJob, bool) {
 	return out, false
 }
 
-// instantiate performs the per-guess grouping, rounding and enumeration
-// (all guess-dependent for this scheme; see npTemplate).
-func (tm *npTemplate) instantiate(t int64) (*npGuessCtx, error) {
-	in, g, limit := tm.in, tm.g, tm.limit
-	ctx := &npGuessCtx{in: in, g: g, t: t}
+// groupedGuess is the grouped and rounded instance I' of one guess, which
+// the non-preemptive and preemptive schemes share: bundled jobs per class,
+// the large/small classification, the distinct rounded large-job sizes and
+// their per-class counts n^u_p, and the rounded small-class loads.
+type groupedGuess struct {
+	in         *core.Instance
+	g, t       int64
+	classes    []int // nonempty classes in brick order
+	jobs       [][]npJob
+	small      []bool
+	sizes      []int64 // distinct rounded sizes (units) of large-class jobs, ascending
+	nUP        map[[2]int64]int64
+	smallUnits []int64 // rounded small-class load per class
+}
+
+// groupGuess groups and rounds every class at guess t: small classes to
+// δ²T/c units, the grouped jobs of large classes to multiples of δ²T.
+func groupGuess(in *core.Instance, byClass [][]int, g, t int64) groupedGuess {
 	c := int64(in.Slots)
-	ctx.tBarUnits = (g*g + 5*g + 6) * c
-	ctx.cStar = (ctx.tBarUnits + g*c - 1) / (g * c) // ⌈T̄/δT⌉
-	if c < ctx.cStar {
-		ctx.cStar = c
+	gg := groupedGuess{
+		in: in, g: g, t: t,
+		jobs: make([][]npJob, len(byClass)), small: make([]bool, len(byClass)),
+		smallUnits: make([]int64, len(byClass)), nUP: make(map[[2]int64]int64),
 	}
-	byClass := tm.byClass
-	ctx.jobs = make([][]npJob, len(byClass))
-	ctx.small = make([]bool, len(byClass))
-	ctx.smallUnits = make([]int64, len(byClass))
-	ctx.nUP = make(map[[2]int64]int64)
 	sizeSet := make(map[int64]bool)
 	for u, js := range byClass {
 		if len(js) == 0 {
 			continue
 		}
+		gg.classes = append(gg.classes, u)
 		grouped, isSmall := groupJobs(in, js, g, t)
-		ctx.small[u] = isSmall
+		gg.small[u] = isSmall
 		if isSmall {
-			// Round to δ²T/c units.
-			ctx.smallUnits[u] = ceilDivBig(grouped[0].load, g*g*c, t)
-			grouped[0].units = ctx.smallUnits[u]
+			gg.smallUnits[u] = ceilDivBig(grouped[0].load, g*g*c, t)
+			grouped[0].units = gg.smallUnits[u]
 			grouped[0].class = u
-			ctx.jobs[u] = grouped
+			gg.jobs[u] = grouped
 			continue
 		}
 		for k := range grouped {
 			grouped[k].class = u
 			grouped[k].units = ceilDivBig(grouped[k].load, g*g, t) * c
 			sizeSet[grouped[k].units] = true
-			ctx.nUP[[2]int64{int64(u), grouped[k].units}]++
+			gg.nUP[[2]int64{int64(u), grouped[k].units}]++
 		}
-		ctx.jobs[u] = grouped
+		gg.jobs[u] = grouped
 	}
 	for s := range sizeSet {
-		ctx.sizes = append(ctx.sizes, s)
+		gg.sizes = append(gg.sizes, s)
 	}
-	sort.Slice(ctx.sizes, func(a, b int) bool { return ctx.sizes[a] < ctx.sizes[b] })
+	sort.Slice(gg.sizes, func(a, b int) bool { return gg.sizes[a] < gg.sizes[b] })
+	return gg
+}
+
+// count is n^u_p, the number of class u's grouped jobs of rounded size p.
+func (gg *groupedGuess) count(u int, p int64) int64 { return gg.nUP[[2]int64{int64(u), p}] }
+
+// digest keys the feasibility cache (see groupedDigest).
+func (gg *groupedGuess) digest() [sha256.Size]byte {
+	return groupedDigest(gg.in.M, gg.in.Slots, gg.g, gg.sizes, gg.classes, gg.small, gg.smallUnits, gg.nUP)
+}
+
+// instantiate performs the per-guess grouping, rounding and enumeration
+// (all guess-dependent for this scheme; see npTemplate).
+func (tm *npTemplate) instantiate(t int64) (*npGuessCtx, error) {
+	in, g, limit := tm.in, tm.g, tm.limit
+	ctx := &npGuessCtx{groupedGuess: groupGuess(in, tm.byClass, g, t)}
+	c := int64(in.Slots)
+	tBar := (g*g + 5*g + 6) * c
+	cStar := min(c, (tBar+g*c-1)/(g*c)) // ⌈T̄/δT⌉
 	// Enumerate modules: multisets of sizes with total ≤ T̄.
-	var err error
-	modConfigs, err := enumerateConfigs(ctx.sizes, ctx.tBarUnits, int64(1)<<40, limit)
+	modConfigs, err := enumerateConfigs(ctx.sizes, tBar, int64(1)<<40, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -160,166 +176,46 @@ func (tm *npTemplate) instantiate(t int64) (*npGuessCtx, error) {
 		ctx.modSizes = append(ctx.modSizes, s)
 	}
 	sort.Slice(ctx.modSizes, func(a, b int) bool { return ctx.modSizes[a] < ctx.modSizes[b] })
-	ctx.configs, err = enumerateConfigs(ctx.modSizes, ctx.tBarUnits, ctx.cStar, limit)
+	configs, err := enumerateConfigs(ctx.modSizes, tBar, cStar, limit)
 	if err != nil {
 		return nil, err
 	}
-	ctx.hbIndex = make(map[hbKey]int)
-	for ci, cc := range ctx.configs {
-		k := hbKey{cc.size, cc.slots}
-		idx, ok := ctx.hbIndex[k]
-		if !ok {
-			idx = len(ctx.hbPairs)
-			ctx.hbIndex[k] = idx
-			ctx.hbPairs = append(ctx.hbPairs, hbPair{h: cc.size, b: cc.slots})
-		}
-		ctx.hbPairs[idx].configs = append(ctx.hbPairs[idx].configs, ci)
+	kindOf := make(map[int64]int, len(ctx.modSizes))
+	for k, s := range ctx.modSizes {
+		kindOf[s] = k
 	}
+	yKind := make([]int, len(ctx.modules))
+	for mi, mv := range ctx.modules {
+		yKind[mi] = kindOf[mv.total]
+	}
+	ctx.ilp = newConfigILP(multisets(configs), len(ctx.modSizes), yKind, c, tBar)
 	return ctx, nil
 }
 
-// classList returns the nonempty classes in brick order.
-func (ctx *npGuessCtx) classList() []int {
-	var out []int
-	for u := range ctx.jobs {
-		if len(ctx.jobs[u]) > 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// buildNFold encodes the non-preemptive constraints (0)–(5). The A and B
-// blocks depend on the brick's class only through the (3)-row z coefficient
-// of small classes, so one large-class A block, per-rounded-load small
-// blocks, and a single B block are shared across all bricks — keeping the
-// augmentation engine's pointer-keyed move cache to one enumeration per
-// distinct shape.
+// buildNFold encodes the non-preemptive constraints (0)–(5). Its blocks
+// depend on the guess, so they are shared across the probe's bricks only.
 func (ctx *npGuessCtx) buildNFold() *nfold.Problem {
-	m := ctx.in.M
-	nM, nK, nHB, nP := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs), len(ctx.sizes)
-	tWidth := nK + nM + 3*nHB
-	xOff, yOff, zOff, s2Off, s3Off := 0, nK, nK+nM, nK+nM+nHB, nK+nM+2*nHB
-	r := 1 + len(ctx.modSizes) + 2*nHB
-	s := nP + 1
-	cUnits := int64(ctx.in.Slots)
-	classes := ctx.classList()
-	p := &nfold.Problem{N: len(classes), R: r, S: s, T: tWidth}
-
-	largeA := make([][]int64, r)
-	for k := range largeA {
-		largeA[k] = make([]int64, tWidth)
-	}
-	for ci := range ctx.configs {
-		largeA[0][xOff+ci] = 1
-	}
-	// (1) per module size q: Σ K_q x − Σ_{Λ(M)=q} y_M = 0.
-	for qi, q := range ctx.modSizes {
-		row := largeA[1+qi]
-		for ci, cc := range ctx.configs {
-			if cc.counts[qi] != 0 {
-				row[xOff+ci] = cc.counts[qi]
+	nP := len(ctx.sizes)
+	yOff := ctx.ilp.yOff()
+	bl := ctx.ilp.blocks(0, nP, func(b [][]int64) {
+		// (4) per size p: Σ_M M_p y_M = (1-ξ_u) n^u_p.
+		for pi := range ctx.sizes {
+			for mi, mv := range ctx.modules {
+				if mv.counts[pi] != 0 {
+					b[pi][yOff+mi] = mv.counts[pi]
+				}
 			}
 		}
-		for mi, mv := range ctx.modules {
-			if mv.total == q {
-				row[yOff+mi] = -1
-			}
+	})
+	return bl.build(ctx.in.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, _ []int64) ([]int64, int64) {
+		lrhs := make([]int64, nP+1)
+		var totJobs int64
+		for pi, sz := range ctx.sizes {
+			lrhs[pi] = ctx.count(u, sz)
+			totJobs += lrhs[pi]
 		}
-	}
-	// (2),(3) per (h,b) pair; the (3)-row z coefficient is 1 for large
-	// classes and is patched per small class below.
-	for hi, hb := range ctx.hbPairs {
-		row2 := largeA[1+len(ctx.modSizes)+hi]
-		row3 := largeA[1+len(ctx.modSizes)+nHB+hi]
-		row2[zOff+hi] = 1
-		row2[s2Off+hi] = 1
-		row3[s3Off+hi] = 1
-		row3[zOff+hi] = 1
-		for _, ci := range hb.configs {
-			row2[xOff+ci] = hb.b - cUnits
-			row3[xOff+ci] = hb.h - ctx.tBarUnits
-		}
-	}
-	smallAs := make(map[int64][][]int64)
-	smallABlock := func(units int64) [][]int64 {
-		if a, ok := smallAs[units]; ok {
-			return a
-		}
-		a := make([][]int64, r)
-		copy(a, largeA)
-		for hi := 0; hi < nHB; hi++ {
-			ri := 1 + len(ctx.modSizes) + nHB + hi
-			row := append([]int64(nil), largeA[ri]...)
-			row[zOff+hi] = units
-			a[ri] = row
-		}
-		smallAs[units] = a
-		return a
-	}
-
-	sharedB := make([][]int64, s)
-	for k := range sharedB {
-		sharedB[k] = make([]int64, tWidth)
-	}
-	// (4) per size p: Σ_M M_p y_M = (1-ξ_u) n^u_p.
-	for pi := range ctx.sizes {
-		for mi, mv := range ctx.modules {
-			if mv.counts[pi] != 0 {
-				sharedB[pi][yOff+mi] = mv.counts[pi]
-			}
-		}
-	}
-	// (5) Σ z = ξ_u.
-	for hi := range ctx.hbPairs {
-		sharedB[nP][zOff+hi] = 1
-	}
-	zeroRow := make([]int64, tWidth)
-	smallLRHS := make([]int64, s)
-	smallLRHS[nP] = 1
-
-	for _, u := range classes {
-		if ctx.small[u] {
-			p.A = append(p.A, smallABlock(ctx.smallUnits[u]))
-			p.LocalRHS = append(p.LocalRHS, smallLRHS)
-		} else {
-			p.A = append(p.A, largeA)
-			lrhs := make([]int64, s)
-			for pi, sz := range ctx.sizes {
-				lrhs[pi] = ctx.nUP[[2]int64{int64(u), sz}]
-			}
-			p.LocalRHS = append(p.LocalRHS, lrhs)
-		}
-		p.B = append(p.B, sharedB)
-
-		lower := zeroRow
-		upper := make([]int64, tWidth)
-		for ci := range ctx.configs {
-			upper[xOff+ci] = m
-		}
-		if !ctx.small[u] {
-			var totJobs int64
-			for pi := range ctx.sizes {
-				totJobs += ctx.nUP[[2]int64{int64(u), ctx.sizes[pi]}]
-			}
-			for mi := range ctx.modules {
-				upper[yOff+mi] = totJobs
-			}
-		}
-		for hi := range ctx.hbPairs {
-			if ctx.small[u] {
-				upper[zOff+hi] = 1
-			}
-			upper[s2Off+hi] = cUnits * m
-			upper[s3Off+hi] = ctx.tBarUnits * m
-		}
-		p.Lower = append(p.Lower, lower)
-		p.Upper = append(p.Upper, upper)
-		p.Obj = append(p.Obj, zeroRow)
-	}
-	p.GlobalRHS = make([]int64, r)
-	p.GlobalRHS[0] = m
-	return p
+		return lrhs, totJobs
+	})
 }
 
 // NonPreemptiveResult is the non-preemptive PTAS output.
@@ -372,7 +268,16 @@ var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 		}, nil
 	},
 	makespan: func(in *core.Instance, s *core.NonPreemptiveSchedule) rat.R {
-		return rat.FromInt(s.Makespan(in))
+		// Every schedule this scheme builds or realizes places its jobs
+		// below min(M, n): one job per machine when M ≥ n, machines below
+		// M otherwise. The loads therefore fit a slice instead of core's map.
+		loads := make([]int64, min(in.M, int64(in.N())))
+		var mk int64
+		for j, mi := range s.Assign {
+			loads[mi] += in.P[j]
+			mk = max(mk, loads[mi])
+		}
+		return rat.FromInt(mk)
 	},
 	// m ≥ n: one job per machine is optimal (p_max).
 	shortcut: func(in *core.Instance) *core.NonPreemptiveSchedule {
@@ -384,54 +289,18 @@ var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 	},
 }
 
-// digest keys the feasibility cache (see groupedDigest).
-func (ctx *npGuessCtx) digest() [sha256.Size]byte {
-	return groupedDigest(ctx.in.M, ctx.in.Slots, ctx.g, ctx.sizes, ctx.classList(), ctx.small, ctx.smallUnits, ctx.nUP)
-}
-
 // constructSchedule dissolves configurations into modules into jobs
 // (Figure 4) and places small classes by round robin.
 func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedule, error) {
-	in := ctx.in
-	nM, nK, nHB := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs)
-	xOff, yOff, zOff := 0, nK, nK+nM
-	classes := ctx.classList()
-	xc := make([]int64, nK)
-	for bi := range classes {
-		for ci := 0; ci < nK; ci++ {
-			xc[ci] += x[bi][xOff+ci]
-		}
+	in, ilp := ctx.in, ctx.ilp
+	machines, err := ilp.machineConfigs(x, in.M)
+	if err != nil {
+		return nil, err
 	}
-	type machine struct {
-		config    int
-		slotSizes []int64 // module-size units per slot
-	}
-	var machines []machine
-	for ci, cnt := range xc {
-		for k := int64(0); k < cnt; k++ {
-			m := machine{config: ci}
-			for qi, q := range ctx.configs[ci].counts {
-				for a := int64(0); a < q; a++ {
-					m.slotSizes = append(m.slotSizes, ctx.modSizes[qi])
-				}
-			}
-			machines = append(machines, m)
-		}
-	}
-	if int64(len(machines)) != in.M {
-		return nil, fmt.Errorf("ptas: configuration counts cover %d machines, want %d", len(machines), in.M)
-	}
-	// Slot instances per module size.
-	slotsBySize := make(map[int64][]int) // size -> machine indices (one per slot)
-	for mi := range machines {
-		for _, s := range machines[mi].slotSizes {
-			slotsBySize[s] = append(slotsBySize[s], mi)
-		}
-	}
-	cursor := make(map[int64]int)
+	pool := ilp.moduleSlots(machines)
 	// Per (class, size) queues of grouped jobs.
 	queues := make(map[[2]int64][]npJob)
-	for _, u := range classes {
+	for _, u := range ctx.classes {
 		if ctx.small[u] {
 			continue
 		}
@@ -444,19 +313,17 @@ func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedu
 	for j := range sched.Assign {
 		sched.Assign[j] = -1
 	}
-	for bi, u := range classes {
+	yOff := ilp.yOff()
+	for bi, u := range ctx.classes {
 		if ctx.small[u] {
 			continue
 		}
 		for mi2, mv := range ctx.modules {
-			count := x[bi][yOff+mi2]
-			for k := int64(0); k < count; k++ {
-				lst := slotsBySize[mv.total]
-				if cursor[mv.total] >= len(lst) {
-					return nil, fmt.Errorf("ptas: module demand exceeds slots of size %d", mv.total)
+			for k := x[bi][yOff+mi2]; k > 0; k-- {
+				machineIdx, err := pool.take(ilp.yKind[mi2])
+				if err != nil {
+					return nil, err
 				}
-				machineIdx := lst[cursor[mv.total]]
-				cursor[mv.total]++
 				// Dissolve the module: M_p jobs of each size p.
 				for pi, cnt := range mv.counts {
 					key := [2]int64{int64(u), ctx.sizes[pi]}
@@ -465,9 +332,8 @@ func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedu
 						if len(q) == 0 {
 							return nil, fmt.Errorf("ptas: class %d ran out of size-%d jobs", u, ctx.sizes[pi])
 						}
-						gj := q[0]
 						queues[key] = q[1:]
-						for _, oj := range gj.orig {
+						for _, oj := range q[0].orig {
 							sched.Assign[oj] = int64(machineIdx)
 						}
 					}
@@ -475,45 +341,14 @@ func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedu
 			}
 		}
 	}
-	// Small classes: round robin within (h,b) machine groups.
-	groupMachines := make([][]int, nHB)
-	for mi := range machines {
-		cc := ctx.configs[machines[mi].config]
-		hi := ctx.hbIndex[hbKey{cc.size, cc.slots}]
-		groupMachines[hi] = append(groupMachines[hi], mi)
-	}
-	type smallAssign struct{ u, hb int }
-	var smalls []smallAssign
-	loads := in.ClassLoads()
-	for bi, u := range classes {
-		if !ctx.small[u] {
-			continue
-		}
-		chosen := -1
-		for hi := 0; hi < nHB; hi++ {
-			if x[bi][zOff+hi] == 1 {
-				chosen = hi
-				break
-			}
-		}
-		if chosen < 0 {
-			return nil, fmt.Errorf("ptas: small class %d has no (h,b) assignment", u)
-		}
-		smalls = append(smalls, smallAssign{u, chosen})
-	}
-	sort.SliceStable(smalls, func(a, b int) bool { return loads[smalls[a].u] > loads[smalls[b].u] })
-	next := make([]int, nHB)
 	byClass := in.ClassJobs()
-	for _, sa := range smalls {
-		ms := groupMachines[sa.hb]
-		if len(ms) == 0 {
-			return nil, fmt.Errorf("ptas: small class %d assigned to empty machine group", sa.u)
-		}
-		mi := ms[next[sa.hb]%len(ms)]
-		next[sa.hb]++
-		for _, j := range byClass[sa.u] {
+	err = ilp.dealSmall(x, ctx.classes, ctx.small, in.ClassLoads(), machines, func(u, mi int) {
+		for _, j := range byClass[u] {
 			sched.Assign[j] = int64(mi)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	for j, a := range sched.Assign {
 		if a < 0 {

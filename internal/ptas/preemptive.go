@@ -2,7 +2,6 @@ package ptas
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"math/big"
 	"sort"
@@ -32,32 +31,31 @@ type interval struct{ lo, hi int }
 
 func (iv interval) length() int { return iv.hi - iv.lo }
 
-// preGuessCtx carries the per-guess state for the preemptive PTAS.
+// preGuessCtx carries the per-guess state for the preemptive PTAS: the
+// grouped instance; the layer geometry and enumerations are the template's.
 type preGuessCtx struct {
-	in     *core.Instance
-	g, t   int64
-	layers int
-	cStar  int64
-	jobs   [][]npJob
-	small  []bool
-	// sizes: distinct rounded large-job sizes (units, multiples of c);
-	// wp[size] = pieces (layers) per job of that size.
-	sizes      []int64
-	nUP        map[[2]int64]int64
-	smallUnits []int64
-	modules    []interval
-	configs    []preConfig
-	hbPairs    []hbPair
-	hbIndex    map[hbKey]int
-	tBarUnits  int64
-	tm         *preTemplate
+	groupedGuess
+	tm *preTemplate
 }
 
 // preConfig is a configuration: disjoint intervals, at most c* of them.
 type preConfig struct {
 	intervals []int // indices into modules
-	size      int64 // total layers covered × c (units)
+	size      int64 // total layers covered
 	slots     int64
+}
+
+// intervalSets are configurations of disjoint interval modules, each
+// interval its own module kind. Their Λ(K) is the covered layer count, not
+// δ²T/c units: a layer is c units tall.
+type intervalSets []preConfig
+
+func (ks intervalSets) len() int                 { return len(ks) }
+func (ks intervalSets) hb(ci int) (int64, int64) { return ks[ci].size, ks[ci].slots }
+func (ks intervalSets) slots(ci int, f func(int, int64)) {
+	for _, mi := range ks[ci].intervals {
+		f(mi, 1)
+	}
 }
 
 // enumerateIntervalConfigs lists sets of pairwise disjoint intervals (by
@@ -112,136 +110,39 @@ func enumerateIntervalConfigs(modules []interval, maxSlots int64, limit int) ([]
 // instantiate performs the per-guess grouping and rounding; the layer
 // geometry and interval-configuration enumeration come from the template.
 func (tm *preTemplate) instantiate(t int64) (*preGuessCtx, error) {
-	in, g := tm.in, tm.g
-	ctx := &preGuessCtx{in: in, g: g, t: t, tm: tm}
-	c := int64(in.Slots)
-	ctx.tBarUnits = tm.tBarUnits
-	ctx.layers = tm.layers
-	ctx.cStar = tm.cStar
-	ctx.modules = tm.modules
-	ctx.configs = tm.configs
-	ctx.hbPairs = tm.hbPairs
-	ctx.hbIndex = tm.hbIndex
-	byClass := tm.byClass
-	ctx.jobs = make([][]npJob, len(byClass))
-	ctx.small = make([]bool, len(byClass))
-	ctx.smallUnits = make([]int64, len(byClass))
-	ctx.nUP = make(map[[2]int64]int64)
-	sizeSet := make(map[int64]bool)
-	for u, js := range byClass {
-		if len(js) == 0 {
-			continue
-		}
-		grouped, isSmall := groupJobs(in, js, g, t)
-		ctx.small[u] = isSmall
-		if isSmall {
-			ctx.smallUnits[u] = ceilDivBig(grouped[0].load, g*g*c, t)
-			grouped[0].units = ctx.smallUnits[u]
-			grouped[0].class = u
-			ctx.jobs[u] = grouped
-			continue
-		}
-		for k := range grouped {
-			grouped[k].class = u
-			grouped[k].units = ceilDivBig(grouped[k].load, g*g, t) * c
-			sizeSet[grouped[k].units] = true
-			ctx.nUP[[2]int64{int64(u), grouped[k].units}]++
-		}
-		ctx.jobs[u] = grouped
-	}
-	for s := range sizeSet {
-		ctx.sizes = append(ctx.sizes, s)
-	}
-	sort.Slice(ctx.sizes, func(a, b int) bool { return ctx.sizes[a] < ctx.sizes[b] })
+	ctx := &preGuessCtx{groupedGuess: groupGuess(tm.in, tm.byClass, tm.g, t), tm: tm}
 	// Reject guesses for which a single job would not fit (w_p > |L|).
 	for _, s := range ctx.sizes {
-		if s/c > int64(ctx.layers) {
+		if s/int64(tm.in.Slots) > int64(tm.layers) {
 			return nil, errGuessTooSmall
 		}
 	}
 	return ctx, nil
 }
 
-func (ctx *preGuessCtx) classList() []int {
-	var out []int
-	for u := range ctx.jobs {
-		if len(ctx.jobs[u]) > 0 {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// buildNFold encodes constraints (0)–(6) of the preemptive scheme. As in
-// the other schemes, the blocks depend on the brick's class only through
-// the (3)-row z coefficient of small classes, so one large-class A block,
-// per-rounded-load small blocks, and one B block are shared by all bricks —
-// and, because the block values reference sizes only by index, by every
-// probe whose distinct-size count matches (see preTemplate.blocksFor).
+// buildNFold encodes constraints (0)–(6) of the preemptive scheme over the
+// template's blocks for this guess's size count, which every probe with the
+// same count shares (see preTemplate.blocksFor).
 func (ctx *preGuessCtx) buildNFold() *nfold.Problem {
-	m := ctx.in.M
-	nM, nK, nHB, nP, nL := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs), len(ctx.sizes), ctx.layers
-	// Brick layout: [x_K | y_M | z_hb | s2_hb | s3_hb | a_{p,ℓ}].
-	tWidth := nK + nM + 3*nHB + nP*nL
-	xOff, yOff, zOff, s2Off, s3Off, aOff := 0, nK, nK+nM, nK+nM+nHB, nK+nM+2*nHB, nK+nM+3*nHB
-	r := 1 + nM + 2*nHB
-	s := nP + nL + 1
+	nP, nL := len(ctx.sizes), ctx.tm.layers
 	cUnits := int64(ctx.in.Slots)
-	classes := ctx.classList()
-	p := &nfold.Problem{N: len(classes), R: r, S: s, T: tWidth}
 	bl := ctx.tm.blocksFor(nP)
-
-	for _, u := range classes {
-		if ctx.small[u] {
-			p.A = append(p.A, ctx.tm.smallABlock(nP, ctx.smallUnits[u]))
-			p.LocalRHS = append(p.LocalRHS, bl.smallLRHS)
-		} else {
-			p.A = append(p.A, bl.largeA)
-			lrhs := make([]int64, s)
-			for pi, sz := range ctx.sizes {
-				wp := sz / cUnits
-				lrhs[pi] = wp * ctx.nUP[[2]int64{int64(u), sz}]
-			}
-			p.LocalRHS = append(p.LocalRHS, lrhs)
-		}
-		p.B = append(p.B, bl.sharedB)
-
-		lower := bl.zeroRow
-		upper := make([]int64, tWidth)
-		for ci := range ctx.configs {
-			upper[xOff+ci] = m
-		}
-		if !ctx.small[u] {
-			var totPieces int64
-			for pi, sz := range ctx.sizes {
-				totPieces += (sz / cUnits) * ctx.nUP[[2]int64{int64(u), ctx.sizes[pi]}]
-			}
-			for mi := range ctx.modules {
-				upper[yOff+mi] = totPieces
-			}
+	aOff := bl.extraOff()
+	return bl.build(ctx.in.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, upper []int64) ([]int64, int64) {
+		lrhs := make([]int64, nP+nL+1)
+		var totPieces int64
+		for pi, sz := range ctx.sizes {
+			np := ctx.count(u, sz)
+			lrhs[pi] = (sz / cUnits) * np
+			totPieces += lrhs[pi]
 			// a_{p,ℓ} ≤ n^u_p: Theorem 18's greedy needs at most one slot
 			// per job per layer.
-			for pi, sz := range ctx.sizes {
-				np := ctx.nUP[[2]int64{int64(u), sz}]
-				for l := 0; l < nL; l++ {
-					upper[aOff+pi*nL+l] = np
-				}
+			for l := 0; l < nL; l++ {
+				upper[aOff+pi*nL+l] = np
 			}
 		}
-		for hi := range ctx.hbPairs {
-			if ctx.small[u] {
-				upper[zOff+hi] = 1
-			}
-			upper[s2Off+hi] = cUnits * m
-			upper[s3Off+hi] = ctx.tBarUnits * m
-		}
-		p.Lower = append(p.Lower, lower)
-		p.Upper = append(p.Upper, upper)
-		p.Obj = append(p.Obj, bl.zeroRow)
-	}
-	p.GlobalRHS = make([]int64, r)
-	p.GlobalRHS[0] = m
-	return p
+		return lrhs, totPieces
+	})
 }
 
 // PreemptiveResult is the preemptive PTAS output.
@@ -308,68 +209,41 @@ var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 	descale: descalePreemptive,
 }
 
-// digest keys the feasibility cache (see groupedDigest).
-func (ctx *preGuessCtx) digest() [sha256.Size]byte {
-	return groupedDigest(ctx.in.M, ctx.in.Slots, ctx.g, ctx.sizes, ctx.classList(), ctx.small, ctx.smallUnits, ctx.nUP)
-}
-
 // constructSchedule realizes the N-fold solution: configurations onto
 // machines, interval modules into configuration slots, layer slots onto
 // sizes via the a-variables, jobs into layer slots greedily (Theorem 18),
 // small classes into the machines' idle gaps.
 func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule, error) {
-	in := ctx.in
-	nM, nK, nHB, nL := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs), ctx.layers
-	xOff, yOff, zOff, aOff := 0, nK, nK+nM, nK+nM+3*nHB
+	in, ilp := ctx.in, ctx.tm.ilp
+	nL := ctx.tm.layers
+	yOff, aOff := ilp.yOff(), ilp.extraOff()
 	cUnits := int64(in.Slots)
 	layerRat := rat.Frac(ctx.t, ctx.g*ctx.g) // δ²T
-	classes := ctx.classList()
-	xc := make([]int64, nK)
-	for bi := range classes {
-		for ci := 0; ci < nK; ci++ {
-			xc[ci] += x[bi][xOff+ci]
+	machines, err := ilp.machineConfigs(x, in.M)
+	if err != nil {
+		return nil, err
+	}
+	// owner[mi][ℓ] is the class owning layer ℓ of machine mi (-1 free).
+	owner := make([][]int, len(machines))
+	for mi := range owner {
+		owner[mi] = make([]int, nL)
+		for l := range owner[mi] {
+			owner[mi][l] = -1
 		}
 	}
-	type machine struct {
-		config int
-		// owner[ℓ] is the class owning layer ℓ (-1 free).
-		owner []int
-	}
-	var machines []machine
-	for ci, cnt := range xc {
-		for k := int64(0); k < cnt; k++ {
-			m := machine{config: ci, owner: make([]int, nL)}
-			for l := range m.owner {
-				m.owner[l] = -1
-			}
-			machines = append(machines, m)
-		}
-	}
-	if int64(len(machines)) != in.M {
-		return nil, fmt.Errorf("ptas: configuration counts cover %d machines, want %d", len(machines), in.M)
-	}
-	// Module slot instances per module (interval) id.
-	slotsByModule := make([][]int, nM) // module -> machines owning that interval slot
-	for mi := range machines {
-		for _, mod := range ctx.configs[machines[mi].config].intervals {
-			slotsByModule[mod] = append(slotsByModule[mod], mi)
-		}
-	}
-	cursor := make([]int, nM)
-	for bi, u := range classes {
+	pool := ilp.moduleSlots(machines)
+	for bi, u := range ctx.classes {
 		if ctx.small[u] {
 			continue
 		}
-		for mod := 0; mod < nM; mod++ {
-			need := x[bi][yOff+mod]
-			for k := int64(0); k < need; k++ {
-				if cursor[mod] >= len(slotsByModule[mod]) {
-					return nil, fmt.Errorf("ptas: module demand exceeds slots for interval %v", ctx.modules[mod])
+		for mod, iv := range ctx.tm.modules {
+			for k := x[bi][yOff+mod]; k > 0; k-- {
+				mi, err := pool.take(mod)
+				if err != nil {
+					return nil, err
 				}
-				mi := slotsByModule[mod][cursor[mod]]
-				cursor[mod]++
-				for l := ctx.modules[mod].lo; l < ctx.modules[mod].hi; l++ {
-					machines[mi].owner[l] = u
+				for l := iv.lo; l < iv.hi; l++ {
+					owner[mi][l] = u
 				}
 			}
 		}
@@ -382,15 +256,15 @@ func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule
 		remaining int64 // pieces still to place
 		placed    []core.PreemptivePiece
 	}
-	for bi, u := range classes {
+	for bi, u := range ctx.classes {
 		if ctx.small[u] {
 			continue
 		}
 		// Slots per layer owned by class u.
 		slotAt := make([][]int, nL) // layer -> machine indices
-		for mi := range machines {
+		for mi := range owner {
 			for l := 0; l < nL; l++ {
-				if machines[mi].owner[l] == u {
+				if owner[mi][l] == u {
 					slotAt[l] = append(slotAt[l], mi)
 				}
 			}
@@ -436,9 +310,10 @@ func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule
 		}
 		// Un-round and un-group: each grouped job's pieces (ordered by
 		// start) carry its original jobs' exact mass; excess is trimmed
-		// from the tail.
-		for _, states := range bySize {
-			for _, st := range states {
+		// from the tail. Sizes go in ascending order, so the pieces do not
+		// depend on map iteration.
+		for _, sz := range ctx.sizes {
+			for _, st := range bySize[sz] {
 				if st.remaining != 0 {
 					return nil, fmt.Errorf("ptas: job of class %d has %d unplaced pieces", u, st.remaining)
 				}
@@ -453,51 +328,18 @@ func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule
 			}
 		}
 	}
-	// Small classes: round robin into (h,b) groups, then into idle gaps.
-	groupMachines := make([][]int, nHB)
-	for mi := range machines {
-		cc := ctx.configs[machines[mi].config]
-		hi := ctx.hbIndex[hbKey{cc.size, cc.slots}]
-		groupMachines[hi] = append(groupMachines[hi], mi)
-	}
-	type smallAssign struct{ u, hb int }
-	var smalls []smallAssign
-	loads := in.ClassLoads()
-	for bi, u := range classes {
-		if !ctx.small[u] {
-			continue
-		}
-		chosen := -1
-		for hi := 0; hi < nHB; hi++ {
-			if x[bi][zOff+hi] == 1 {
-				chosen = hi
-				break
-			}
-		}
-		if chosen < 0 {
-			return nil, fmt.Errorf("ptas: small class %d has no (h,b) assignment", u)
-		}
-		smalls = append(smalls, smallAssign{u, chosen})
-	}
-	sort.SliceStable(smalls, func(a, b int) bool { return loads[smalls[a].u] > loads[smalls[b].u] })
-	next := make([]int, nHB)
-	// Track a per-machine cursor over free time (gaps between owned layers,
+	// Small classes: round robin into (h,b) groups, then into idle gaps,
+	// with a per-machine cursor over free time (gaps between owned layers,
 	// then the open end).
 	freeCursor := make(map[int]*gapCursor)
 	byClass := in.ClassJobs()
-	for _, sa := range smalls {
-		ms := groupMachines[sa.hb]
-		if len(ms) == 0 {
-			return nil, fmt.Errorf("ptas: small class %d assigned to empty machine group", sa.u)
-		}
-		mi := ms[next[sa.hb]%len(ms)]
-		next[sa.hb]++
+	err = ilp.dealSmall(x, ctx.classes, ctx.small, in.ClassLoads(), machines, func(u, mi int) {
 		gc := freeCursor[mi]
 		if gc == nil {
-			gc = newGapCursor(machines[mi].owner, layerRat)
+			gc = newGapCursor(owner[mi], layerRat)
 			freeCursor[mi] = gc
 		}
-		for _, j := range byClass[sa.u] {
+		for _, j := range byClass[u] {
 			remaining := rat.FromInt(in.P[j])
 			for remaining.Sign() > 0 {
 				start, size := gc.take(remaining)
@@ -507,6 +349,9 @@ func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule
 				remaining = remaining.Sub(size)
 			}
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sched, nil
 }

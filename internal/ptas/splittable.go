@@ -27,37 +27,25 @@ import (
 // columns per (h,b) pair, exactly constraints (0)–(5) of the paper.
 
 // splitGuessCtx carries everything derived from one makespan guess. The
-// enumeration fields alias the search's shared splitTemplate; only the
-// classification and rounded loads are per-guess.
+// enumerations and blocks come from the search's shared splitTemplate; only
+// the classification and rounded loads are per-guess.
 type splitGuessCtx struct {
-	in    *core.Instance
-	g     int64 // 1/δ
-	t     int64 // the guess T
-	m     int64 // machines the N-fold covers (fewer on the huge-m path)
-	cStar int64
+	in *core.Instance
+	g  int64 // 1/δ
+	t  int64 // the guess T
+	m  int64 // machines the N-fold covers (fewer on the huge-m path)
 	// loads per class and large/small classification (ξ_u = 1 iff small).
-	loads   []int64
-	small   []bool
-	pUnits  []int64 // rounded class load in units of δ²T/c
-	modules []int64 // module sizes in ℓ-units (multiples of δT/c... ℓ itself)
-	configs []configK
-	hbPairs []hbPair
-	hbIndex map[hbKey]int
-	tm      *splitTemplate
+	loads  []int64
+	small  []bool
+	pUnits []int64 // rounded class load in units of δ²T/c
+	tm     *splitTemplate
 }
 
-// configK is a configuration: a multiset of module sizes (ℓ-units).
+// configK is a configuration: a multiset of module kinds.
 type configK struct {
-	counts []int64 // parallel to modules: multiplicity per module size
-	size   int64   // Σ ℓ·count (ℓ-units)
+	counts []int64 // parallel to the module kinds: multiplicity per kind
+	size   int64   // Σ size·count
 	slots  int64   // Σ count
-}
-
-type hbKey struct{ h, b int64 }
-
-type hbPair struct {
-	h, b    int64
-	configs []int // indices into configs with Λ(K)=h, ‖K‖₁=b
 }
 
 // enumerateConfigs lists all multisets of the module sizes with total size
@@ -106,60 +94,15 @@ func ceilDivBig(a, b, d int64) int64 {
 	return q.Int64()
 }
 
-// buildNFold encodes constraints (0)–(5) for the guess. Blocks come from
-// the shared template: every large-class brick aliases one A block, small
-// classes alias per-rounded-load patched blocks, and all bricks share one B
-// block — so identical bricks are pointer-identical and the augmentation
-// engine's move cache enumerates each distinct shape once per search.
+// buildNFold encodes constraints (0)–(5) for the guess over the template's
+// shared blocks, so identical bricks are pointer-identical across the whole
+// search.
 func (ctx *splitGuessCtx) buildNFold() *nfold.Problem {
-	tm, m := ctx.tm, ctx.m
-	nM, nK, nHB := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs)
-	// Brick layout: [x_K | y_q | z_hb | s2_hb | s3_hb].
-	tWidth := nK + nM + 3*nHB
-	xOff, yOff, zOff, s2Off, s3Off := 0, nK, nK+nM, nK+nM+nHB, nK+nM+2*nHB
-	r := 1 + nM + 2*nHB
-	cUnits := int64(ctx.in.Slots)
-	tBar := (ctx.g*ctx.g + 4*ctx.g) * cUnits // T̄ in δ²T/c units
-
-	classes := tm.classes
-	n := len(classes)
-	p := &nfold.Problem{N: n, R: r, S: 2, T: tWidth}
-	for _, u := range classes {
-		if ctx.small[u] {
-			p.A = append(p.A, tm.smallABlock(ctx.pUnits[u]))
-			p.LocalRHS = append(p.LocalRHS, tm.smallLRHS)
-		} else {
-			p.A = append(p.A, tm.largeA)
-			p.LocalRHS = append(p.LocalRHS, []int64{ctx.pUnits[u], 0})
-		}
-		p.B = append(p.B, tm.sharedB)
-
-		upper := make([]int64, tWidth)
-		for ci := range ctx.configs {
-			upper[xOff+ci] = m
-		}
-		for qi := range ctx.modules {
-			if !ctx.small[u] {
-				// Enough modules to cover the class alone.
-				upper[yOff+qi] = ctx.pUnits[u]/(ctx.g*cUnits) + 1
-			}
-		}
-		// Slack bounds must cover (c−b)·Σx and (T̄−h·c)·Σx with x up to m.
-		// The huge-m path always passes a polynomially capped m.
-		for hi := range ctx.hbPairs {
-			if ctx.small[u] {
-				upper[zOff+hi] = 1
-			}
-			upper[s2Off+hi] = cUnits * m
-			upper[s3Off+hi] = tBar * m
-		}
-		p.Lower = append(p.Lower, tm.zeroRow)
-		p.Upper = append(p.Upper, upper)
-		p.Obj = append(p.Obj, tm.zeroRow)
-	}
-	p.GlobalRHS = make([]int64, r)
-	p.GlobalRHS[0] = m
-	return p
+	gc := ctx.g * int64(ctx.in.Slots)
+	return ctx.tm.blocks.build(ctx.m, ctx.tm.classes, ctx.small, ctx.pUnits, func(u int, _ []int64) ([]int64, int64) {
+		// Enough modules to cover the class alone.
+		return []int64{ctx.pUnits[u], 0}, ctx.pUnits[u]/gc + 1
+	})
 }
 
 // SplitResult is the splittable PTAS output.
@@ -263,91 +206,36 @@ func (ctx *splitGuessCtx) constructSchedule(x [][]int64) (*SplitResult, error) {
 // schedule: configurations onto machines, modules into configuration slots,
 // original job mass into module slots, small classes by round robin.
 func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, error) {
-	in := ctx.in
-	nM, nK, nHB := len(ctx.modules), len(ctx.configs), len(ctx.hbPairs)
-	xOff, yOff, zOff := 0, nK, nK+nM
-	classes := []int{}
-	for u := range ctx.loads {
-		if ctx.loads[u] > 0 {
-			classes = append(classes, u)
-		}
+	in, ilp, classes := ctx.in, ctx.tm.ilp, ctx.tm.classes
+	machines, err := ilp.machineConfigs(x, in.M)
+	if err != nil {
+		return nil, err
 	}
-	// Aggregate configuration counts and per-class module demands.
-	xc := make([]int64, nK)
-	for bi := range classes {
-		for ci := 0; ci < nK; ci++ {
-			xc[ci] += x[bi][xOff+ci]
-		}
+	pool := ilp.moduleSlots(machines)
+	sched := &core.SplitSchedule{}
+	unit := rat.Frac(ctx.t, ctx.g*ctx.g*int64(in.Slots)) // δ²T/c
+	byClass := in.ClassJobs()
+	yOff := ilp.yOff()
+	type slotRef struct {
+		mi   int
+		size int64 // δ²T/c units
 	}
-	// Machine list: one entry per machine with its configuration.
-	type machine struct {
-		config int
-		// slotClass[k] is the class filling the k-th module slot.
-		slotSizes []int64 // ℓ-units per slot
-		slotClass []int
-		slotFill  []int64 // filled amount per slot (δ²T/c units)
-	}
-	var machines []machine
-	for ci, cnt := range xc {
-		for k := int64(0); k < cnt; k++ {
-			m := machine{config: ci}
-			for qi, q := range ctx.configs[ci].counts {
-				for a := int64(0); a < q; a++ {
-					m.slotSizes = append(m.slotSizes, ctx.modules[qi])
-					m.slotClass = append(m.slotClass, -1)
-					m.slotFill = append(m.slotFill, 0)
-				}
-			}
-			machines = append(machines, m)
-		}
-	}
-	if int64(len(machines)) != in.M {
-		return nil, fmt.Errorf("ptas: configuration counts cover %d machines, want %d", len(machines), in.M)
-	}
-	// Assign module demands to slots, size by size.
-	slotsBySize := make(map[int64][][2]int) // ℓ -> list of (machine, slot)
-	for mi := range machines {
-		for si, s := range machines[mi].slotSizes {
-			slotsBySize[s] = append(slotsBySize[s], [2]int{mi, si})
-		}
-	}
-	cursor := make(map[int64]int)
 	for bi, u := range classes {
 		if ctx.small[u] {
 			continue
 		}
-		for qi, ell := range ctx.modules {
-			need := x[bi][yOff+qi]
-			for k := int64(0); k < need; k++ {
-				lst := slotsBySize[ell]
-				if cursor[ell] >= len(lst) {
-					return nil, fmt.Errorf("ptas: module demand exceeds slots of size %d", ell)
-				}
-				ref := lst[cursor[ell]]
-				cursor[ell]++
-				machines[ref[0]].slotClass[ref[1]] = u
-			}
-		}
-	}
-	// Fill original jobs of each large class into its reserved slots.
-	sched := &core.SplitSchedule{}
-	unit := rat.Frac(ctx.t, ctx.g*ctx.g*int64(in.Slots)) // δ²T/c
-	byClass := in.ClassJobs()
-	cUnits := int64(in.Slots)
-	for _, u := range classes {
-		if ctx.small[u] {
-			continue
-		}
-		// Slot instances for class u in machine order.
-		type slotRef struct{ mi, si int }
+		// Class u's module slots, filled in machine order.
 		var refs []slotRef
-		for mi := range machines {
-			for si := range machines[mi].slotSizes {
-				if machines[mi].slotClass[si] == u {
-					refs = append(refs, slotRef{mi, si})
+		for qi, size := range ctx.tm.modules {
+			for k := x[bi][yOff+qi]; k > 0; k-- {
+				mi, err := pool.take(qi)
+				if err != nil {
+					return nil, err
 				}
+				refs = append(refs, slotRef{mi, size})
 			}
 		}
+		sort.SliceStable(refs, func(a, b int) bool { return refs[a].mi < refs[b].mi })
 		ri := 0
 		var room rat.R // remaining capacity of the current slot
 		for _, j := range byClass[u] {
@@ -357,66 +245,30 @@ func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, er
 					if ri >= len(refs) {
 						return nil, fmt.Errorf("ptas: class %d ran out of module capacity", u)
 					}
-					units := machines[refs[ri].mi].slotSizes[refs[ri].si] * cUnits
-					room = unit.MulInt(units)
+					room = unit.MulInt(refs[ri].size)
 					ri++
 				}
 				take := remaining
 				if take.Cmp(room) > 0 {
 					take = room
 				}
-				ref := refs[ri-1]
 				sched.Pieces = append(sched.Pieces, core.SplitPiece{
-					Job: j, Machine: int64(ref.mi), Size: take,
+					Job: j, Machine: int64(refs[ri-1].mi), Size: take,
 				})
 				remaining = remaining.Sub(take)
 				room = room.Sub(take)
 			}
 		}
 	}
-	// Small classes: round robin within each (h,b) machine group.
-	groupMachines := make([][]int, nHB)
-	for mi := range machines {
-		cc := ctx.configs[machines[mi].config]
-		hi := ctx.hbIndex[hbKey{cc.size, cc.slots}]
-		groupMachines[hi] = append(groupMachines[hi], mi)
-	}
-	type smallAssign struct {
-		u  int
-		hb int
-	}
-	var smalls []smallAssign
-	for bi, u := range classes {
-		if !ctx.small[u] {
-			continue
-		}
-		chosen := -1
-		for hi := 0; hi < nHB; hi++ {
-			if x[bi][zOff+hi] == 1 {
-				chosen = hi
-				break
-			}
-		}
-		if chosen < 0 {
-			return nil, fmt.Errorf("ptas: small class %d has no (h,b) assignment", u)
-		}
-		smalls = append(smalls, smallAssign{u, chosen})
-	}
-	// Round robin per group in non-ascending load order (Lemma 3).
-	sort.SliceStable(smalls, func(a, b int) bool { return ctx.loads[smalls[a].u] > ctx.loads[smalls[b].u] })
-	next := make([]int, nHB)
-	for _, sa := range smalls {
-		ms := groupMachines[sa.hb]
-		if len(ms) == 0 {
-			return nil, fmt.Errorf("ptas: small class %d assigned to empty machine group", sa.u)
-		}
-		mi := ms[next[sa.hb]%len(ms)]
-		next[sa.hb]++
-		for _, j := range byClass[sa.u] {
+	err = ilp.dealSmall(x, classes, ctx.small, ctx.loads, machines, func(u, mi int) {
+		for _, j := range byClass[u] {
 			sched.Pieces = append(sched.Pieces, core.SplitPiece{
 				Job: j, Machine: int64(mi), Size: rat.FromInt(in.P[j]),
 			})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sched, nil
 }

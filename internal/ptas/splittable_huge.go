@@ -63,12 +63,7 @@ func (tm hugeTemplate) instantiate(t int64) (*hugeGuess, error) {
 	in, g := tm.in, tm.g
 	cUnits := int64(in.Slots)
 	fullCap := g * g * cUnits // T in δ²T/c units
-	cc := int64(0)
-	for _, pu := range ctx.loads {
-		if pu > 0 {
-			cc++
-		}
-	}
+	cc := int64(len(tm.classes))
 	reserve := cc + g + 6
 	full := make([]int64, len(ctx.loads))
 	var fullTotal int64
