@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"sync"
 
+	"ccsched/internal/core"
 	"ccsched/internal/rat"
 )
 
@@ -81,8 +82,8 @@ func anytimeGap(makespan, lb *big.Rat) float64 {
 // solveAnytimeFirst produces the TierAnytime first answer: the
 // constant-factor schedule tagged with rung 0 of the ladder implied by
 // opts.Epsilon. runTiers dispatches here; refinement belongs to Ladder.
-func solveAnytimeFirst(in *Instance, opts Options, lb rat.R, res *Result) error {
-	if err := solveApprox(in, opts, lb, res); err != nil {
+func solveAnytimeFirst(ix *core.ClassIndex, opts Options, lb rat.R, res *Result) error {
+	if err := solveApprox(ix, opts, lb, res); err != nil {
 		return err
 	}
 	res.Anytime = &AnytimeInfo{

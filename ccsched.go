@@ -472,24 +472,26 @@ func runTiers(ctx context.Context, in *Instance, opts Options) (res *Result, err
 		col = trace.NewCollector(0)
 		root = col.Root("solve")
 	}
-	// The certified bound is computed once and handed to the tier.
-	lb, err := core.LowerBoundR(in, opts.Variant)
+	// The class index and the certified bound are built once and handed
+	// to the tier.
+	ix := core.NewClassIndex(in, opts.Variant)
+	lb, err := ix.LowerBound()
 	if err != nil {
 		return nil, err
 	}
 	res = &Result{Variant: opts.Variant, Tier: opts.Tier, LowerBound: lb.Rat()}
 	switch opts.Tier {
 	case TierApprox:
-		err = solveApprox(in, opts, lb, res)
+		err = solveApprox(ix, opts, lb, res)
 	case TierAuto, TierPTAS:
 		res.Tier = TierPTAS
-		err = solvePTAS(ctx, in, opts, lb, res, root)
+		err = solvePTAS(ctx, ix, opts, lb, res, root)
 	case TierExact:
 		err = solveExact(ctx, in, opts, res)
 	case TierAnytime:
 		// The anytime first answer IS the constant-factor tier, tagged with
 		// its ladder position; refinement is the Ladder's job, not Solve's.
-		err = solveAnytimeFirst(in, opts, lb, res)
+		err = solveAnytimeFirst(ix, opts, lb, res)
 	default:
 		return nil, fmt.Errorf("ccsched: unknown tier %v", opts.Tier)
 	}
@@ -521,12 +523,13 @@ func solveFallback(in *Instance, opts Options) (res *Result, err error) {
 			res, err = nil, panicsafe.Capture(v, "solve_fallback")
 		}
 	}()
-	lb, err := core.LowerBoundR(in, opts.Variant)
+	ix := core.NewClassIndex(in, opts.Variant)
+	lb, err := ix.LowerBound()
 	if err != nil {
 		return nil, err
 	}
 	res = &Result{Variant: opts.Variant, Tier: TierApprox, LowerBound: lb.Rat(), Degraded: true}
-	if err := solveApprox(in, opts, lb, res); err != nil {
+	if err := solveApprox(ix, opts, lb, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -542,26 +545,26 @@ func wrapCanceled(err error) error {
 	return err
 }
 
-// solveApprox dispatches the constant-factor tier; lb is the instance's
-// certified bound. The makespan is the plan's: it equals the realized
-// schedule's.
-func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
+// solveApprox dispatches the constant-factor tier; ix is the instance's
+// class index and lb its certified bound. The makespan is the plan's: it
+// equals the realized schedule's.
+func solveApprox(ix *core.ClassIndex, opts Options, lb rat.R, res *Result) error {
 	switch opts.Variant {
 	case Splittable:
-		p, err := approx.PlanSplittable(in, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit}, lb)
+		p, err := approx.PlanSplittableIndexed(ix, approx.Options{ExplicitMachineLimit: opts.ExplicitMachineLimit}, lb)
 		if err != nil {
 			return err
 		}
 		r := p.Realize()
 		res.Split, res.CompactSplit, res.Makespan = r.Explicit, r.Compact, p.Makespan().Rat()
 	case Preemptive:
-		p, err := approx.PlanPreemptive(in, lb)
+		p, err := approx.PlanPreemptiveIndexed(ix, lb)
 		if err != nil {
 			return err
 		}
 		res.Preemptive, res.Makespan = p.Realize().Schedule, p.Makespan().Rat()
 	case NonPreemptive:
-		p, err := approx.PlanNonPreemptive(in, lb)
+		p, err := approx.PlanNonPreemptiveIndexed(ix, lb)
 		if err != nil {
 			return err
 		}
@@ -571,9 +574,10 @@ func solveApprox(in *Instance, opts Options, lb rat.R, res *Result) error {
 }
 
 // solvePTAS dispatches the approximation-scheme tier with the feasibility
-// cache resolved from opts. lb is the instance's certified bound and sp the
-// enclosing trace span (disabled when the solve is untraced).
-func solvePTAS(ctx context.Context, in *Instance, opts Options, lb rat.R, res *Result, sp trace.Span) error {
+// cache resolved from opts. ix is the instance's class index, lb its
+// certified bound and sp the enclosing trace span (disabled when the solve
+// is untraced).
+func solvePTAS(ctx context.Context, ix *core.ClassIndex, opts Options, lb rat.R, res *Result, sp trace.Span) error {
 	popts := ptas.Options{
 		Epsilon:        opts.Epsilon,
 		MaxNodes:       opts.MaxNodes,
@@ -592,19 +596,19 @@ func solvePTAS(ctx context.Context, in *Instance, opts Options, lb rat.R, res *R
 	}
 	switch opts.Variant {
 	case Splittable:
-		r, err := ptas.SolveSplittableLB(ctx, in, popts, lb)
+		r, err := ptas.SolveSplittableLB(ctx, ix, popts, lb)
 		if err != nil {
 			return err
 		}
 		res.Split, res.CompactSplit, res.Makespan, res.Report = r.Schedule, r.Compact, r.Makespan(), r.Report
 	case Preemptive:
-		r, err := ptas.SolvePreemptiveLB(ctx, in, popts, lb)
+		r, err := ptas.SolvePreemptiveLB(ctx, ix, popts, lb)
 		if err != nil {
 			return err
 		}
 		res.Preemptive, res.Makespan, res.Report = r.Schedule, r.Makespan(), r.Report
 	case NonPreemptive:
-		r, err := ptas.SolveNonPreemptiveLB(ctx, in, popts, lb)
+		r, err := ptas.SolveNonPreemptiveLB(ctx, ix, popts, lb)
 		if err != nil {
 			return err
 		}

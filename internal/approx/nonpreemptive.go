@@ -32,11 +32,12 @@ func SolveNonPreemptive(in *core.Instance) (*NonPreemptiveResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	bound, err := core.LowerBoundR(in, core.NonPreemptive)
+	ix := core.NewClassIndex(in, core.NonPreemptive)
+	bound, err := ix.LowerBound()
 	if err != nil {
 		return nil, err
 	}
-	p, err := PlanNonPreemptive(in, bound)
+	p, err := PlanNonPreemptiveIndexed(ix, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +48,7 @@ func SolveNonPreemptive(in *core.Instance) (*NonPreemptiveResult, error) {
 // the accepted guess T̂, the group loads in the order round robin deals
 // them (non-ascending, Lemma 3) and each job's group.
 type NonPreemptivePlan struct {
-	in        *core.Instance
+	ix        *core.ClassIndex
 	guess, lb int64
 	loads     []int64
 	// pos[j] is the position of job j's group in loads; nil when m ≥ n
@@ -60,24 +61,28 @@ type NonPreemptivePlan struct {
 // bound core.LowerBoundR(in, core.NonPreemptive); any other value voids the
 // guarantee.
 func PlanNonPreemptive(in *core.Instance, bound rat.R) (*NonPreemptivePlan, error) {
+	return PlanNonPreemptiveIndexed(core.NewClassIndex(in, core.NonPreemptive), bound)
+}
+
+// PlanNonPreemptiveIndexed is PlanNonPreemptive over the instance's
+// non-preemptive class index.
+func PlanNonPreemptiveIndexed(ix *core.ClassIndex, bound rat.R) (*NonPreemptivePlan, error) {
+	in := ix.In
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if err := core.CheckFeasible(in); err != nil {
+	if err := ix.CheckFeasible(); err != nil {
 		return nil, err
 	}
 	// With m >= n each job gets its own machine: makespan p_max = OPT.
 	if in.M >= int64(in.N()) {
-		pm := in.PMax()
-		return &NonPreemptivePlan{in: in, guess: pm, lb: pm, makespan: pm}, nil
+		pm := ix.PMax
+		return &NonPreemptivePlan{ix: ix, guess: pm, lb: pm, makespan: pm}, nil
 	}
-	lb := in.PMax()
-	if area := core.RatCeilDiv(in.TotalLoad(), in.M); area > lb {
-		lb = area
-	}
+	lb := max(ix.PMax, core.RatCeilDiv(ix.Total, in.M))
 	// T̂ = max(LB, slot bound) = ⌈certified bound⌉: p_max and the slot
 	// bound are integers.
-	p := &NonPreemptivePlan{in: in, guess: bound.Ceil(), lb: lb}
+	p := &NonPreemptivePlan{ix: ix, guess: bound.Ceil(), lb: lb}
 	p.lptGroups()
 	w := dealWidth(int64(len(p.loads)), in.M)
 	for k := int64(0); k < int64(len(p.loads)); k += w {
@@ -90,27 +95,25 @@ func PlanNonPreemptive(in *core.Instance, bound rat.R) (*NonPreemptivePlan, erro
 // orders the groups for round robin. By the analysis of Theorem 6, each
 // group's load is at most T̂ + T̂/3.
 func (p *NonPreemptivePlan) lptGroups() {
-	in := p.in
+	ix := p.ix
+	in := ix.In
 	group := make([]int, in.N())
-	var loads []int64
-	var ps []int64
-	for _, jobs := range in.ClassJobs() {
-		if len(jobs) == 0 {
-			continue
+	// first[u] is class u's first group; the classes' groups follow each
+	// other in class order.
+	first := make([]int, len(ix.ByP)+1)
+	for u, jobs := range ix.ByP {
+		k := 0
+		if len(jobs) > 0 {
+			// The index's order, largest first with ties in index order,
+			// serves the slot count and LPT.
+			k = int(min(max(core.NonPreemptiveClassSlots(ix.PByP[u], ix.Loads[u], p.guess), 1), int64(len(jobs))))
 		}
-		// One sort serves the slot count and LPT: largest first, ties in
-		// index order.
-		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(in.P[b], in.P[a]) })
-		ps = ps[:0]
-		var pu int64
-		for _, j := range jobs {
-			ps = append(ps, in.P[j])
-			pu += in.P[j]
-		}
-		k := min(max(core.NonPreemptiveClassSlots(ps, pu, p.guess), 1), int64(len(jobs)))
-		base := len(loads)
-		loads = append(loads, make([]int64, k)...)
-		gs := loads[base:]
+		first[u+1] = first[u] + k
+	}
+	loads := make([]int64, first[len(ix.ByP)])
+	for u, jobs := range ix.ByP {
+		base := first[u]
+		gs := loads[base:first[u+1]]
 		for _, j := range jobs {
 			best := 0
 			for g := 1; g < len(gs); g++ {
@@ -128,7 +131,12 @@ func (p *NonPreemptivePlan) lptGroups() {
 	for g := range order {
 		order[g] = g
 	}
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(loads[b], loads[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	rank := make([]int, len(loads))
 	p.loads = make([]int64, len(loads))
 	for k, g := range order {
@@ -146,7 +154,7 @@ func (p *NonPreemptivePlan) Makespan() int64 { return p.makespan }
 
 // Realize builds the planned schedule.
 func (p *NonPreemptivePlan) Realize() *NonPreemptiveResult {
-	n := p.in.N()
+	n := p.ix.In.N()
 	s := &core.NonPreemptiveSchedule{Assign: make([]int64, n)}
 	if p.pos == nil {
 		for j := range s.Assign {
@@ -154,7 +162,7 @@ func (p *NonPreemptivePlan) Realize() *NonPreemptiveResult {
 		}
 		return &NonPreemptiveResult{Schedule: s, Guess: p.guess, LB: p.lb, Groups: n}
 	}
-	w := dealWidth(int64(len(p.loads)), p.in.M)
+	w := dealWidth(int64(len(p.loads)), p.ix.In.M)
 	for j, k := range p.pos {
 		s.Assign[j] = int64(k) % w
 	}

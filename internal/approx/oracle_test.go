@@ -1,6 +1,8 @@
 package approx
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ccsched/internal/core"
@@ -80,7 +82,7 @@ func oracleSplittable(in *core.Instance, opts Options, guess rat.R) (*SplitResul
 		return &SplitResult{Compact: &core.CompactSplitSchedule{}, Guess: guess.Rat(), LB: lb.Rat()}, nil
 	}
 	if in.M > opts.explicitLimit() {
-		res, err := solveSplittableCompact(in, lb, guess)
+		res, err := solveSplittableCompact(core.NewClassIndex(in, core.Splittable), lb, guess)
 		if err != errCompactNeedsExplicit {
 			return res, err
 		}
@@ -232,4 +234,54 @@ func oracleNonPreemptive(in *core.Instance, bound rat.R) (*NonPreemptiveResult, 
 		}
 	}
 	return &NonPreemptiveResult{Schedule: s, Guess: guess, LB: lb, Groups: len(groups)}, nil
+}
+
+// lptGroupsOracle is lptGroups as it was before the class index: it sorts
+// fresh per-class job lists itself and returns the group loads in dealing
+// order and each job's group position.
+func lptGroupsOracle(in *core.Instance, guess int64) ([]int64, []int) {
+	group := make([]int, in.N())
+	var loads []int64
+	var ps []int64
+	for _, jobs := range in.ClassJobs() {
+		if len(jobs) == 0 {
+			continue
+		}
+		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(in.P[b], in.P[a]) })
+		ps = ps[:0]
+		var pu int64
+		for _, j := range jobs {
+			ps = append(ps, in.P[j])
+			pu += in.P[j]
+		}
+		k := min(max(core.NonPreemptiveClassSlots(ps, pu, guess), 1), int64(len(jobs)))
+		base := len(loads)
+		loads = append(loads, make([]int64, k)...)
+		gs := loads[base:]
+		for _, j := range jobs {
+			best := 0
+			for g := 1; g < len(gs); g++ {
+				if gs[g] < gs[best] {
+					best = g
+				}
+			}
+			gs[best] += in.P[j]
+			group[j] = base + best
+		}
+	}
+	order := make([]int, len(loads))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(loads[b], loads[a]) })
+	rank := make([]int, len(loads))
+	sorted := make([]int64, len(loads))
+	for k, g := range order {
+		rank[g] = k
+		sorted[k] = loads[g]
+	}
+	for j, g := range group {
+		group[j] = rank[g]
+	}
+	return sorted, group
 }

@@ -3,6 +3,8 @@ package approx
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ccsched/internal/core"
@@ -185,4 +187,45 @@ func checkNonPreemptivePlan(t *testing.T, in *core.Instance) (path string) {
 		return "np-shared-machine"
 	}
 	return "np-groups"
+}
+
+// TestLPTGroupsMatchOracle holds the 7/3 plan's group loads and job
+// positions, read off the class index's sorted lists, to the oracle that
+// sorts fresh per-class lists, on every family and random draws.
+func TestLPTGroupsMatchOracle(t *testing.T) {
+	var ins []*core.Instance
+	for _, fam := range generator.Families() {
+		for _, sh := range planShapes {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfg := sh.cfg
+				cfg.Seed = seed
+				ins = append(ins, fam.Gen(cfg))
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(40)
+		in := &core.Instance{M: 1 + rng.Int63n(int64(n-1)), Slots: 1 + rng.Intn(3)}
+		for j := 0; j < n; j++ {
+			in.P = append(in.P, 1+rng.Int63n([]int64{4, 100, 1 << 40}[trial%3]))
+			in.Class = append(in.Class, rng.Intn(1+rng.Intn(n)))
+		}
+		if core.CheckFeasible(in) == nil {
+			ins = append(ins, in)
+		}
+	}
+	for i, in := range ins {
+		if in.M >= int64(in.N()) {
+			continue
+		}
+		p, err := PlanNonPreemptive(in, certifiedBound(t, in, core.NonPreemptive))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads, pos := lptGroupsOracle(in.Clone(), p.guess)
+		if !slices.Equal(p.loads, loads) || !slices.Equal(p.pos, pos) {
+			t.Fatalf("instance %d: loads %v pos %v, oracle %v %v", i, p.loads, p.pos, loads, pos)
+		}
+	}
 }

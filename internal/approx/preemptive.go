@@ -34,11 +34,12 @@ func SolvePreemptive(in *core.Instance) (*PreemptiveResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	bound, err := core.LowerBoundR(in, core.Preemptive)
+	ix := core.NewClassIndex(in, core.Preemptive)
+	bound, err := ix.LowerBound()
 	if err != nil {
 		return nil, err
 	}
-	p, err := PlanPreemptive(in, bound)
+	p, err := PlanPreemptiveIndexed(ix, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +50,7 @@ func SolvePreemptive(in *core.Instance) (*PreemptiveResult, error) {
 // accepted guess T̂ and the sub-classes in the order round robin deals
 // them.
 type PreemptivePlan struct {
-	in        *core.Instance
+	ix        *core.ClassIndex
 	guess, lb rat.R
 	// oneEach is the m ≥ n case: every job runs alone on its own machine.
 	oneEach  bool
@@ -61,23 +62,29 @@ type PreemptivePlan struct {
 // bound core.LowerBoundR(in, core.Preemptive); any other value voids the
 // guarantee.
 func PlanPreemptive(in *core.Instance, bound rat.R) (*PreemptivePlan, error) {
+	return PlanPreemptiveIndexed(core.NewClassIndex(in, core.Preemptive), bound)
+}
+
+// PlanPreemptiveIndexed is PlanPreemptive over the instance's class index.
+func PlanPreemptiveIndexed(ix *core.ClassIndex, bound rat.R) (*PreemptivePlan, error) {
+	in := ix.In
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if err := core.CheckFeasible(in); err != nil {
+	if err := ix.CheckFeasible(); err != nil {
 		return nil, err
 	}
 	// With m >= n an optimal schedule places every job on its own machine
 	// and achieves p_max exactly, as observed in the proof of Theorem 5.
 	if in.M >= int64(in.N()) {
-		pm := rat.FromInt(in.PMax())
-		return &PreemptivePlan{in: in, guess: pm, lb: pm, oneEach: true, makespan: pm}, nil
+		pm := rat.FromInt(ix.PMax)
+		return &PreemptivePlan{ix: ix, guess: pm, lb: pm, oneEach: true, makespan: pm}, nil
 	}
 	// T̂ = max(LB, border) is the certified bound.
 	p := &PreemptivePlan{
-		in: in, guess: bound,
-		lb:   rat.Max(rat.FromInt(in.PMax()), rat.Frac(in.TotalLoad(), in.M)),
-		subs: newSubClasses(in, bound),
+		ix: ix, guess: bound,
+		lb:   rat.Max(rat.FromInt(ix.PMax), rat.Frac(ix.Total, in.M)),
+		subs: newSubClasses(ix, bound),
 	}
 	// When Algorithm 2 repacks, machine 0's first sub-class is a full
 	// window of load T̂, so the shift to T̂ adds nothing there and machine
@@ -91,7 +98,7 @@ func (p *PreemptivePlan) Makespan() rat.R { return p.makespan }
 
 // Realize builds the planned schedule.
 func (p *PreemptivePlan) Realize() *PreemptiveResult {
-	in := p.in
+	in := p.ix.In
 	sched := &core.PreemptiveSchedule{}
 	if p.oneEach {
 		for j := range in.P {
@@ -104,7 +111,8 @@ func (p *PreemptivePlan) Realize() *PreemptiveResult {
 	// Algorithm 2's repack condition: some sub-class has load exactly T̂,
 	// which happens exactly when a class with P_u > T̂ was split.
 	repack := p.subs.nFull > 0
-	bundles := p.subs.bundles(in)
+	bundles, pieces := p.subs.bundles(p.ix)
+	sched.Pieces = make([]core.PreemptivePiece, 0, pieces)
 	count := int64(len(bundles))
 	w := dealWidth(count, in.M)
 	for i := int64(0); i < w; i++ {

@@ -24,6 +24,7 @@
 package approx
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"slices"
@@ -103,11 +104,12 @@ func SolveSplittableOpts(in *core.Instance, opts Options) (*SplitResult, error) 
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	bound, err := core.LowerBoundR(in, core.Splittable)
+	ix := core.NewClassIndex(in, core.Splittable)
+	bound, err := ix.LowerBound()
 	if err != nil {
 		return nil, err
 	}
-	p, err := PlanSplittable(in, opts, bound)
+	p, err := PlanSplittableIndexed(ix, opts, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +122,7 @@ func SolveSplittableOpts(in *core.Instance, opts Options) (*SplitResult, error) 
 // pairs remainders with full windows rather than dealing round robin, so
 // its makespan is read off the schedule.
 type SplitPlan struct {
-	in        *core.Instance
+	ix        *core.ClassIndex
 	guess, lb rat.R
 	subs      subClasses
 	compact   *SplitResult
@@ -131,22 +133,28 @@ type SplitPlan struct {
 // core.LowerBoundR(in, core.Splittable); any other value voids the
 // guarantee. It returns core.ErrInfeasible when C > c·m.
 func PlanSplittable(in *core.Instance, opts Options, bound rat.R) (*SplitPlan, error) {
+	return PlanSplittableIndexed(core.NewClassIndex(in, core.Splittable), opts, bound)
+}
+
+// PlanSplittableIndexed is PlanSplittable over the instance's class index.
+func PlanSplittableIndexed(ix *core.ClassIndex, opts Options, bound rat.R) (*SplitPlan, error) {
+	in := ix.In
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if err := core.CheckFeasible(in); err != nil {
+	if err := ix.CheckFeasible(); err != nil {
 		return nil, err
 	}
 	// T̂ = max(LB, smallest feasible border), which is the certified bound.
 	// Both terms lower-bound OPT and the slot count is monotone, so T̂ stays
 	// feasible; cutting at T̂ ≥ LB additionally caps the number of full-size
 	// windows by ΣP/T̂ ≤ m, which the compact path relies on.
-	p := &SplitPlan{in: in, guess: bound, lb: rat.Frac(in.TotalLoad(), in.M)}
+	p := &SplitPlan{ix: ix, guess: bound, lb: rat.Frac(ix.Total, in.M)}
 	if in.N() == 0 {
 		return p, nil
 	}
 	if in.M > opts.explicitLimit() {
-		res, err := solveSplittableCompact(in, p.lb, p.guess)
+		res, err := solveSplittableCompact(ix, p.lb, p.guess)
 		if err == nil {
 			p.compact, p.makespan = res, res.Compact.MakespanR()
 			return p, nil
@@ -157,7 +165,7 @@ func PlanSplittable(in *core.Instance, opts Options, bound rat.R) (*SplitPlan, e
 			return nil, err
 		}
 	}
-	p.subs = newSubClasses(in, p.guess)
+	p.subs = newSubClasses(ix, p.guess)
 	p.makespan = p.subs.firstMachineLoad(in.M)
 	return p, nil
 }
@@ -170,14 +178,15 @@ func (p *SplitPlan) Realize() *SplitResult {
 	if p.compact != nil {
 		return p.compact
 	}
+	in := p.ix.In
 	res := &SplitResult{Compact: &core.CompactSplitSchedule{}, Guess: p.guess.Rat(), LB: p.lb.Rat()}
-	if p.in.N() == 0 {
+	if in.N() == 0 {
 		return res
 	}
-	bundles := p.subs.bundles(p.in)
+	bundles, pieces := p.subs.bundles(p.ix)
 	count := int64(len(bundles))
-	w := dealWidth(count, p.in.M)
-	sched := &core.SplitSchedule{}
+	w := dealWidth(count, in.M)
+	sched := &core.SplitSchedule{Pieces: make([]core.SplitPiece, 0, pieces)}
 	for i := int64(0); i < w; i++ {
 		for k := i; k < count; k += w {
 			for _, pc := range bundles[k].pieces {
@@ -223,9 +232,9 @@ type remainder struct {
 	load  rat.R
 }
 
-func newSubClasses(in *core.Instance, t rat.R) subClasses {
-	s := subClasses{guess: t}
-	for u, pu := range in.ClassLoads() {
+func newSubClasses(ix *core.ClassIndex, t rat.R) subClasses {
+	s := subClasses{guess: t, full: make([]classWindows, 0, ix.NonEmpty), rems: make([]remainder, 0, ix.NonEmpty)}
+	for u, pu := range ix.Loads {
 		if pu == 0 {
 			continue
 		}
@@ -239,7 +248,12 @@ func newSubClasses(in *core.Instance, t rat.R) subClasses {
 			s.rems = append(s.rems, remainder{class: u, load: rem})
 		}
 	}
-	slices.SortStableFunc(s.rems, func(a, b remainder) int { return b.load.Cmp(a.load) })
+	slices.SortFunc(s.rems, func(a, b remainder) int {
+		if c := b.load.Cmp(a.load); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.class, b.class)
+	})
 	return s
 }
 
@@ -269,13 +283,16 @@ func (s *subClasses) firstMachineLoad(m int64) rat.R {
 }
 
 // bundles cuts the classes into the planned sub-classes and lists them in
-// dealing order. Jobs are consumed in index order, so a job is cut only at
-// window boundaries.
-func (s *subClasses) bundles(in *core.Instance) []bundle {
-	byClass := in.ClassJobs()
-	windows := make([][]bundle, len(byClass))
-	for u, jobs := range byClass {
-		windows[u] = cutClass(in, u, jobs, s.guess)
+// dealing order, with their total piece count. Jobs are consumed in index
+// order, so a job is cut only at window boundaries.
+func (s *subClasses) bundles(ix *core.ClassIndex) ([]bundle, int) {
+	windows := make([][]bundle, len(ix.Jobs))
+	pieces := 0
+	for u, jobs := range ix.Jobs {
+		windows[u] = cutClass(ix.In, u, jobs, s.guess)
+		for _, w := range windows[u] {
+			pieces += len(w.pieces)
+		}
 	}
 	out := make([]bundle, 0, s.count())
 	for _, fw := range s.full {
@@ -285,7 +302,7 @@ func (s *subClasses) bundles(in *core.Instance) []bundle {
 		ws := windows[r.class]
 		out = append(out, ws[len(ws)-1])
 	}
-	return out
+	return out, pieces
 }
 
 // cutClass slices class u, whose jobs are given in index order, into full
@@ -330,8 +347,8 @@ func dealWidth(count, m int64) int64 { return min(count, m) }
 // a class's interior windows consist of a single job's fragments), and any
 // overflow beyond m machines pairs a remainder with a full window — feasible
 // because overflow forces c ≥ 2.
-func solveSplittableCompact(in *core.Instance, lb, guess rat.R) (*SplitResult, error) {
-	byClass := in.ClassJobs()
+func solveSplittableCompact(ix *core.ClassIndex, lb, guess rat.R) (*SplitResult, error) {
+	in := ix.In
 	type fullRun struct { // count machines, each one piece (job, T̂)
 		job   int
 		count int64
@@ -339,7 +356,7 @@ func solveSplittableCompact(in *core.Instance, lb, guess rat.R) (*SplitResult, e
 	var runs []fullRun
 	var windows []bundle    // explicit full windows spanning a job boundary
 	var remainders []bundle // per-class remainder, load < T̂
-	for u, jobs := range byClass {
+	for u, jobs := range ix.Jobs {
 		if len(jobs) == 0 {
 			continue
 		}

@@ -169,8 +169,9 @@ func TestCompactExpandRoundTrip(t *testing.T) {
 func TestCutClassesInvariants(t *testing.T) {
 	in := generator.Zipf(generator.Config{N: 80, Classes: 10, Machines: 5, Slots: 3, PMax: 200, Seed: 31})
 	guess := rat.FromInt(137)
-	subs := newSubClasses(in, guess)
-	bundles := subs.bundles(in)
+	ix := core.NewClassIndex(in, core.Splittable)
+	subs := newSubClasses(ix, guess)
+	bundles, _ := subs.bundles(ix)
 	perJob := make(map[int]rat.R)
 	for _, b := range bundles {
 		if b.load.Cmp(guess) > 0 {

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"math"
 	"math/big"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ccsched/internal/rat"
 )
@@ -31,8 +34,14 @@ var ErrInfeasible = errors.New("core: more classes than total class slots (C > c
 
 // CheckFeasible returns ErrInfeasible when C > c*m, i.e. no schedule of any
 // makespan can host all classes.
-func CheckFeasible(in *Instance) error {
-	cc := int64(in.NumClasses())
+func CheckFeasible(in *Instance) error { return checkFeasible(in, in.NumClasses()) }
+
+// CheckFeasible is the package-level CheckFeasible over the index's class
+// count.
+func (ix *ClassIndex) CheckFeasible() error { return checkFeasible(ix.In, ix.NumClasses()) }
+
+func checkFeasible(in *Instance, classes int) error {
+	cc := int64(classes)
 	// Avoid overflow: c*m with m up to 2^62. If m alone covers C, fine.
 	if in.M >= cc {
 		return nil
@@ -41,22 +50,6 @@ func CheckFeasible(in *Instance) error {
 		return ErrInfeasible
 	}
 	return nil
-}
-
-// totalSlotsSplit returns Σ_u ⌈P_u/T⌉ but stops early once the sum exceeds
-// limit (values above the limit are all equivalent for feasibility tests).
-// The per-class count ⌈P_u/T⌉ runs on rat's 128-bit division fast path, so
-// the whole sweep is allocation-free.
-func totalSlotsSplit(loads []int64, t rat.R, limit int64) int64 {
-	var sum int64
-	for _, pu := range loads {
-		need := rat.CeilQuoInt(pu, t)
-		if need > limit || sum > limit-need {
-			return limit + 1
-		}
-		sum += need
-	}
-	return sum
 }
 
 // totalSlotBudget returns c*m, saturating at a huge sentinel on overflow.
@@ -72,60 +65,114 @@ func totalSlotBudget(in *Instance) int64 {
 }
 
 // SlotLowerBoundSplitR returns the smallest rational T (a "border" value
-// P_u/k) such that Σ_u ⌈P_u/T⌉ ≤ c·m. This is a valid lower bound on the
-// optimal makespan for the splittable and preemptive variants, following
-// Lemma 2: only border values P_u/k can be minimal, and per class the count
-// is monotone along its borders.
+// P_u/k with 1 ≤ k ≤ m) such that Σ_u ⌈P_u/T⌉ ≤ c·m. This is a valid lower
+// bound on the optimal makespan for the splittable and preemptive variants,
+// following Lemma 2: only border values P_u/k can be minimal. Borders with
+// k > m lie below the area bound Σp_j/m, which LowerBoundR adds anyway.
 func SlotLowerBoundSplitR(in *Instance) (rat.R, error) {
-	if err := CheckFeasible(in); err != nil {
+	ix := NewClassIndex(in, Splittable)
+	if err := ix.CheckFeasible(); err != nil {
 		return rat.R{}, err
 	}
-	loads := in.ClassLoads()
-	budget := totalSlotBudget(in)
-	// All classes fit in one slot each at T = max P_u, which is feasible
-	// because C <= c*m was checked above.
-	var best rat.R
-	for _, pu := range loads {
-		if cand := rat.FromInt(pu); cand.Cmp(best) > 0 {
-			best = cand
-		}
+	return ix.splitThreshold(in.M), nil
+}
+
+// border is the class border P_u/k.
+type border struct{ pu, k int64 }
+
+// cmpBorders orders borders by value, largest first.
+func cmpBorders(a, b border) int {
+	// P_a/k_a vs P_b/k_b ⇔ P_a·k_b vs P_b·k_a; loads stay below 2^63 and
+	// k below 2^61, so the products fit in 128 bits.
+	ahi, alo := bits.Mul64(uint64(a.pu), uint64(b.k))
+	bhi, blo := bits.Mul64(uint64(b.pu), uint64(a.k))
+	switch {
+	case ahi != bhi:
+		return -cmp.Compare(ahi, bhi)
+	default:
+		return -cmp.Compare(alo, blo)
 	}
-	if best.Sign() == 0 {
-		return best, nil
+}
+
+// mulDiv returns ⌊a·b/d⌋ and whether the division left a remainder, for
+// 0 ≤ a ≤ d and b, d > 0, so the quotient is at most b.
+func mulDiv(a, b, d int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	q, r := bits.Div64(hi, lo, uint64(d))
+	return int64(q), r != 0
+}
+
+// splitThreshold is the smallest border P_u/k with 1 ≤ k ≤ kmax at which
+// the slot count Σ_u ⌈P_u/T⌉ fits the budget c·m, over a feasible
+// instance's index: SlotLowerBoundSplitR for kmax = m.
+//
+// Let C′ count the non-empty classes, P = ΣP_u and B = c·m. The slot count
+// S(T) = Σ_u ⌈P_u/T⌉ is non-increasing in T, and P/T ≤ S(T) < P/T + C′, so
+// every T below L = P/B is infeasible and every T from H = P/(B−C′) up is
+// feasible. Counting borders, S(T) = C′ + #{(u,k) : P_u/k > T} = S(H) +
+// #{borders in (T, H]}, and S(H) = Σ_u ⌈P_u/H⌉. So the borders in [L, H],
+// about 2C′ of them, sorted once and swept from the top, give S at every
+// border of the window; the bound is the smallest feasible one with
+// k ≤ kmax. When no border of the window qualifies, it is the smallest
+// border with k ≤ kmax at or above H, which is feasible. When B = C′ every class needs its
+// own slot and the bound is max P_u.
+func (ix *ClassIndex) splitThreshold(kmax int64) rat.R {
+	in := ix.In
+	var pmax int64
+	for _, pu := range ix.Loads {
+		pmax = max(pmax, pu)
 	}
-	// Per class, binary search the smallest feasible border P_u/k for
-	// k in 1..kmax. Increasing k shrinks T = P_u/k and can only increase
-	// the total slot count, so per-class feasibility is monotone in k.
-	// Beyond k = n+m the counts can never fit a feasible budget (at the
-	// optimum, Σ⌈P_u/T⌉ ≤ ΣP_u/T + C ≤ m + n since T ≥ ΣP/m).
-	kmax := in.M
-	if n := int64(in.N()) + in.M; kmax > n || kmax < 0 {
-		kmax = n
+	budget, cc := totalSlotBudget(in), int64(ix.NonEmpty)
+	if pmax == 0 || budget == cc {
+		return rat.FromInt(pmax)
 	}
-	// Only borders below the current best can lower it, so each search
-	// starts at the class's largest such border, k0 = ⌊P_u/best⌋+1, and the
-	// class is skipped when it has none or when that border is infeasible
-	// (then so is every smaller one). The result is the unpruned search's.
-	for _, pu := range loads {
-		if pu == 0 || rat.Frac(pu, kmax).Cmp(best) >= 0 {
-			continue // no border of this class lies below best
-		}
-		k0 := rat.FromInt(pu).FloorQuo(best) + 1
-		if totalSlotsSplit(loads, rat.Frac(pu, k0), budget) > budget {
+	total := ix.Total
+	// Class u contributes at most P_u·C′/P + 1 borders, 2C′ in all.
+	window := make([]border, 0, 2*cc)
+	var sH int64 // S(H)
+	top := border{pu: pmax, k: 1}
+	for _, pu := range ix.Loads {
+		if pu == 0 {
 			continue
 		}
-		lo, hi := k0, kmax
-		for lo < hi {
-			mid := lo + (hi-lo+1)/2 // try larger k (smaller T)
-			if totalSlotsSplit(loads, rat.Frac(pu, mid), budget) <= budget {
-				lo = mid
-			} else {
-				hi = mid - 1
+		// Class u's borders in [L, H] are P_u/k for k in [⌈P_u/H⌉, ⌊P_u/L⌋].
+		kH, rem := mulDiv(pu, budget-cc, total) // ⌊P_u/H⌋
+		kLo := kH
+		if rem {
+			kLo++
+		}
+		sH += kLo
+		kHi, _ := mulDiv(pu, budget, total) // ⌊P_u/L⌋
+		for k := kLo; k <= kHi; k++ {
+			window = append(window, border{pu, k})
+		}
+		// The smallest allowed border at or above H, a fallback.
+		if kH >= 1 {
+			if b := (border{pu, min(kH, kmax)}); cmpBorders(b, top) > 0 {
+				top = b
 			}
 		}
-		best = rat.Frac(pu, lo) // below best, as lo ≥ k0
 	}
-	return best, nil
+	slices.SortFunc(window, cmpBorders)
+	best, found := border{}, false
+	for i := 0; i < len(window); {
+		// S at this border counts the window borders strictly above it.
+		if sH+int64(i) > budget {
+			break
+		}
+		j := i
+		for j < len(window) && cmpBorders(window[j], window[i]) == 0 {
+			if window[j].k <= kmax {
+				best, found = window[j], true
+			}
+			j++
+		}
+		i = j
+	}
+	if !found {
+		best = top
+	}
+	return rat.Frac(best.pu, best.k)
 }
 
 // SlotLowerBoundSplit is SlotLowerBoundSplitR at the *big.Rat API boundary.
@@ -183,73 +230,84 @@ func NonPreemptiveClassSlots(ps []int64, pu int64, t int64) int64 {
 // Σ_u C_u(T) ≤ c·m, with C_u as in Theorem 6. Makespans are integral in the
 // non-preemptive case, so the bound is found by integer binary search.
 func SlotLowerBoundNonPreemptive(in *Instance) (int64, error) {
-	if err := CheckFeasible(in); err != nil {
+	ix := NewClassIndex(in, NonPreemptive)
+	if err := ix.CheckFeasible(); err != nil {
 		return 0, err
 	}
-	byClass := in.ClassJobs()
-	sorted := make([][]int64, len(byClass))
-	loads := in.ClassLoads()
-	for u, jobs := range byClass {
-		ps := make([]int64, len(jobs))
-		for i, j := range jobs {
-			ps[i] = in.P[j]
-		}
-		sort.Slice(ps, func(a, b int) bool { return ps[a] > ps[b] })
-		sorted[u] = ps
-	}
-	budget := totalSlotBudget(in)
-	total := func(t int64) int64 {
+	return ix.slotBoundNonPreemptive(), nil
+}
+
+// slotBoundNonPreemptive is SlotLowerBoundNonPreemptive over a feasible
+// instance's non-preemptive index.
+//
+// Each C_u(T) is non-increasing in T: C¹_u is, and when T grows a job
+// leaving the big jobs lowers k_u by one and raises ℓ_u by at most two (it
+// and its former partner), while every other matched pair keeps fitting.
+// C_u(T) ≥ ⌈P_u/T⌉, so the splittable slot threshold bounds T from below;
+// from max(3·p_max, ⌈ΣP/(B−C′)⌉) up no job is big or mid and the area term
+// fits, and at ΣP every class fits one slot. The search starts at the lower
+// end, where non-preemptive instances with small jobs usually stop.
+func (ix *ClassIndex) slotBoundNonPreemptive() int64 {
+	budget := totalSlotBudget(ix.In)
+	feasible := func(t int64) bool {
 		var sum int64
-		for u := range sorted {
-			if len(sorted[u]) == 0 {
+		for u, ps := range ix.PByP {
+			if len(ps) == 0 {
 				continue
 			}
-			need := NonPreemptiveClassSlots(sorted[u], loads[u], t)
+			need := NonPreemptiveClassSlots(ps, ix.Loads[u], t)
 			if need > budget || sum > budget-need {
-				return budget + 1
+				return false
 			}
 			sum += need
 		}
-		return sum
+		return true
 	}
-	lo, hi := in.PMax(), in.TotalLoad() // hi always feasible: one slot per class
-	if lo < 1 {
-		lo = 1
+	lo := max(ix.PMax, ix.splitThreshold(math.MaxInt64).Ceil(), 1)
+	hi := ix.Total
+	if d := budget - int64(ix.NonEmpty); d > 0 && ix.PMax <= math.MaxInt64/3 {
+		q := ix.Total / d
+		if ix.Total%d != 0 {
+			q++
+		}
+		hi = min(hi, max(3*ix.PMax, q))
 	}
+	if lo >= hi || feasible(lo) {
+		return lo
+	}
+	lo++
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if total(mid) <= budget {
+		if feasible(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo, nil
+	return lo
 }
 
 // LowerBoundR returns a certified lower bound on the optimal makespan of the
 // given variant, combining area, p_max and class-slot arguments.
 func LowerBoundR(in *Instance, v Variant) (rat.R, error) {
-	if err := CheckFeasible(in); err != nil {
+	return NewClassIndex(in, v).LowerBound()
+}
+
+// LowerBound is LowerBoundR over the index, for the index's variant.
+func (ix *ClassIndex) LowerBound() (rat.R, error) {
+	if err := ix.CheckFeasible(); err != nil {
 		return rat.R{}, err
 	}
-	best := rat.Frac(in.TotalLoad(), in.M)
-	if v != Splittable {
-		best = rat.Max(best, rat.FromInt(in.PMax()))
+	in := ix.In
+	best := rat.Frac(ix.Total, in.M)
+	if ix.Variant != Splittable {
+		best = rat.Max(best, rat.FromInt(ix.PMax))
 	}
-	switch v {
+	switch ix.Variant {
 	case Splittable, Preemptive:
-		slot, err := SlotLowerBoundSplitR(in)
-		if err != nil {
-			return rat.R{}, err
-		}
-		best = rat.Max(best, slot)
+		best = rat.Max(best, ix.splitThreshold(in.M))
 	case NonPreemptive:
-		slot, err := SlotLowerBoundNonPreemptive(in)
-		if err != nil {
-			return rat.R{}, err
-		}
-		best = rat.Max(best, rat.FromInt(slot))
+		best = rat.Max(best, rat.FromInt(ix.slotBoundNonPreemptive()))
 	}
 	return best, nil
 }

@@ -191,37 +191,6 @@ func TestLowerBoundInfeasible(t *testing.T) {
 	}
 }
 
-// slotLowerBoundSplitOracle is the unpruned slot bound: every class's
-// binary search runs over all of its borders 1..kmax.
-func slotLowerBoundSplitOracle(in *Instance) rat.R {
-	loads := in.ClassLoads()
-	budget := totalSlotBudget(in)
-	var best rat.R
-	for _, pu := range loads {
-		best = rat.Max(best, rat.FromInt(pu))
-	}
-	kmax := in.M
-	if n := int64(in.N()) + in.M; kmax > n || kmax < 0 {
-		kmax = n
-	}
-	for _, pu := range loads {
-		if pu == 0 || totalSlotsSplit(loads, rat.FromInt(pu), budget) > budget {
-			continue
-		}
-		lo, hi := int64(1), kmax
-		for lo < hi {
-			mid := lo + (hi-lo+1)/2
-			if totalSlotsSplit(loads, rat.Frac(pu, mid), budget) <= budget {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		best = rat.Min(best, rat.Frac(pu, lo))
-	}
-	return best
-}
-
 // TestSlotLowerBoundSplitMatchesUnpruned checks the pruned border search
 // returns exactly the unpruned search's bound, on random instances from one
 // class to many, with tight and loose slot budgets and huge machine counts.

@@ -144,19 +144,55 @@ func (s *CompactSplitSchedule) Expand(limit int64) (*SplitSchedule, error) {
 }
 
 // FromSplit converts an explicit schedule into (trivially compact) group
-// form, one group per machine. Useful for uniform reporting paths.
+// form, one group per machine in order of first appearance, each group's
+// pieces in schedule order. It counts every machine's pieces first and then
+// fills one backing array.
 func FromSplit(s *SplitSchedule) *CompactSplitSchedule {
-	perMachine := make(map[int64][]GroupPiece)
-	var order []int64
-	for _, pc := range s.Pieces {
-		if _, ok := perMachine[pc.Machine]; !ok {
-			order = append(order, pc.Machine)
-		}
-		perMachine[pc.Machine] = append(perMachine[pc.Machine], GroupPiece{Job: pc.Job, Size: pc.Size})
-	}
 	out := &CompactSplitSchedule{}
-	for _, i := range order {
-		out.Groups = append(out.Groups, MachineGroup{Count: 1, Pieces: perMachine[i]})
+	if len(s.Pieces) == 0 {
+		return out
+	}
+	// group[i] is piece i's group; counts[g] the pieces of group g.
+	group := make([]int32, len(s.Pieces))
+	var counts []int
+	minIdx, maxIdx := s.Pieces[0].Machine, s.Pieces[0].Machine
+	for i := range s.Pieces {
+		minIdx, maxIdx = min(minIdx, s.Pieces[i].Machine), max(maxIdx, s.Pieces[i].Machine)
+	}
+	if minIdx >= 0 && maxIdx < denseLimit(len(s.Pieces)) {
+		groupOf := make([]int32, maxIdx+1)
+		for i := range s.Pieces {
+			g := &groupOf[s.Pieces[i].Machine]
+			if *g == 0 {
+				counts = append(counts, 0)
+				*g = int32(len(counts))
+			}
+			group[i] = *g - 1
+			counts[*g-1]++
+		}
+	} else {
+		groupOf := make(map[int64]int32)
+		for i := range s.Pieces {
+			g, ok := groupOf[s.Pieces[i].Machine]
+			if !ok {
+				g = int32(len(counts))
+				groupOf[s.Pieces[i].Machine] = g
+				counts = append(counts, 0)
+			}
+			group[i] = g
+			counts[g]++
+		}
+	}
+	backing := make([]GroupPiece, len(s.Pieces))
+	out.Groups = make([]MachineGroup, len(counts))
+	var at int
+	for g, n := range counts {
+		out.Groups[g] = MachineGroup{Count: 1, Pieces: backing[at : at : at+n]}
+		at += n
+	}
+	for i := range s.Pieces {
+		grp := &out.Groups[group[i]]
+		grp.Pieces = append(grp.Pieces, GroupPiece{Job: s.Pieces[i].Job, Size: s.Pieces[i].Size})
 	}
 	return out
 }

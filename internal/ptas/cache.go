@@ -329,7 +329,7 @@ func fallbackReport(g, hi int64, tried int, stats *probeStats) Report {
 // a verdict (restores are verdict-only and the augment move cache is
 // content-deterministic), so cached entries stay valid across NoWarmStart
 // settings and across the solves that share the cache.
-func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func() *nfold.Problem, sp trace.Span) (cacheEntry, []trace.Attr, error) {
+func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, stats *probeStats, tmpl *nfold.Template, build func(context.Context) (*nfold.Problem, error), sp trace.Span) (cacheEntry, []trace.Attr, error) {
 	// Chaos hook: one injection point per feasibility probe. A delay here
 	// pushes a solve past its soft deadline; a panic must leave the solve as
 	// a typed internal error; an error must surface as a clean typed failure.
@@ -350,7 +350,10 @@ func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, 
 		// restored entry cannot flip a verdict — a failed re-verification
 		// drops the entry and the cold solve below runs as if it had never
 		// existed.
-		prob = build()
+		var err error
+		if prob, err = build(ctx); err != nil {
+			return cacheEntry{}, nil, err
+		}
 		if verified, ok := entry.reverify(prob); ok {
 			opts.Cache.store(key, verified)
 			stats.cacheHits++
@@ -359,7 +362,10 @@ func solveGuessCached(ctx context.Context, opts Options, key cacheKey, t int64, 
 		opts.Cache.remove(key)
 	}
 	if prob == nil {
-		prob = build()
+		var err error
+		if prob, err = build(ctx); err != nil {
+			return cacheEntry{}, nil, err
+		}
 	}
 	no := opts.nfoldOptions(tmpl)
 	no.Trace = sp

@@ -171,11 +171,13 @@ func guessGrid(lo, hi int64, g int64) []int64 {
 	return out
 }
 
-// certifiedBound validates in and returns the variant's certified lower
-// bound core.LowerBoundR(in, v).
-func certifiedBound(in *core.Instance, v core.Variant) (rat.R, error) {
+// certifiedBound validates in and returns its class index for variant v
+// and the variant's certified lower bound.
+func certifiedBound(in *core.Instance, v core.Variant) (*core.ClassIndex, rat.R, error) {
 	if err := in.Validate(); err != nil {
-		return rat.R{}, err
+		return nil, rat.R{}, err
 	}
-	return core.LowerBoundR(in, v)
+	ix := core.NewClassIndex(in, v)
+	bound, err := ix.LowerBound()
+	return ix, bound, err
 }

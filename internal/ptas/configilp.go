@@ -1,8 +1,10 @@
 package ptas
 
 import (
+	"cmp"
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ccsched/internal/nfold"
 )
@@ -128,15 +130,24 @@ type configBlocks struct {
 }
 
 // blocks builds the shared blocks for nExtra scheme columns and local
-// scheme rows, which fill writes into the first local rows of B.
-func (ilp *configILP) blocks(nExtra, local int, fill func(b [][]int64)) *configBlocks {
+// scheme rows, which fill writes into the first local rows of B. It polls
+// ctx once per row of A, each as wide as the brick, and every pollEvery
+// configurations.
+func (ilp *configILP) blocks(ctx context.Context, nExtra, local int, fill func(b [][]int64)) (*configBlocks, error) {
 	nK, nHB := ilp.configs.len(), len(ilp.hbPairs)
 	bl := &configBlocks{configILP: ilp, width: ilp.extraOff() + nExtra, local: local, smallA: make(map[int64][][]int64)}
 	a := make([][]int64, 1+ilp.kinds+2*nHB)
 	for k := range a {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		a[k] = make([]int64, bl.width)
 	}
+	steps := 0
 	for ci := 0; ci < nK; ci++ {
+		if err := poll(ctx, &steps); err != nil {
+			return nil, err
+		}
 		a[0][ci] = 1
 		ilp.configs.slots(ci, func(k int, n int64) { a[1+k][ci] = n })
 	}
@@ -168,7 +179,7 @@ func (ilp *configILP) blocks(nExtra, local int, fill func(b [][]int64)) *configB
 	bl.zeroRow = make([]int64, bl.width)
 	bl.smallLRHS = make([]int64, local+1)
 	bl.smallLRHS[local] = 1
-	return bl
+	return bl, nil
 }
 
 // smallABlock returns the A block of a small class with rounded load units.
@@ -194,12 +205,16 @@ func (bl *configBlocks) smallABlock(units int64) [][]int64 {
 // load units[u]. A large class gets largeA, the local right-hand side and
 // module-column bound that large returns, and whatever bounds large writes
 // into its brick's upper bounds for the scheme's own columns. Slack bounds
-// cover (c−b)·Σx and (T̄−h)·Σx with every x up to m.
-func (bl *configBlocks) build(m int64, classes []int, small []bool, units []int64, large func(u int, upper []int64) (lrhs []int64, yMax int64)) *nfold.Problem {
+// cover (c−b)·Σx and (T̄−h)·Σx with every x up to m. It polls ctx once
+// per brick.
+func (bl *configBlocks) build(ctx context.Context, m int64, classes []int, small []bool, units []int64, large func(u int, upper []int64) (lrhs []int64, yMax int64)) (*nfold.Problem, error) {
 	r := len(bl.largeA)
 	p := &nfold.Problem{N: len(classes), R: r, S: bl.local + 1, T: bl.width}
 	nK, yOff, zOff, s2Off, s3Off := bl.configs.len(), bl.yOff(), bl.zOff(), bl.s2Off(), bl.s3Off()
 	for _, u := range classes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		upper := make([]int64, bl.width)
 		for ci := 0; ci < nK; ci++ {
 			upper[ci] = m
@@ -229,7 +244,20 @@ func (bl *configBlocks) build(m int64, classes []int, small []bool, units []int6
 	}
 	p.GlobalRHS = make([]int64, r)
 	p.GlobalRHS[0] = m
-	return p
+	return p, nil
+}
+
+// pollEvery is how many steps of a construction loop pass between two
+// polls of the solve's context.
+const pollEvery = 1024
+
+// poll counts one step of a construction loop and, every pollEvery steps,
+// returns the context's error.
+func poll(ctx context.Context, steps *int) error {
+	if *steps++; *steps%pollEvery == 0 {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // machineConfigs expands a solution's configuration counts Σ_u x^u_K into
@@ -258,16 +286,29 @@ func (ilp *configILP) machineConfigs(x [][]int64, m int64) ([]int, error) {
 // slotPool hands out the module slots of the expanded machines, each kind's
 // slots in machine order.
 type slotPool struct {
-	at   [][]int // kind → machine of each slot
-	next []int
+	at   []int // the machine of every slot, kind by kind
+	next []int // kind → its next free slot in at
+	end  []int // kind → the end of its slots in at
 }
 
 func (ilp *configILP) moduleSlots(machines []int) *slotPool {
-	sp := &slotPool{at: make([][]int, ilp.kinds), next: make([]int, ilp.kinds)}
+	sp := &slotPool{next: make([]int, ilp.kinds), end: make([]int, ilp.kinds)}
+	for _, ci := range machines {
+		ilp.configs.slots(ci, func(k int, n int64) { sp.end[k] += int(n) })
+	}
+	total := 0
+	for k, n := range sp.end {
+		sp.next[k] = total
+		total += n
+		sp.end[k] = total
+	}
+	sp.at = make([]int, total)
+	fill := slices.Clone(sp.next)
 	for mi, ci := range machines {
 		ilp.configs.slots(ci, func(k int, n int64) {
 			for ; n > 0; n-- {
-				sp.at[k] = append(sp.at[k], mi)
+				sp.at[fill[k]] = mi
+				fill[k]++
 			}
 		})
 	}
@@ -276,10 +317,10 @@ func (ilp *configILP) moduleSlots(machines []int) *slotPool {
 
 // take returns the machine of the next free slot of the given kind.
 func (sp *slotPool) take(kind int) (int, error) {
-	if sp.next[kind] >= len(sp.at[kind]) {
+	if sp.next[kind] >= sp.end[kind] {
 		return 0, fmt.Errorf("ptas: module demand exceeds the slots of kind %d", kind)
 	}
-	mi := sp.at[kind][sp.next[kind]]
+	mi := sp.at[sp.next[kind]]
 	sp.next[kind]++
 	return mi, nil
 }
@@ -289,13 +330,24 @@ func (sp *slotPool) take(kind int) (int, error) {
 // machineConfigs' expansion; place puts all of class u on machine mi.
 func (ilp *configILP) dealSmall(x [][]int64, classes []int, small []bool, loads []int64, machines []int, place func(u, mi int)) error {
 	nHB, zOff := len(ilp.hbPairs), ilp.zOff()
-	groupMachines := make([][]int, nHB)
+	// The machines of every (h,b) group in order, one group after the
+	// other: group hi's are order[start[hi]:start[hi+1]].
+	start := make([]int, nHB+1)
+	for _, ci := range machines {
+		start[ilp.hbOf[ci]+1]++
+	}
+	for hi := 0; hi < nHB; hi++ {
+		start[hi+1] += start[hi]
+	}
+	order := make([]int, len(machines))
+	fill := slices.Clone(start[:nHB])
 	for mi, ci := range machines {
 		hi := ilp.hbOf[ci]
-		groupMachines[hi] = append(groupMachines[hi], mi)
+		order[fill[hi]] = mi
+		fill[hi]++
 	}
 	type smallAssign struct{ u, hb int }
-	var smalls []smallAssign
+	smalls := make([]smallAssign, 0, len(classes))
 	for bi, u := range classes {
 		if !small[u] {
 			continue
@@ -312,10 +364,16 @@ func (ilp *configILP) dealSmall(x [][]int64, classes []int, small []bool, loads 
 		}
 		smalls = append(smalls, smallAssign{u, chosen})
 	}
-	sort.SliceStable(smalls, func(a, b int) bool { return loads[smalls[a].u] > loads[smalls[b].u] })
+	// Non-ascending load, ties in brick order (ascending class).
+	slices.SortFunc(smalls, func(a, b smallAssign) int {
+		if c := cmp.Compare(loads[b.u], loads[a.u]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.u, b.u)
+	})
 	next := make([]int, nHB)
 	for _, sa := range smalls {
-		ms := groupMachines[sa.hb]
+		ms := order[start[sa.hb]:start[sa.hb+1]]
 		if len(ms) == 0 {
 			return fmt.Errorf("ptas: small class %d assigned to empty machine group", sa.u)
 		}

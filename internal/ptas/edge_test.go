@@ -137,7 +137,7 @@ func TestScaledBoundIsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				for s := int64(2); s <= 1<<20; s <<= 3 {
-					got, err := core.LowerBoundR(scaleInstance(in, s), v)
+					got, err := core.NewClassIndex(in, v).Scaled(s).LowerBound()
 					if err != nil {
 						t.Fatal(err)
 					}

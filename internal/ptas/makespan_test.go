@@ -84,7 +84,7 @@ func TestReturnedMakespanMatchesSchedule(t *testing.T) {
 					exit = "shortcut"
 				}
 				seen[exit] = true
-				if bound, err := certifiedBound(in, s.variant); err == nil && s.variant != core.NonPreemptive {
+				if _, bound, err := certifiedBound(in, s.variant); err == nil && s.variant != core.NonPreemptive {
 					if g, _ := o.delta(); scaleFactor(bound.Rat(), in.PMax(), 4*g*g) > 1 {
 						seen["scaled-"+exit] = true
 					}
@@ -119,11 +119,11 @@ func TestApproxPlanMakespanMatchesRealized(t *testing.T) {
 
 func checkPlan[G guess[S], S any](t *testing.T, name string, in *core.Instance, sc scheme[G, S]) {
 	t.Helper()
-	bound, err := certifiedBound(in, sc.variant)
+	ix, bound, err := certifiedBound(in, sc.variant)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sc.approx(in, bound)
+	plan, err := sc.approx(ix, bound)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
@@ -51,42 +51,59 @@ type moduleVec struct {
 
 // groupJobs performs the paper's grouping for one class: bundle jobs < δT
 // into [δT, 2δT) packets; a leftover below δT merges into another job if
-// one exists, else the class becomes small.
-func groupJobs(in *core.Instance, jobs []int, g, t int64) ([]npJob, bool) {
-	var big_, small []int
+// one exists, else the class becomes small. The bundles' job lists are
+// capacity-capped sub-slices of buf, which must have room for the class's
+// jobs; it returns the rest of buf. Only a merge into out[0] copies its list.
+func groupJobs(in *core.Instance, jobs []int, g, t int64, buf []int) ([]npJob, bool, []int) {
+	// The big jobs come first in buf, then the small ones in order, so each
+	// packet is a run of the small part.
+	nBig := 0
 	for _, j := range jobs {
 		if in.P[j]*g > t {
-			big_ = append(big_, j)
-		} else {
-			small = append(small, j)
+			buf[nBig] = j
+			nBig++
 		}
 	}
-	var packets []npJob
-	cur := npJob{}
-	for _, j := range small {
-		cur.orig = append(cur.orig, j)
-		cur.load += in.P[j]
-		if cur.load*g > t { // reached δT
-			packets = append(packets, cur)
-			cur = npJob{}
+	nSmall := nBig
+	for _, j := range jobs {
+		if in.P[j]*g <= t {
+			buf[nSmall] = j
+			nSmall++
 		}
 	}
-	out := make([]npJob, 0, len(big_)+len(packets)+1)
-	for _, j := range big_ {
-		out = append(out, npJob{orig: []int{j}, load: in.P[j]})
+	list, rest := buf[:len(jobs)], buf[len(jobs):]
+	var out []npJob
+	packets, start := 0, nBig
+	var load int64
+	for k := nBig; k < len(list); k++ {
+		load += in.P[list[k]]
+		if load*g > t { // reached δT
+			packets++
+			load = 0
+		}
 	}
-	out = append(out, packets...)
-	if len(cur.orig) > 0 {
-		if len(out) > 0 {
-			// Merge the leftover into an existing job.
-			out[0].orig = append(out[0].orig, cur.orig...)
-			out[0].load += cur.load
-		} else {
+	out = make([]npJob, 0, nBig+packets)
+	for k := 0; k < nBig; k++ {
+		out = append(out, npJob{orig: list[k : k+1 : k+1], load: in.P[list[k]]})
+	}
+	load = 0
+	for k := nBig; k < len(list); k++ {
+		load += in.P[list[k]]
+		if load*g > t {
+			out = append(out, npJob{orig: list[start : k+1 : k+1], load: load})
+			start, load = k+1, 0
+		}
+	}
+	if start < len(list) {
+		if len(out) == 0 {
 			// The whole class is below δT: a small class.
-			return []npJob{cur}, true
+			return []npJob{{orig: list[start:len(list):len(list)], load: load}}, true, rest
 		}
+		// Merge the leftover into an existing job.
+		out[0].orig = append(out[0].orig, list[start:]...)
+		out[0].load += load
 	}
-	return out, false
+	return out, false, rest
 }
 
 // groupedGuess is the grouped and rounded instance I' of one guess, which
@@ -94,7 +111,7 @@ func groupJobs(in *core.Instance, jobs []int, g, t int64) ([]npJob, bool) {
 // the large/small classification, the distinct rounded large-job sizes and
 // their per-class counts n^u_p, and the rounded small-class loads.
 type groupedGuess struct {
-	in         *core.Instance
+	ix         *core.ClassIndex
 	g, t       int64
 	classes    []int // nonempty classes in brick order
 	jobs       [][]npJob
@@ -106,20 +123,24 @@ type groupedGuess struct {
 
 // groupGuess groups and rounds every class at guess t: small classes to
 // δ²T/c units, the grouped jobs of large classes to multiples of δ²T.
-func groupGuess(in *core.Instance, byClass [][]int, g, t int64) groupedGuess {
+func groupGuess(ix *core.ClassIndex, g, t int64) groupedGuess {
+	in := ix.In
 	c := int64(in.Slots)
+	cc := ix.NumClasses()
 	gg := groupedGuess{
-		in: in, g: g, t: t,
-		jobs: make([][]npJob, len(byClass)), small: make([]bool, len(byClass)),
-		smallUnits: make([]int64, len(byClass)), nUP: make(map[[2]int64]int64),
+		ix: ix, g: g, t: t, classes: make([]int, 0, ix.NonEmpty),
+		jobs: make([][]npJob, cc), small: make([]bool, cc),
+		smallUnits: make([]int64, cc), nUP: make(map[[2]int64]int64),
 	}
-	sizeSet := make(map[int64]bool)
-	for u, js := range byClass {
+	buf := make([]int, in.N())
+	for u, js := range ix.Jobs {
 		if len(js) == 0 {
 			continue
 		}
 		gg.classes = append(gg.classes, u)
-		grouped, isSmall := groupJobs(in, js, g, t)
+		var grouped []npJob
+		var isSmall bool
+		grouped, isSmall, buf = groupJobs(in, js, g, t, buf)
 		gg.small[u] = isSmall
 		if isSmall {
 			gg.smallUnits[u] = ceilDivBig(grouped[0].load, g*g*c, t)
@@ -131,15 +152,16 @@ func groupGuess(in *core.Instance, byClass [][]int, g, t int64) groupedGuess {
 		for k := range grouped {
 			grouped[k].class = u
 			grouped[k].units = ceilDivBig(grouped[k].load, g*g, t) * c
-			sizeSet[grouped[k].units] = true
-			gg.nUP[[2]int64{int64(u), grouped[k].units}]++
+			key := [2]int64{int64(u), grouped[k].units}
+			if gg.nUP[key] == 0 {
+				gg.sizes = append(gg.sizes, key[1])
+			}
+			gg.nUP[key]++
 		}
 		gg.jobs[u] = grouped
 	}
-	for s := range sizeSet {
-		gg.sizes = append(gg.sizes, s)
-	}
-	sort.Slice(gg.sizes, func(a, b int) bool { return gg.sizes[a] < gg.sizes[b] })
+	slices.Sort(gg.sizes)
+	gg.sizes = slices.Compact(gg.sizes)
 	return gg
 }
 
@@ -148,35 +170,32 @@ func (gg *groupedGuess) count(u int, p int64) int64 { return gg.nUP[[2]int64{int
 
 // digest keys the feasibility cache (see groupedDigest).
 func (gg *groupedGuess) digest() [sha256.Size]byte {
-	return groupedDigest(gg.in.M, gg.in.Slots, gg.g, gg.sizes, gg.classes, gg.small, gg.smallUnits, gg.nUP)
+	return groupedDigest(gg.ix.In.M, gg.ix.In.Slots, gg.g, gg.sizes, gg.classes, gg.small, gg.smallUnits, gg.nUP)
 }
 
 // instantiate performs the per-guess grouping, rounding and enumeration
 // (all guess-dependent for this scheme; see npTemplate).
-func (tm *npTemplate) instantiate(t int64) (*npGuessCtx, error) {
-	in, g, limit := tm.in, tm.g, tm.limit
-	ctx := &npGuessCtx{groupedGuess: groupGuess(in, tm.byClass, g, t)}
+func (tm *npTemplate) instantiate(solveCtx context.Context, t int64) (*npGuessCtx, error) {
+	in, g, limit := tm.ix.In, tm.g, tm.limit
+	ctx := &npGuessCtx{groupedGuess: groupGuess(tm.ix, g, t)}
 	c := int64(in.Slots)
 	tBar := (g*g + 5*g + 6) * c
 	cStar := min(c, (tBar+g*c-1)/(g*c)) // ⌈T̄/δT⌉
 	// Enumerate modules: multisets of sizes with total ≤ T̄.
-	modConfigs, err := enumerateConfigs(ctx.sizes, tBar, int64(1)<<40, limit)
+	modConfigs, err := enumerateConfigs(solveCtx, ctx.sizes, tBar, int64(1)<<40, limit)
 	if err != nil {
 		return nil, err
 	}
-	modSizeSet := make(map[int64]bool)
 	for _, mc := range modConfigs {
 		if mc.slots == 0 {
 			continue // the empty module is not a module
 		}
 		ctx.modules = append(ctx.modules, moduleVec{counts: mc.counts, total: mc.size})
-		modSizeSet[mc.size] = true
+		ctx.modSizes = append(ctx.modSizes, mc.size)
 	}
-	for s := range modSizeSet {
-		ctx.modSizes = append(ctx.modSizes, s)
-	}
-	sort.Slice(ctx.modSizes, func(a, b int) bool { return ctx.modSizes[a] < ctx.modSizes[b] })
-	configs, err := enumerateConfigs(ctx.modSizes, tBar, cStar, limit)
+	slices.Sort(ctx.modSizes)
+	ctx.modSizes = slices.Compact(ctx.modSizes)
+	configs, err := enumerateConfigs(solveCtx, ctx.modSizes, tBar, cStar, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -194,10 +213,10 @@ func (tm *npTemplate) instantiate(t int64) (*npGuessCtx, error) {
 
 // buildNFold encodes the non-preemptive constraints (0)–(5). Its blocks
 // depend on the guess, so they are shared across the probe's bricks only.
-func (ctx *npGuessCtx) buildNFold() *nfold.Problem {
+func (ctx *npGuessCtx) buildNFold(solveCtx context.Context) (*nfold.Problem, error) {
 	nP := len(ctx.sizes)
 	yOff := ctx.ilp.yOff()
-	bl := ctx.ilp.blocks(0, nP, func(b [][]int64) {
+	bl, err := ctx.ilp.blocks(solveCtx, 0, nP, func(b [][]int64) {
 		// (4) per size p: Σ_M M_p y_M = (1-ξ_u) n^u_p.
 		for pi := range ctx.sizes {
 			for mi, mv := range ctx.modules {
@@ -207,7 +226,10 @@ func (ctx *npGuessCtx) buildNFold() *nfold.Problem {
 			}
 		}
 	})
-	return bl.build(ctx.in.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, _ []int64) ([]int64, int64) {
+	if err != nil {
+		return nil, err
+	}
+	return bl.build(solveCtx, ctx.ix.In.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, _ []int64) ([]int64, int64) {
 		lrhs := make([]int64, nP+1)
 		var totJobs int64
 		for pi, sz := range ctx.sizes {
@@ -233,18 +255,18 @@ func (r *NonPreemptiveResult) Makespan() *big.Rat { return r.makespan.Rat() }
 // so ctx.Err() surfaces within one augmentation iteration or
 // branch-and-bound node.
 func SolveNonPreemptive(ctx context.Context, in *core.Instance, opts Options) (*NonPreemptiveResult, error) {
-	bound, err := certifiedBound(in, core.NonPreemptive)
+	ix, bound, err := certifiedBound(in, core.NonPreemptive)
 	if err != nil {
 		return nil, err
 	}
-	return SolveNonPreemptiveLB(ctx, in, opts, bound)
+	return SolveNonPreemptiveLB(ctx, ix, opts, bound)
 }
 
-// SolveNonPreemptiveLB is SolveNonPreemptive given the instance's certified
-// bound core.LowerBoundR(in, core.NonPreemptive), for callers that
-// computed it already.
-func SolveNonPreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*NonPreemptiveResult, error) {
-	sched, makespan, rep, err := runScheme(ctx, in, opts, npScheme, bound)
+// SolveNonPreemptiveLB is SolveNonPreemptive given the instance's
+// non-preemptive class index and its certified bound ix.LowerBound(), for
+// callers that built both already.
+func SolveNonPreemptiveLB(ctx context.Context, ix *core.ClassIndex, opts Options, bound rat.R) (*NonPreemptiveResult, error) {
+	sched, makespan, rep, err := runScheme(ctx, ix, opts, npScheme, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -254,11 +276,11 @@ func SolveNonPreemptiveLB(ctx context.Context, in *core.Instance, opts Options, 
 // npScheme never scales: the non-preemptive optimum is integral.
 var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 	tag: cacheNonPreemptive, variant: core.NonPreemptive,
-	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
-		return newNPTemplate(in, g, opts.maxConfigs()), nil
+	template: func(_ context.Context, ix *core.ClassIndex, g int64, opts Options) (guessTemplate[*npGuessCtx], error) {
+		return newNPTemplate(ix, g, opts.maxConfigs()), nil
 	},
-	approx: func(in *core.Instance, bound rat.R) (approxPlan[*core.NonPreemptiveSchedule], error) {
-		p, err := approx.PlanNonPreemptive(in, bound)
+	approx: func(ix *core.ClassIndex, bound rat.R) (approxPlan[*core.NonPreemptiveSchedule], error) {
+		p, err := approx.PlanNonPreemptiveIndexed(ix, bound)
 		if err != nil {
 			return approxPlan[*core.NonPreemptiveSchedule]{}, err
 		}
@@ -292,31 +314,33 @@ var npScheme = scheme[*npGuessCtx, *core.NonPreemptiveSchedule]{
 // constructSchedule dissolves configurations into modules into jobs
 // (Figure 4) and places small classes by round robin.
 func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedule, error) {
-	in, ilp := ctx.in, ctx.ilp
+	ix, ilp := ctx.ix, ctx.ilp
+	in := ix.In
 	machines, err := ilp.machineConfigs(x, in.M)
 	if err != nil {
 		return nil, err
 	}
 	pool := ilp.moduleSlots(machines)
-	// Per (class, size) queues of grouped jobs.
-	queues := make(map[[2]int64][]npJob)
-	for _, u := range ctx.classes {
-		if ctx.small[u] {
-			continue
-		}
-		for _, gj := range ctx.jobs[u] {
-			key := [2]int64{int64(u), gj.units}
-			queues[key] = append(queues[key], gj)
-		}
-	}
 	sched := &core.NonPreemptiveSchedule{Assign: make([]int64, in.N())}
 	for j := range sched.Assign {
 		sched.Assign[j] = -1
 	}
 	yOff := ilp.yOff()
+	// queues[pi] holds the class's grouped jobs of size sizes[pi], in
+	// order; next[pi] is the first one not yet placed.
+	queues := make([][]*npJob, len(ctx.sizes))
+	next := make([]int, len(ctx.sizes))
 	for bi, u := range ctx.classes {
 		if ctx.small[u] {
 			continue
+		}
+		for pi := range queues {
+			queues[pi], next[pi] = queues[pi][:0], 0
+		}
+		for k := range ctx.jobs[u] {
+			gj := &ctx.jobs[u][k]
+			pi, _ := slices.BinarySearch(ctx.sizes, gj.units)
+			queues[pi] = append(queues[pi], gj)
 		}
 		for mi2, mv := range ctx.modules {
 			for k := x[bi][yOff+mi2]; k > 0; k-- {
@@ -326,24 +350,21 @@ func (ctx *npGuessCtx) constructSchedule(x [][]int64) (*core.NonPreemptiveSchedu
 				}
 				// Dissolve the module: M_p jobs of each size p.
 				for pi, cnt := range mv.counts {
-					key := [2]int64{int64(u), ctx.sizes[pi]}
 					for a := int64(0); a < cnt; a++ {
-						q := queues[key]
-						if len(q) == 0 {
+						if next[pi] == len(queues[pi]) {
 							return nil, fmt.Errorf("ptas: class %d ran out of size-%d jobs", u, ctx.sizes[pi])
 						}
-						queues[key] = q[1:]
-						for _, oj := range q[0].orig {
+						for _, oj := range queues[pi][next[pi]].orig {
 							sched.Assign[oj] = int64(machineIdx)
 						}
+						next[pi]++
 					}
 				}
 			}
 		}
 	}
-	byClass := in.ClassJobs()
-	err = ilp.dealSmall(x, ctx.classes, ctx.small, in.ClassLoads(), machines, func(u, mi int) {
-		for _, j := range byClass[u] {
+	err = ilp.dealSmall(x, ctx.classes, ctx.small, ix.Loads, machines, func(u, mi int) {
+		for _, j := range ix.Jobs[u] {
 			sched.Assign[j] = int64(mi)
 		}
 	})

@@ -149,23 +149,23 @@ func pinConstruction[G guess[S], S any](t *testing.T, in *core.Instance, opts Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound, err := certifiedBound(in, sc.variant)
+	ix, bound, err := certifiedBound(in, sc.variant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.descale != nil {
 		if scale := scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
-			in = scaleInstance(in, scale)
+			ix = ix.Scaled(scale)
 			bound = bound.MulInt(scale)
 		}
 	}
 	lo := max(1, bound.Ceil())
-	apx, err := sc.approx(in, bound)
+	apx, err := sc.approx(ix, bound)
 	if err != nil {
 		t.Fatal(err)
 	}
 	grid := guessGrid(lo, max(apx.makespan.Ceil(), lo), g)
-	tm, err := sc.template(in, g, opts)
+	tm, err := sc.template(context.Background(), ix, g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +173,17 @@ func pinConstruction[G guess[S], S any](t *testing.T, in *core.Instance, opts Op
 	out := pinnedConstruction{grid: len(grid)}
 	for _, guess := range grid {
 		putInts(ch.probes, guess)
-		gc, err := tm.instantiate(guess)
+		gc, err := tm.instantiate(context.Background(), guess)
 		if err != nil {
 			fmt.Fprintf(ch.probes, "instantiate: %v", err)
 			continue
 		}
 		d := gc.digest()
 		ch.probes.Write(d[:])
-		prob := gc.buildNFold()
+		prob, err := gc.buildNFold(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		ch.problem(prob)
 		res, err := nfold.SolveCtx(context.Background(), prob, opts.nfoldOptions(tm.engines()))
 		if err != nil {
@@ -195,6 +198,11 @@ func pinConstruction[G guess[S], S any](t *testing.T, in *core.Instance, opts Op
 		if err != nil {
 			fmt.Fprintf(ch.scheds, "construct: %v", err)
 			continue
+		}
+		// A splittable construction sums its makespan as it fills the
+		// machines; it must be the schedule's.
+		if r, ok := any(sched).(*SplitResult); ok && !r.makespan.Equal(r.Compact.MakespanR()) {
+			t.Errorf("guess %d: construction makespan %s, schedule %s", guess, r.makespan.RatString(), r.Compact.MakespanR().RatString())
 		}
 		js, err := json.Marshal(sched)
 		if err != nil {

@@ -60,7 +60,8 @@ func (ks intervalSets) slots(ci int, f func(int, int64)) {
 
 // enumerateIntervalConfigs lists sets of pairwise disjoint intervals (by
 // index) with at most maxSlots members, including the empty configuration.
-func enumerateIntervalConfigs(modules []interval, maxSlots int64, limit int) ([]preConfig, error) {
+// It polls ctx every pollEvery configurations.
+func enumerateIntervalConfigs(ctx context.Context, modules []interval, maxSlots int64, limit int) ([]preConfig, error) {
 	// Order intervals by start for the sweep.
 	idx := make([]int, len(modules))
 	for i := range idx {
@@ -75,10 +76,14 @@ func enumerateIntervalConfigs(modules []interval, maxSlots int64, limit int) ([]
 	})
 	var out []preConfig
 	var cur []int
+	steps := 0
 	var rec func(pos int, lastEnd int, slots int64, covered int64) error
 	rec = func(pos int, lastEnd int, slots int64, covered int64) error {
 		if len(out) > limit {
 			return fmt.Errorf("ptas: preemptive configuration count exceeds limit %d; increase epsilon or MaxConfigs", limit)
+		}
+		if err := poll(ctx, &steps); err != nil {
+			return err
 		}
 		out = append(out, preConfig{
 			intervals: append([]int(nil), cur...),
@@ -109,11 +114,11 @@ func enumerateIntervalConfigs(modules []interval, maxSlots int64, limit int) ([]
 
 // instantiate performs the per-guess grouping and rounding; the layer
 // geometry and interval-configuration enumeration come from the template.
-func (tm *preTemplate) instantiate(t int64) (*preGuessCtx, error) {
-	ctx := &preGuessCtx{groupedGuess: groupGuess(tm.in, tm.byClass, tm.g, t), tm: tm}
+func (tm *preTemplate) instantiate(_ context.Context, t int64) (*preGuessCtx, error) {
+	ctx := &preGuessCtx{groupedGuess: groupGuess(tm.ix, tm.g, t), tm: tm}
 	// Reject guesses for which a single job would not fit (w_p > |L|).
 	for _, s := range ctx.sizes {
-		if s/int64(tm.in.Slots) > int64(tm.layers) {
+		if s/int64(tm.ix.In.Slots) > int64(tm.layers) {
 			return nil, errGuessTooSmall
 		}
 	}
@@ -123,12 +128,15 @@ func (tm *preTemplate) instantiate(t int64) (*preGuessCtx, error) {
 // buildNFold encodes constraints (0)–(6) of the preemptive scheme over the
 // template's blocks for this guess's size count, which every probe with the
 // same count shares (see preTemplate.blocksFor).
-func (ctx *preGuessCtx) buildNFold() *nfold.Problem {
+func (ctx *preGuessCtx) buildNFold(solveCtx context.Context) (*nfold.Problem, error) {
 	nP, nL := len(ctx.sizes), ctx.tm.layers
-	cUnits := int64(ctx.in.Slots)
-	bl := ctx.tm.blocksFor(nP)
+	cUnits := int64(ctx.ix.In.Slots)
+	bl, err := ctx.tm.blocksFor(solveCtx, nP)
+	if err != nil {
+		return nil, err
+	}
 	aOff := bl.extraOff()
-	return bl.build(ctx.in.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, upper []int64) ([]int64, int64) {
+	return bl.build(solveCtx, ctx.ix.In.M, ctx.classes, ctx.small, ctx.smallUnits, func(u int, upper []int64) ([]int64, int64) {
 		lrhs := make([]int64, nP+nL+1)
 		var totPieces int64
 		for pi, sz := range ctx.sizes {
@@ -160,18 +168,18 @@ func (r *PreemptiveResult) Makespan() *big.Rat { return r.makespan.Rat() }
 // makespan-guess search — including in-flight N-fold solves — so ctx.Err()
 // surfaces within one augmentation iteration or branch-and-bound node.
 func SolvePreemptive(ctx context.Context, in *core.Instance, opts Options) (*PreemptiveResult, error) {
-	bound, err := certifiedBound(in, core.Preemptive)
+	ix, bound, err := certifiedBound(in, core.Preemptive)
 	if err != nil {
 		return nil, err
 	}
-	return SolvePreemptiveLB(ctx, in, opts, bound)
+	return SolvePreemptiveLB(ctx, ix, opts, bound)
 }
 
-// SolvePreemptiveLB is SolvePreemptive given the instance's certified bound
-// core.LowerBoundR(in, core.Preemptive), for callers that computed it
-// already.
-func SolvePreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*PreemptiveResult, error) {
-	sched, makespan, rep, err := runScheme(ctx, in, opts, preScheme, bound)
+// SolvePreemptiveLB is SolvePreemptive given the instance's preemptive
+// class index and its certified bound ix.LowerBound(), for callers that
+// built both already.
+func SolvePreemptiveLB(ctx context.Context, ix *core.ClassIndex, opts Options, bound rat.R) (*PreemptiveResult, error) {
+	sched, makespan, rep, err := runScheme(ctx, ix, opts, preScheme, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -182,11 +190,11 @@ func SolvePreemptiveLB(ctx context.Context, in *core.Instance, opts Options, bou
 // the largest job with errGuessTooSmall.
 var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 	tag: cachePreemptive, variant: core.Preemptive,
-	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
-		return newPreTemplate(in, g, opts.maxConfigs())
+	template: func(ctx context.Context, ix *core.ClassIndex, g int64, opts Options) (guessTemplate[*preGuessCtx], error) {
+		return newPreTemplate(ctx, ix, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance, bound rat.R) (approxPlan[*core.PreemptiveSchedule], error) {
-		p, err := approx.PlanPreemptive(in, bound)
+	approx: func(ix *core.ClassIndex, bound rat.R) (approxPlan[*core.PreemptiveSchedule], error) {
+		p, err := approx.PlanPreemptiveIndexed(ix, bound)
 		if err != nil {
 			return approxPlan[*core.PreemptiveSchedule]{}, err
 		}
@@ -214,7 +222,7 @@ var preScheme = scheme[*preGuessCtx, *core.PreemptiveSchedule]{
 // sizes via the a-variables, jobs into layer slots greedily (Theorem 18),
 // small classes into the machines' idle gaps.
 func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule, error) {
-	in, ilp := ctx.in, ctx.tm.ilp
+	in, ilp := ctx.ix.In, ctx.tm.ilp
 	nL := ctx.tm.layers
 	yOff, aOff := ilp.yOff(), ilp.extraOff()
 	cUnits := int64(in.Slots)
@@ -332,14 +340,13 @@ func (ctx *preGuessCtx) constructSchedule(x [][]int64) (*core.PreemptiveSchedule
 	// with a per-machine cursor over free time (gaps between owned layers,
 	// then the open end).
 	freeCursor := make(map[int]*gapCursor)
-	byClass := in.ClassJobs()
-	err = ilp.dealSmall(x, ctx.classes, ctx.small, in.ClassLoads(), machines, func(u, mi int) {
+	err = ilp.dealSmall(x, ctx.classes, ctx.small, ctx.ix.Loads, machines, func(u, mi int) {
 		gc := freeCursor[mi]
 		if gc == nil {
 			gc = newGapCursor(owner[mi], layerRat)
 			freeCursor[mi] = gc
 		}
-		for _, j := range byClass[u] {
+		for _, j := range ctx.ix.Jobs[u] {
 			remaining := rat.FromInt(in.P[j])
 			for remaining.Sign() > 0 {
 				start, size := gc.take(remaining)

@@ -17,26 +17,27 @@ func lowerGuessNFold[G guess[S], S any](in *core.Instance, opts Options, sc sche
 	if err != nil {
 		return nil, nil, err
 	}
-	bound, err := certifiedBound(in, sc.variant)
+	ix, bound, err := certifiedBound(in, sc.variant)
 	if err != nil {
 		return nil, nil, err
 	}
 	if sc.descale != nil {
 		if scale := scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
-			in = scaleInstance(in, scale)
+			ix = ix.Scaled(scale)
 			bound = bound.MulInt(scale)
 		}
 	}
 	lo := max(1, bound.Ceil())
-	tm, err := sc.template(in, g, opts)
+	tm, err := sc.template(context.Background(), ix, g, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	gc, err := tm.instantiate(lo)
+	gc, err := tm.instantiate(context.Background(), lo)
 	if err != nil {
 		return nil, nil, err
 	}
-	return gc.buildNFold(), tm.engines(), nil
+	prob, err := gc.buildNFold(context.Background())
+	return prob, tm.engines(), err
 }
 
 // BenchmarkProbeNFold times one guess probe's engine run in isolation: the

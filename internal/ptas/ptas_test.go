@@ -344,7 +344,7 @@ func TestGroupJobsInvariants(t *testing.T) {
 		if len(jobs) == 0 {
 			continue
 		}
-		grouped, isSmall := groupJobs(in, jobs, g, tt)
+		grouped, isSmall, _ := groupJobs(in, jobs, g, tt, make([]int, len(jobs)))
 		seen := make(map[int]bool)
 		var total int64
 		for _, gj := range grouped {
@@ -386,14 +386,14 @@ func TestGroupJobsInvariants(t *testing.T) {
 func TestEnumerateConfigsCounts(t *testing.T) {
 	// Modules {2,3}, maxSize 5, maxSlots 2:
 	// {}, {2}, {3}, {2,2}, {2,3} -> 5 configurations.
-	configs, err := enumerateConfigs([]int64{2, 3}, 5, 2, 100)
+	configs, err := enumerateConfigs(context.Background(), []int64{2, 3}, 5, 2, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(configs) != 5 {
 		t.Errorf("got %d configurations, want 5", len(configs))
 	}
-	if _, err := enumerateConfigs([]int64{1, 2, 3}, 30, 30, 3); err == nil {
+	if _, err := enumerateConfigs(context.Background(), []int64{1, 2, 3}, 30, 30, 3); err == nil {
 		t.Error("want limit error")
 	}
 }
@@ -401,14 +401,14 @@ func TestEnumerateConfigsCounts(t *testing.T) {
 func TestEnumerateIntervalConfigs(t *testing.T) {
 	// 3 layers: intervals [0,1),[0,2),[0,3),[1,2),[1,3),[2,3) = 6 modules.
 	mods := []interval{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	configs, err := enumerateIntervalConfigs(mods, 1, 1000)
+	configs, err := enumerateIntervalConfigs(context.Background(), mods, 1, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(configs) != 7 { // empty + 6 singletons
 		t.Errorf("maxSlots=1: got %d configs, want 7", len(configs))
 	}
-	configs, err = enumerateIntervalConfigs(mods, 2, 1000)
+	configs, err = enumerateIntervalConfigs(context.Background(), mods, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

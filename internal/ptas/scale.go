@@ -29,15 +29,6 @@ func scaleFactor(lb *big.Rat, pmax int64, target int64) int64 {
 	return s
 }
 
-// scaleInstance multiplies all processing times by s.
-func scaleInstance(in *core.Instance, s int64) *core.Instance {
-	out := in.Clone()
-	for j := range out.P {
-		out.P[j] *= s
-	}
-	return out
-}
-
 // descaleSplit rescales a split result back to the original instance.
 // Compact may share piece values with Schedule (core.FromSplit copies the
 // rat.R values, which are immutable), so it is rebuilt from the descaled

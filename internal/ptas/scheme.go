@@ -19,12 +19,12 @@ type scheme[G guess[S], S any] struct {
 	// variant selects the certified lower bound.
 	variant core.Variant
 	// template builds the guess-independent state of one search.
-	template func(in *core.Instance, g int64, opts Options) (guessTemplate[G], error)
+	template func(ctx context.Context, ix *core.ClassIndex, g int64, opts Options) (guessTemplate[G], error)
 	// approx plans the constant-factor algorithm, given the instance's
 	// certified bound: its makespan sets the top of the guess grid and is
 	// the best-of floor, and its schedule is built only when the driver
 	// returns it (the fallback and approx-min exits).
-	approx   func(in *core.Instance, bound rat.R) (approxPlan[S], error)
+	approx   func(ix *core.ClassIndex, bound rat.R) (approxPlan[S], error)
 	makespan func(in *core.Instance, s S) rat.R
 	// shortcut, when set, returns the optimal one-job-per-machine schedule
 	// for m ≥ n. The splittable scheme has none: its optimum can lie below
@@ -39,8 +39,9 @@ type scheme[G guess[S], S any] struct {
 // guessTemplate is a scheme's guess-independent state.
 type guessTemplate[G any] interface {
 	// instantiate groups and rounds the instance at guess t. It returns
-	// errGuessTooSmall to reject t without building an N-fold.
-	instantiate(t int64) (G, error)
+	// errGuessTooSmall to reject t without building an N-fold, and the
+	// context's error when the solve is canceled.
+	instantiate(ctx context.Context, t int64) (G, error)
 	// engines is the nfold.Template every probe of the search shares.
 	engines() *nfold.Template
 }
@@ -49,7 +50,9 @@ type guessTemplate[G any] interface {
 type guess[S any] interface {
 	// digest hashes everything buildNFold reads (see cacheKey).
 	digest() [sha256.Size]byte
-	buildNFold() *nfold.Problem
+	// buildNFold returns the context's error when the solve is canceled
+	// while it builds.
+	buildNFold(ctx context.Context) (*nfold.Problem, error)
 	// constructSchedule realizes an N-fold solution as a schedule.
 	constructSchedule(x [][]int64) (S, error)
 }
@@ -80,10 +83,11 @@ type accepted[S any] struct {
 // Cancelling ctx stops in-flight N-fold solves at their next iteration
 // boundary and returns ctx.Err(); an engine panic unwinds through the
 // driver, never masked by the fallback (Solve turns it into ErrInternal).
-// bound is the caller's core.LowerBoundR(in, sc.variant), computed once per
-// solve.
-func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts Options, sc scheme[G, S], bound rat.R) (S, rat.R, Report, error) {
+// ix is the instance's class index for sc.variant and bound its certified
+// bound ix.LowerBound(), both built once per solve.
+func runScheme[G guess[S], S any](ctx context.Context, ix *core.ClassIndex, opts Options, sc scheme[G, S], bound rat.R) (S, rat.R, Report, error) {
 	var none S
+	in := ix.In
 	g, err := opts.delta()
 	if err != nil {
 		return none, rat.R{}, Report{}, err
@@ -91,24 +95,25 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	if err := in.Validate(); err != nil {
 		return none, rat.R{}, Report{}, err
 	}
-	if err := core.CheckFeasible(in); err != nil {
+	if err := ix.CheckFeasible(); err != nil {
 		return none, rat.R{}, Report{}, err
 	}
 	if sc.shortcut != nil && in.M >= int64(in.N()) {
-		return sc.shortcut(in), rat.FromInt(in.PMax()), Report{InvDelta: g, Guess: in.PMax()}, nil
+		return sc.shortcut(in), rat.FromInt(ix.PMax), Report{InvDelta: g, Guess: ix.PMax}, nil
 	}
 	scale := int64(1)
 	if sc.descale != nil {
-		if scale = scaleFactor(bound.Rat(), in.PMax(), 4*g*g); scale > 1 {
+		if scale = scaleFactor(bound.Rat(), ix.PMax, 4*g*g); scale > 1 {
 			// The bound is homogeneous in the processing times (see
 			// TestScaledBoundIsExact), so the scaled instance's bound is
 			// the scaled bound.
-			in = scaleInstance(in, scale)
+			ix = ix.Scaled(scale)
+			in = ix.In
 			bound = bound.MulInt(scale)
 		}
 	}
 	lo := max(1, bound.Ceil())
-	apx, err := sc.approx(in, bound)
+	apx, err := sc.approx(ix, bound)
 	if err != nil {
 		return none, rat.R{}, Report{}, err
 	}
@@ -119,7 +124,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 	var guess int64
 	tried := 0
 	tsp := opts.Trace.Child("template_build")
-	tm, err := sc.template(in, g, opts)
+	tm, err := sc.template(ctx, ix, g, opts)
 	tsp.End()
 	if err == nil {
 		ssp := opts.Trace.Child("guess_search")
@@ -132,7 +137,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 				sp.End(trace.A("t", t), trace.A("err", 1))
 				return accepted[S]{}, false, err
 			}
-			gc, err := tm.instantiate(t)
+			gc, err := tm.instantiate(ctx, t)
 			if err == errGuessTooSmall {
 				sp.End(trace.A("t", t), trace.A("feasible", 0))
 				return accepted[S]{}, false, nil
@@ -140,7 +145,7 @@ func runScheme[G guess[S], S any](ctx context.Context, in *core.Instance, opts O
 			if err != nil {
 				return fail(err)
 			}
-			// A canceled solve stops at each unpolled step (digest, build,
+			// A canceled solve stops at each unpolled step (digest, lookup,
 			// schedule) instead of finishing the probe.
 			if err := ctx.Err(); err != nil {
 				return fail(err)

@@ -1,11 +1,13 @@
 package ptas
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"fmt"
 	"math/big"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"ccsched/internal/approx"
 	"ccsched/internal/core"
@@ -30,12 +32,11 @@ import (
 // enumerations and blocks come from the search's shared splitTemplate; only
 // the classification and rounded loads are per-guess.
 type splitGuessCtx struct {
-	in *core.Instance
+	ix *core.ClassIndex
 	g  int64 // 1/δ
 	t  int64 // the guess T
 	m  int64 // machines the N-fold covers (fewer on the huge-m path)
-	// loads per class and large/small classification (ξ_u = 1 iff small).
-	loads  []int64
+	// large/small classification (ξ_u = 1 iff small).
 	small  []bool
 	pUnits []int64 // rounded class load in units of δ²T/c
 	tm     *splitTemplate
@@ -50,14 +51,19 @@ type configK struct {
 
 // enumerateConfigs lists all multisets of the module sizes with total size
 // at most maxSize and at most maxSlots elements (including the empty
-// configuration, which idle machines use).
-func enumerateConfigs(modules []int64, maxSize, maxSlots int64, limit int) ([]configK, error) {
+// configuration, which idle machines use). It polls ctx every pollEvery
+// steps.
+func enumerateConfigs(ctx context.Context, modules []int64, maxSize, maxSlots int64, limit int) ([]configK, error) {
 	var out []configK
 	counts := make([]int64, len(modules))
+	steps := 0
 	var rec func(idx int, size, slots int64) error
 	rec = func(idx int, size, slots int64) error {
 		if len(out) > limit {
 			return fmt.Errorf("ptas: configuration count exceeds limit %d; increase epsilon or MaxConfigs", limit)
+		}
+		if err := poll(ctx, &steps); err != nil {
+			return err
 		}
 		if idx == len(modules) {
 			cc := configK{counts: append([]int64(nil), counts...), size: size, slots: slots}
@@ -83,8 +89,20 @@ func enumerateConfigs(modules []int64, maxSize, maxSlots int64, limit int) ([]co
 	return out, nil
 }
 
-// ceilDivBig returns ⌈a·b/d⌉ using big arithmetic to dodge overflow.
+// ceilDivBig returns ⌈a·b/d⌉ for a, b ≥ 0 and d > 0 without overflowing
+// the product: in 128 bits when the quotient fits 64 bits, else in big
+// arithmetic (whose Int64 keeps the low 64 bits, as the 128-bit path does).
 func ceilDivBig(a, b, d int64) int64 {
+	if a >= 0 && b >= 0 && d > 0 {
+		hi, lo := bits.Mul64(uint64(a), uint64(b))
+		if hi < uint64(d) {
+			q, r := bits.Div64(hi, lo, uint64(d))
+			if r != 0 {
+				q++
+			}
+			return int64(q)
+		}
+	}
 	num := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
 	den := big.NewInt(d)
 	q, r := new(big.Int).QuoRem(num, den, new(big.Int))
@@ -97,9 +115,13 @@ func ceilDivBig(a, b, d int64) int64 {
 // buildNFold encodes constraints (0)–(5) for the guess over the template's
 // shared blocks, so identical bricks are pointer-identical across the whole
 // search.
-func (ctx *splitGuessCtx) buildNFold() *nfold.Problem {
-	gc := ctx.g * int64(ctx.in.Slots)
-	return ctx.tm.blocks.build(ctx.m, ctx.tm.classes, ctx.small, ctx.pUnits, func(u int, _ []int64) ([]int64, int64) {
+func (ctx *splitGuessCtx) buildNFold(solveCtx context.Context) (*nfold.Problem, error) {
+	gc := ctx.g * int64(ctx.ix.In.Slots)
+	bl, err := ctx.tm.sharedBlocks(solveCtx)
+	if err != nil {
+		return nil, err
+	}
+	return bl.build(solveCtx, ctx.m, ctx.tm.classes, ctx.small, ctx.pUnits, func(u int, _ []int64) ([]int64, int64) {
 		// Enough modules to cover the class alone.
 		return []int64{ctx.pUnits[u], 0}, ctx.pUnits[u]/gc + 1
 	})
@@ -110,6 +132,8 @@ type SplitResult struct {
 	Schedule *core.SplitSchedule
 	Compact  *core.CompactSplitSchedule
 	Report   Report
+	// makespan is the schedule's makespan: summed by the construction
+	// when a probe built the schedule, set by the solve when it returns.
 	makespan rat.R
 }
 
@@ -130,25 +154,25 @@ const DefaultHugeMThreshold int64 = 1 << 16
 // which poll it at iteration boundaries — making ctx.Err() surface within
 // one augmentation iteration or branch-and-bound node.
 func SolveSplittable(ctx context.Context, in *core.Instance, opts Options) (*SplitResult, error) {
-	bound, err := certifiedBound(in, core.Splittable)
+	ix, bound, err := certifiedBound(in, core.Splittable)
 	if err != nil {
 		return nil, err
 	}
-	return SolveSplittableLB(ctx, in, opts, bound)
+	return SolveSplittableLB(ctx, ix, opts, bound)
 }
 
-// SolveSplittableLB is SolveSplittable given the instance's certified bound
-// core.LowerBoundR(in, core.Splittable), for callers that computed it
-// already.
-func SolveSplittableLB(ctx context.Context, in *core.Instance, opts Options, bound rat.R) (*SplitResult, error) {
+// SolveSplittableLB is SolveSplittable given the instance's splittable
+// class index and its certified bound ix.LowerBound(), for callers that
+// built both already.
+func SolveSplittableLB(ctx context.Context, ix *core.ClassIndex, opts Options, bound rat.R) (*SplitResult, error) {
 	var res *SplitResult
 	var makespan rat.R
 	var rep Report
 	var err error
-	if in.M > opts.hugeMThreshold() {
-		res, makespan, rep, err = runScheme(ctx, in, opts, hugeScheme, bound)
+	if ix.In.M > opts.hugeMThreshold() {
+		res, makespan, rep, err = runScheme(ctx, ix, opts, hugeScheme, bound)
 	} else {
-		res, makespan, rep, err = runScheme(ctx, in, opts, splitScheme, bound)
+		res, makespan, rep, err = runScheme(ctx, ix, opts, splitScheme, bound)
 	}
 	if err != nil {
 		return nil, err
@@ -161,11 +185,11 @@ func SolveSplittableLB(ctx context.Context, in *core.Instance, opts Options, bou
 // 2-approximation is compact-only, and so are its fallback and best-of exits.
 var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
 	tag: cacheSplit, variant: core.Splittable,
-	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
-		return newSplitTemplate(in, g, opts.maxConfigs())
+	template: func(ctx context.Context, ix *core.ClassIndex, g int64, opts Options) (guessTemplate[*splitGuessCtx], error) {
+		return newSplitTemplate(ctx, ix, g, opts.maxConfigs())
 	},
-	approx: func(in *core.Instance, bound rat.R) (approxPlan[*SplitResult], error) {
-		return planSplit(in, bound, func(r *approx.SplitResult) *SplitResult {
+	approx: func(ix *core.ClassIndex, bound rat.R) (approxPlan[*SplitResult], error) {
+		return planSplit(ix, bound, func(r *approx.SplitResult) *SplitResult {
 			return &SplitResult{Schedule: r.Explicit, Compact: r.Compact}
 		})
 	},
@@ -175,8 +199,8 @@ var splitScheme = scheme[*splitGuessCtx, *SplitResult]{
 
 // planSplit plans the 2-approximation for the splittable schemes; wrap
 // keeps the parts of its schedule a scheme returns.
-func planSplit(in *core.Instance, bound rat.R, wrap func(*approx.SplitResult) *SplitResult) (approxPlan[*SplitResult], error) {
-	p, err := approx.PlanSplittable(in, approx.Options{}, bound)
+func planSplit(ix *core.ClassIndex, bound rat.R, wrap func(*approx.SplitResult) *SplitResult) (approxPlan[*SplitResult], error) {
+	p, err := approx.PlanSplittableIndexed(ix, approx.Options{}, bound)
 	if err != nil {
 		return approxPlan[*SplitResult]{}, err
 	}
@@ -186,66 +210,97 @@ func planSplit(in *core.Instance, bound rat.R, wrap func(*approx.SplitResult) *S
 	}, nil
 }
 
-func splitMakespan(_ *core.Instance, r *SplitResult) rat.R { return r.Compact.MakespanR() }
+// splitMakespan reads the makespan a probe's construction summed; a
+// realized 2-approximation carries none and is measured on its schedule.
+func splitMakespan(_ *core.Instance, r *SplitResult) rat.R {
+	if r.makespan.Sign() > 0 {
+		return r.makespan
+	}
+	return r.Compact.MakespanR()
+}
 
 // digest keys the feasibility cache (see splitDigest).
 func (ctx *splitGuessCtx) digest() [sha256.Size]byte {
-	return splitDigest(ctx.m, ctx.in.Slots, ctx.g, ctx.tm.classes, ctx.pUnits, ctx.small)
+	return splitDigest(ctx.m, ctx.ix.In.Slots, ctx.g, ctx.tm.classes, ctx.pUnits, ctx.small)
 }
 
 // constructSchedule realizes an N-fold solution as a splittable result.
 func (ctx *splitGuessCtx) constructSchedule(x [][]int64) (*SplitResult, error) {
-	sched, err := ctx.explicitSchedule(x)
+	sched, makespan, err := ctx.explicitSchedule(x)
 	if err != nil {
 		return nil, err
 	}
-	return &SplitResult{Schedule: sched, Compact: core.FromSplit(sched)}, nil
+	return &SplitResult{Schedule: sched, Compact: core.FromSplit(sched), makespan: makespan}, nil
 }
 
 // explicitSchedule realizes an N-fold solution as an explicit splittable
 // schedule: configurations onto machines, modules into configuration slots,
-// original job mass into module slots, small classes by round robin.
-func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, error) {
-	in, ilp, classes := ctx.in, ctx.tm.ilp, ctx.tm.classes
+// original job mass into module slots, small classes by round robin. It
+// returns the makespan with it, summed per machine as the slots fill: the
+// δ²T/c units of the module slots the machine's large classes opened, less
+// what each class left empty in its last slot, plus its small classes.
+func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, rat.R, error) {
+	ix, ilp, classes := ctx.ix, ctx.tm.ilp, ctx.tm.classes
+	in := ix.In
 	machines, err := ilp.machineConfigs(x, in.M)
 	if err != nil {
-		return nil, err
+		return nil, rat.R{}, err
 	}
 	pool := ilp.moduleSlots(machines)
-	sched := &core.SplitSchedule{}
 	unit := rat.Frac(ctx.t, ctx.g*ctx.g*int64(in.Slots)) // δ²T/c
-	byClass := in.ClassJobs()
 	yOff := ilp.yOff()
+	// Every piece ends a job or a module slot, so the pieces number at
+	// most n plus the large classes' slots.
+	slots := 0
+	for bi, u := range classes {
+		if !ctx.small[u] {
+			for qi := range ctx.tm.modules {
+				slots += int(x[bi][yOff+qi])
+			}
+		}
+	}
+	sched := &core.SplitSchedule{Pieces: make([]core.SplitPiece, 0, in.N()+slots)}
 	type slotRef struct {
 		mi   int
 		size int64 // δ²T/c units
 	}
+	refs := make([]slotRef, 0, slots)
+	// units[mi] and whole[mi] are machine mi's opened slot units and small
+	// class load; short lists the room left in each large class's last slot.
+	units := make([]int64, len(machines))
+	whole := make([]int64, len(machines))
+	type shortfall struct {
+		mi   int
+		room rat.R
+	}
+	var short []shortfall
 	for bi, u := range classes {
 		if ctx.small[u] {
 			continue
 		}
 		// Class u's module slots, filled in machine order.
-		var refs []slotRef
+		refs = refs[:0]
 		for qi, size := range ctx.tm.modules {
 			for k := x[bi][yOff+qi]; k > 0; k-- {
 				mi, err := pool.take(qi)
 				if err != nil {
-					return nil, err
+					return nil, rat.R{}, err
 				}
 				refs = append(refs, slotRef{mi, size})
 			}
 		}
-		sort.SliceStable(refs, func(a, b int) bool { return refs[a].mi < refs[b].mi })
+		slices.SortStableFunc(refs, func(a, b slotRef) int { return cmp.Compare(a.mi, b.mi) })
 		ri := 0
 		var room rat.R // remaining capacity of the current slot
-		for _, j := range byClass[u] {
+		for _, j := range ix.Jobs[u] {
 			remaining := rat.FromInt(in.P[j])
 			for remaining.Sign() > 0 {
 				for room.Sign() == 0 {
 					if ri >= len(refs) {
-						return nil, fmt.Errorf("ptas: class %d ran out of module capacity", u)
+						return nil, rat.R{}, fmt.Errorf("ptas: class %d ran out of module capacity", u)
 					}
 					room = unit.MulInt(refs[ri].size)
+					units[refs[ri].mi] += refs[ri].size
 					ri++
 				}
 				take := remaining
@@ -259,18 +314,36 @@ func (ctx *splitGuessCtx) explicitSchedule(x [][]int64) (*core.SplitSchedule, er
 				room = room.Sub(take)
 			}
 		}
+		if room.Sign() > 0 {
+			short = append(short, shortfall{refs[ri-1].mi, room})
+		}
 	}
-	err = ilp.dealSmall(x, classes, ctx.small, ctx.loads, machines, func(u, mi int) {
-		for _, j := range byClass[u] {
+	err = ilp.dealSmall(x, classes, ctx.small, ix.Loads, machines, func(u, mi int) {
+		for _, j := range ix.Jobs[u] {
 			sched.Pieces = append(sched.Pieces, core.SplitPiece{
 				Job: j, Machine: int64(mi), Size: rat.FromInt(in.P[j]),
 			})
+			whole[mi] += in.P[j]
 		}
 	})
 	if err != nil {
-		return nil, err
+		return nil, rat.R{}, err
 	}
-	return sched, nil
+	slices.SortFunc(short, func(a, b shortfall) int { return cmp.Compare(a.mi, b.mi) })
+	var makespan rat.R
+	for mi, si := 0, 0; mi < len(machines); mi++ {
+		if units[mi] == 0 && whole[mi] == 0 {
+			continue
+		}
+		load := unit.MulInt(units[mi]).Add(rat.FromInt(whole[mi]))
+		for ; si < len(short) && short[si].mi == mi; si++ {
+			load = load.Sub(short[si].room)
+		}
+		if load.Cmp(makespan) > 0 {
+			makespan = load
+		}
+	}
+	return sched, makespan, nil
 }
 
 // BuildSplittableNFold exposes the configuration N-fold of the splittable
@@ -281,18 +354,18 @@ func BuildSplittableNFold(in *core.Instance, epsilon float64) (*nfold.Problem, e
 	if err != nil {
 		return nil, err
 	}
-	bound, err := certifiedBound(in, core.Splittable)
+	ix, bound, err := certifiedBound(in, core.Splittable)
 	if err != nil {
 		return nil, err
 	}
 	lo := max(1, bound.Ceil())
-	tm, err := newSplitTemplate(in, g, Options{}.maxConfigs())
+	tm, err := newSplitTemplate(context.Background(), ix, g, Options{}.maxConfigs())
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := tm.instantiate(lo)
+	ctx, err := tm.instantiate(context.Background(), lo)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.buildNFold(), nil
+	return ctx.buildNFold(context.Background())
 }

@@ -1,6 +1,7 @@
 package ptas
 
 import (
+	"context"
 	"fmt"
 
 	"ccsched/internal/approx"
@@ -31,12 +32,12 @@ import (
 // 2-approximation's included, even when it has an explicit form.
 var hugeScheme = scheme[*hugeGuess, *SplitResult]{
 	tag: cacheSplitHuge, variant: core.Splittable,
-	template: func(in *core.Instance, g int64, opts Options) (guessTemplate[*hugeGuess], error) {
-		tm, err := newSplitTemplate(in, g, opts.maxConfigs())
+	template: func(ctx context.Context, ix *core.ClassIndex, g int64, opts Options) (guessTemplate[*hugeGuess], error) {
+		tm, err := newSplitTemplate(ctx, ix, g, opts.maxConfigs())
 		return hugeTemplate{tm}, err
 	},
-	approx: func(in *core.Instance, bound rat.R) (approxPlan[*SplitResult], error) {
-		return planSplit(in, bound, func(r *approx.SplitResult) *SplitResult {
+	approx: func(ix *core.ClassIndex, bound rat.R) (approxPlan[*SplitResult], error) {
+		return planSplit(ix, bound, func(r *approx.SplitResult) *SplitResult {
 			return &SplitResult{Compact: r.Compact}
 		})
 	},
@@ -55,21 +56,21 @@ type hugeGuess struct {
 	full []int64
 }
 
-func (tm hugeTemplate) instantiate(t int64) (*hugeGuess, error) {
-	ctx, err := tm.splitTemplate.instantiate(t)
+func (tm hugeTemplate) instantiate(solveCtx context.Context, t int64) (*hugeGuess, error) {
+	ctx, err := tm.splitTemplate.instantiate(solveCtx, t)
 	if err != nil {
 		return nil, err
 	}
-	in, g := tm.in, tm.g
+	in, g := tm.ix.In, tm.g
 	cUnits := int64(in.Slots)
 	fullCap := g * g * cUnits // T in δ²T/c units
 	cc := int64(len(tm.classes))
 	reserve := cc + g + 6
-	full := make([]int64, len(ctx.loads))
+	full := make([]int64, len(tm.ix.Loads))
 	var fullTotal int64
 	var residUnits int64
-	for u := range ctx.loads {
-		if ctx.loads[u] == 0 || ctx.small[u] {
+	for u, pu := range tm.ix.Loads {
+		if pu == 0 || ctx.small[u] {
 			residUnits += ctx.pUnits[u]
 			continue
 		}
@@ -100,9 +101,10 @@ func (tm hugeTemplate) instantiate(t int64) (*hugeGuess, error) {
 }
 
 // constructSchedule merges the run-length full machines with the residual
-// N-fold's explicit schedule into one compact schedule.
+// N-fold's explicit schedule into one compact schedule. Every full machine
+// carries exactly T.
 func (h *hugeGuess) constructSchedule(x [][]int64) (*SplitResult, error) {
-	in := h.in
+	in := h.ix.In
 	// Trivial machines are filled to exactly T (not T̄): they live outside
 	// the N-fold, so nothing forces the largest module, and a level of T
 	// keeps their contribution to the makespan at the guess itself.
@@ -114,14 +116,15 @@ func (h *hugeGuess) constructSchedule(x [][]int64) (*SplitResult, error) {
 	reduced := in.Clone()
 	reduced.M = h.m
 	sched := &core.CompactSplitSchedule{}
-	byClass := in.ClassJobs()
+	var makespan rat.R
 	for u, f := range h.full {
 		if f == 0 {
 			continue
 		}
+		makespan = fullLoad
 		// Fill f*T of class u's mass into run-length full machines.
 		budget := fullLoad.MulInt(f)
-		groups, consumed, err := fillRunLength(in, byClass[u], budget, fullLoad)
+		groups, consumed, err := fillRunLength(in, h.ix.Jobs[u], budget, fullLoad)
 		if err != nil {
 			return nil, err
 		}
@@ -147,19 +150,28 @@ func (h *hugeGuess) constructSchedule(x [][]int64) (*SplitResult, error) {
 		}
 	}
 	// The residual construction reuses the guess (its pUnits were reduced),
-	// but job indices must be the residual instance's.
+	// but job indices must be the residual instance's, and its class index
+	// keeps every class of the original.
 	rctx := *h.splitGuessCtx
-	rctx.in = resid
-	rctx.loads = resid.ClassLoads()
-	for len(rctx.loads) < len(h.loads) {
-		rctx.loads = append(rctx.loads, 0)
+	rctx.ix = core.NewClassIndex(resid, core.Splittable)
+	for len(rctx.ix.Loads) < len(h.ix.Loads) {
+		rctx.ix.Loads = append(rctx.ix.Loads, 0)
+		rctx.ix.Jobs = append(rctx.ix.Jobs, nil)
 	}
-	explicit, err := rctx.explicitSchedule(x)
+	explicit, residMakespan, err := rctx.explicitSchedule(x)
 	if err != nil {
 		return nil, err
 	}
-	appendMachineGroups(sched, explicit, remap)
-	return &SplitResult{Compact: sched}, nil
+	// One single-machine group per residual machine, job indices mapped
+	// back through remap.
+	groups := core.FromSplit(explicit).Groups
+	for gi := range groups {
+		for pi := range groups[gi].Pieces {
+			groups[gi].Pieces[pi].Job = remap[groups[gi].Pieces[pi].Job]
+		}
+	}
+	sched.Groups = append(sched.Groups, groups...)
+	return &SplitResult{Compact: sched, makespan: rat.Max(makespan, residMakespan)}, nil
 }
 
 // fillRunLength cuts the given jobs' mass (up to budget) into machines of
@@ -219,23 +231,4 @@ func fillRunLength(in *core.Instance, jobs []int, budget, machineLoad rat.R) ([]
 		return nil, nil, fmt.Errorf("ptas: full-machine budget not an exact multiple of the machine load")
 	}
 	return out, consumed, nil
-}
-
-// appendMachineGroups appends the explicit residual pieces to sched as one
-// single-machine group per residual machine, mapping job indices back
-// through remap.
-func appendMachineGroups(sched *core.CompactSplitSchedule, explicit *core.SplitSchedule, remap []int) {
-	perMachine := make(map[int64][]core.GroupPiece)
-	var order []int64
-	for _, pc := range explicit.Pieces {
-		if _, ok := perMachine[pc.Machine]; !ok {
-			order = append(order, pc.Machine)
-		}
-		perMachine[pc.Machine] = append(perMachine[pc.Machine], core.GroupPiece{
-			Job: remap[pc.Job], Size: pc.Size,
-		})
-	}
-	for _, mi := range order {
-		sched.Groups = append(sched.Groups, core.MachineGroup{Count: 1, Pieces: perMachine[mi]})
-	}
 }

@@ -1,6 +1,8 @@
 package ptas
 
 import (
+	"context"
+
 	"ccsched/internal/core"
 	"ccsched/internal/nfold"
 )
@@ -30,11 +32,12 @@ import (
 
 // splitTemplate is the guess-independent part of the splittable scheme's
 // construction (Section 4.1): the module/configuration enumeration and the
-// shared N-fold blocks, which hold for every guess.
+// shared N-fold blocks, which hold for every guess. The blocks are built
+// by the first probe that builds an N-fold: a search whose probes all hit
+// the feasibility cache needs none.
 type splitTemplate struct {
-	in      *core.Instance
+	ix      *core.ClassIndex
 	g       int64
-	loads   []int64
 	classes []int
 	// modules are the module sizes ℓ·c for ℓ ∈ {g, …, g²+4g}, in δ²T/c
 	// units (δT up to T̄).
@@ -44,58 +47,69 @@ type splitTemplate struct {
 	nf      *nfold.Template
 }
 
+// sharedBlocks returns the template's N-fold blocks, building them on
+// first use.
+func (tm *splitTemplate) sharedBlocks(ctx context.Context) (*configBlocks, error) {
+	if tm.blocks == nil {
+		yOff := tm.ilp.yOff()
+		bl, err := tm.ilp.blocks(ctx, 0, 1, func(b [][]int64) {
+			// (4) Σ q·y_q = (1-ξ_u)·p'_u
+			for qi, q := range tm.modules {
+				b[0][yOff+qi] = q
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		tm.blocks = bl
+	}
+	return tm.blocks, nil
+}
+
 // newSplitTemplate enumerates the guess-independent structures once.
-func newSplitTemplate(in *core.Instance, g int64, limit int) (*splitTemplate, error) {
-	tm := &splitTemplate{in: in, g: g, nf: nfold.NewTemplate()}
-	tm.loads = in.ClassLoads()
-	for u, pu := range tm.loads {
+func newSplitTemplate(ctx context.Context, ix *core.ClassIndex, g int64, limit int) (*splitTemplate, error) {
+	tm := &splitTemplate{ix: ix, g: g, nf: nfold.NewTemplate()}
+	tm.classes = make([]int, 0, ix.NonEmpty)
+	for u, pu := range ix.Loads {
 		if pu > 0 {
 			tm.classes = append(tm.classes, u)
 		}
 	}
-	c := int64(in.Slots)
+	c := int64(ix.In.Slots)
 	tBar := (g*g + 4*g) * c
 	for ell := g; ell <= g*g+4*g; ell++ {
 		tm.modules = append(tm.modules, ell*c)
 	}
-	configs, err := enumerateConfigs(tm.modules, tBar, min(c, g+4), limit)
+	configs, err := enumerateConfigs(ctx, tm.modules, tBar, min(c, g+4), limit)
 	if err != nil {
 		return nil, err
 	}
 	tm.ilp = newConfigILP(multisets(configs), len(tm.modules), sameKinds(len(tm.modules)), c, tBar)
-	yOff := tm.ilp.yOff()
-	tm.blocks = tm.ilp.blocks(0, 1, func(b [][]int64) {
-		// (4) Σ q·y_q = (1-ξ_u)·p'_u
-		for qi, q := range tm.modules {
-			b[0][yOff+qi] = q
-		}
-	})
 	return tm, nil
 }
 
 // npTemplate is the guess-independent part of the non-preemptive scheme.
 // Job grouping, size rounding and therefore the module/configuration
 // enumerations — and the block *values* — all depend on the guess, so the
-// template only caches the class partition and the cross-probe
+// template only holds the class index and the cross-probe
 // nfold.Template; the per-guess buildNFold still shares its blocks across
 // bricks (see nonpreemptive.go), which keeps move enumeration at one pass
 // per distinct brick shape per probe. (The nfold move cache accumulates at
 // most one dead entry set per probe of one search — bounded by the tiny
 // guess grid — before the template is dropped.)
 type npTemplate struct {
-	in      *core.Instance
-	g       int64
-	limit   int
-	byClass [][]int
-	nf      *nfold.Template
+	ix    *core.ClassIndex
+	g     int64
+	limit int
+	nf    *nfold.Template
 }
 
 func (tm *splitTemplate) engines() *nfold.Template { return tm.nf }
 func (tm *npTemplate) engines() *nfold.Template    { return tm.nf }
 func (tm *preTemplate) engines() *nfold.Template   { return tm.nf }
 
-func newNPTemplate(in *core.Instance, g int64, limit int) *npTemplate {
-	return &npTemplate{in: in, g: g, limit: limit, byClass: in.ClassJobs(), nf: nfold.NewTemplate()}
+func newNPTemplate(ix *core.ClassIndex, g int64, limit int) *npTemplate {
+	return &npTemplate{ix: ix, g: g, limit: limit, nf: nfold.NewTemplate()}
 }
 
 // preTemplate is the guess-independent part of the preemptive scheme: the
@@ -107,26 +121,25 @@ func newNPTemplate(in *core.Instance, g int64, limit int) *npTemplate {
 // probes whose size count coincides (the common case between neighboring
 // guesses) alias the same arrays across guesses and hit the move cache.
 type preTemplate struct {
-	in      *core.Instance
+	ix      *core.ClassIndex
 	g       int64
 	layers  int
-	byClass [][]int
 	modules []interval
 	ilp     *configILP
 	blocks  map[int]*configBlocks // by nP
 	nf      *nfold.Template
 }
 
-func newPreTemplate(in *core.Instance, g int64, limit int) (*preTemplate, error) {
-	tm := &preTemplate{in: in, g: g, byClass: in.ClassJobs(), nf: nfold.NewTemplate(), blocks: make(map[int]*configBlocks)}
-	c := int64(in.Slots)
+func newPreTemplate(ctx context.Context, ix *core.ClassIndex, g int64, limit int) (*preTemplate, error) {
+	tm := &preTemplate{ix: ix, g: g, nf: nfold.NewTemplate(), blocks: make(map[int]*configBlocks)}
+	c := int64(ix.In.Slots)
 	tm.layers = int(g*g + 3*g + 2)
 	for lo := 0; lo < tm.layers; lo++ {
 		for hi := lo + 1; hi <= tm.layers; hi++ {
 			tm.modules = append(tm.modules, interval{lo, hi})
 		}
 	}
-	configs, err := enumerateIntervalConfigs(tm.modules, min(c, int64(tm.layers)), limit)
+	configs, err := enumerateIntervalConfigs(ctx, tm.modules, min(c, int64(tm.layers)), limit)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +151,13 @@ func newPreTemplate(in *core.Instance, g int64, limit int) (*preTemplate, error)
 // for a brick width with nP distinct large-job sizes, whose extra columns
 // are a_{p,ℓ}. Rows (4)–(5) of B reference sizes only by index, never by
 // value, so the block contents are a pure function of (template, nP).
-func (tm *preTemplate) blocksFor(nP int) *configBlocks {
+func (tm *preTemplate) blocksFor(ctx context.Context, nP int) (*configBlocks, error) {
 	if b, ok := tm.blocks[nP]; ok {
-		return b
+		return b, nil
 	}
 	nL := tm.layers
 	yOff, aOff := tm.ilp.yOff(), tm.ilp.extraOff()
-	b := tm.ilp.blocks(nP*nL, nP+nL, func(b [][]int64) {
+	b, err := tm.ilp.blocks(ctx, nP*nL, nP+nL, func(b [][]int64) {
 		// (4) per size p: Σ_ℓ a_{p,ℓ} = (1-ξ)·w_p·n^u_p.
 		for pi := 0; pi < nP; pi++ {
 			for l := 0; l < nL; l++ {
@@ -164,19 +177,23 @@ func (tm *preTemplate) blocksFor(nP int) *configBlocks {
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	tm.blocks[nP] = b
-	return b
+	return b, nil
 }
 
 // instantiate performs the per-guess grouping and rounding, reusing every
 // guess-independent structure. The returned context is private to its probe.
-func (tm *splitTemplate) instantiate(t int64) (*splitGuessCtx, error) {
-	ctx := &splitGuessCtx{in: tm.in, g: tm.g, t: t, m: tm.in.M, loads: tm.loads, tm: tm}
-	c := int64(tm.in.Slots)
+func (tm *splitTemplate) instantiate(_ context.Context, t int64) (*splitGuessCtx, error) {
+	ctx := &splitGuessCtx{ix: tm.ix, g: tm.g, t: t, m: tm.ix.In.M, tm: tm}
+	c := int64(tm.ix.In.Slots)
 	g := tm.g
-	ctx.small = make([]bool, len(ctx.loads))
-	ctx.pUnits = make([]int64, len(ctx.loads))
-	for u, pu := range ctx.loads {
+	loads := tm.ix.Loads
+	ctx.small = make([]bool, len(loads))
+	ctx.pUnits = make([]int64, len(loads))
+	for u, pu := range loads {
 		if pu == 0 {
 			continue
 		}
