@@ -349,17 +349,19 @@ type Result struct {
 	Anytime *AnytimeInfo `json:"anytime,omitempty"`
 }
 
-// AppendJSON appends r as encoding/json renders it, byte for byte, but
-// without encoding/json's second pass over the schedules: encoding/json
-// re-scans every MarshalJSON output to validate and compact it, which for a
-// schedule of thousands of pieces costs more than rendering it. Every field
-// but the schedules goes through encoding/json (the schedules are
-// omitempty, so they are left out), and the schedules' MarshalJSON output
-// is spliced in where encoding/json puts them: after lower_bound, before
-// degraded or report (report is never omitted). The error reports a Result
-// whose field order no longer has that splice point;
-// TestScheduleJSONMatchesReflection checks that it never happens.
-func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+// AppendJSON appends r as encoding/json renders it, byte for byte, and
+// then tail, growing b at most once. It skips encoding/json's second pass
+// over the schedules: encoding/json re-scans every MarshalJSON output to
+// validate and compact it, which for a schedule of thousands of pieces
+// costs more than rendering it. Every field but the schedules goes through
+// encoding/json (the schedules are omitempty, so they are left out), and
+// the schedules are rendered straight into b where encoding/json puts
+// them: after lower_bound, before degraded or report (report is never
+// omitted). A caller splicing the result into a larger document passes
+// the document's remainder as tail. The error reports a Result whose field
+// order no longer has that splice point; TestScheduleJSONMatchesReflection
+// checks that it never happens.
+func (r *Result) AppendJSON(b []byte, tail ...byte) ([]byte, error) {
 	rest := *r
 	rest.Split, rest.CompactSplit, rest.Preemptive, rest.NonPreemptive = nil, nil, nil, nil
 	js, err := json.Marshal(&rest)
@@ -373,35 +375,36 @@ func (r *Result) AppendJSON(b []byte) ([]byte, error) {
 	if cut < 0 {
 		return b, errors.New("ccsched: Result.AppendJSON found no report field to put the schedules before")
 	}
-	// Render the present schedules first, so b grows once. Their
-	// MarshalJSON methods cannot fail.
-	var parts [][]byte
-	schedule := func(key string, m json.Marshaler) {
-		sj, _ := m.MarshalJSON()
-		parts = append(parts, []byte(key), sj)
+	type keyed struct {
+		key string
+		s   core.ScheduleJSON
 	}
+	var present [4]keyed
+	schedules := present[:0]
 	if s := r.Split; s != nil {
-		schedule(`,"split":`, s)
+		schedules = append(schedules, keyed{`,"split":`, s})
 	}
 	if s := r.CompactSplit; s != nil {
-		schedule(`,"compact_split":`, s)
+		schedules = append(schedules, keyed{`,"compact_split":`, s})
 	}
 	if s := r.Preemptive; s != nil {
-		schedule(`,"preemptive":`, s)
+		schedules = append(schedules, keyed{`,"preemptive":`, s})
 	}
 	if s := r.NonPreemptive; s != nil {
-		schedule(`,"non_preemptive":`, s)
+		schedules = append(schedules, keyed{`,"non_preemptive":`, s})
 	}
-	size := len(js)
-	for _, part := range parts {
-		size += len(part)
+	size := len(js) + len(tail)
+	for _, k := range schedules {
+		size += len(k.key) + core.ScheduleJSONLen(k.s)
 	}
 	b = slices.Grow(b, size)
 	b = append(b, js[:cut]...)
-	for _, part := range parts {
-		b = append(b, part...)
+	for _, k := range schedules {
+		b = append(b, k.key...)
+		b = core.AppendScheduleJSON(b, k.s)
 	}
-	return append(b, js[cut:]...), nil
+	b = append(b, js[cut:]...)
+	return append(b, tail...), nil
 }
 
 // Solve is the unified, context-aware entry point: it runs the tier and

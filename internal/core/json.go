@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
-	"reflect"
 	"strconv"
 
 	"ccsched/internal/rat"
@@ -19,33 +17,23 @@ import (
 // The encoding mirrors the Instance struct with lower-case keys and is
 // validated on decode exactly like the textual format (ReadInstance).
 //
-// The integer arrays and every schedule are coded by hand instead of by
-// reflection: they are the bulk of each /v1/solve request and response.
-// The hand-written codecs produce and accept exactly what encoding/json does
-// for the same Go types. FuzzInstanceJSON and the module root's
+// Instances decode through ScanInstanceJSON, a strict single-pass reader of
+// the form MarshalJSON and encoding/json emit; anything else falls back to
+// encoding/json's reflection decoder, so the strict reader changes no
+// accepted input, decoded value or error. Schedules are encoded by hand
+// instead of by reflection: they are the bulk of each /v1/solve response.
+// The hand-written codecs produce and accept exactly what encoding/json
+// does for the same Go types. FuzzInstanceJSON and the module root's
 // TestScheduleJSONMatchesReflection pin them to the reflection codec.
 
-// instanceJSON is the wire shape of Instance. Key matching stays with
-// encoding/json; the two arrays decode through int64List and intList.
+// instanceJSON is the wire shape of Instance, decoded by reflection when
+// ScanInstanceJSON declines.
 type instanceJSON struct {
-	Machines int64     `json:"machines"`
-	Slots    int       `json:"slots"`
-	P        int64List `json:"p"`
-	Class    intList   `json:"class"`
+	Machines int64   `json:"machines"`
+	Slots    int     `json:"slots"`
+	P        []int64 `json:"p"`
+	Class    []int   `json:"class"`
 }
-
-// int64List and intList decode a JSON integer array without reflection;
-// see decodeInts.
-type (
-	int64List []int64
-	intList   []int
-)
-
-// UnmarshalJSON decodes a JSON integer array into l; see decodeInts.
-func (l *int64List) UnmarshalJSON(data []byte) error { return decodeInts((*[]int64)(l), data) }
-
-// UnmarshalJSON decodes a JSON integer array into l; see decodeInts.
-func (l *intList) UnmarshalJSON(data []byte) error { return decodeInts((*[]int)(l), data) }
 
 // MarshalJSON encodes the instance in the JSON wire format.
 func (in *Instance) MarshalJSON() ([]byte, error) {
@@ -64,16 +52,158 @@ func (in *Instance) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes the JSON wire format and validates the result, so a
 // successfully decoded instance is always safe to hand to the algorithms.
 func (in *Instance) UnmarshalJSON(data []byte) error {
-	var w instanceJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
+	tmp, end, ok := ScanInstanceJSON(data)
+	if !ok || skipSpace(data, end) != len(data) {
+		var w instanceJSON
+		if err := json.Unmarshal(data, &w); err != nil {
+			return err
+		}
+		tmp = Instance{P: w.P, Class: w.Class, M: w.Machines, Slots: w.Slots}
 	}
-	tmp := Instance{P: w.P, Class: w.Class, M: w.Machines, Slots: w.Slots}
 	if err := tmp.Validate(); err != nil {
 		return err
 	}
 	*in = tmp
 	return nil
+}
+
+// ScanInstanceJSON reads one instance object from the start of data
+// (leading whitespace allowed) in a single pass that validates as it goes,
+// and returns it with the offset just past its closing brace. It does not
+// run Validate. It accepts only the form MarshalJSON and encoding/json
+// emit, and declines (ok false) on anything else, however valid: keys other
+// than the exact lower-case "machines", "slots", "p" and "class", a key
+// given twice, escapes in a key, null anywhere, numbers with a fraction or
+// an exponent, integers out of their field's range, and every syntax
+// error. On the input it accepts, it decodes exactly what encoding/json's
+// reflection decoder does into the wire shape: a missing key leaves its
+// field zero and [] decodes to an empty, non-nil slice.
+func ScanInstanceJSON(data []byte) (in Instance, end int, ok bool) {
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return in, 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		return in, i + 1, true
+	}
+	var seen [4]bool // machines, slots, p, class
+	for {
+		if i == len(data) || data[i] != '"' {
+			return in, 0, false
+		}
+		k := bytes.IndexByte(data[i+1:], '"')
+		if k < 0 {
+			return in, 0, false
+		}
+		key := data[i+1 : i+1+k]
+		if i = skipSpace(data, i+2+k); i == len(data) || data[i] != ':' {
+			return in, 0, false
+		}
+		i = skipSpace(data, i+1)
+		field := -1
+		switch string(key) {
+		case "machines":
+			field = 0
+			in.M, i, ok = scanInt(data, i)
+		case "slots":
+			field = 1
+			var v int64
+			v, i, ok = scanInt(data, i)
+			in.Slots = int(v)
+			ok = ok && int64(in.Slots) == v
+		case "p":
+			field = 2
+			in.P, i, ok = scanInts[int64](data, i)
+		case "class":
+			field = 3
+			in.Class, i, ok = scanInts[int](data, i)
+		}
+		if field < 0 || !ok || seen[field] {
+			return in, 0, false
+		}
+		seen[field] = true
+		if i = skipSpace(data, i); i == len(data) {
+			return in, 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return in, i + 1, true
+		default:
+			return in, 0, false
+		}
+	}
+}
+
+// scanInts reads a JSON array of integers at data[i:], each in T's range,
+// and returns it with the offset just past the closing bracket. The slice
+// is sized once, from a count of the commas before the first ']'.
+func scanInts[T int64 | int](data []byte, i int) (s []T, end int, ok bool) {
+	if i == len(data) || data[i] != '[' {
+		return nil, 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == ']' {
+		return []T{}, i + 1, true
+	}
+	size := 1
+	if k := bytes.IndexByte(data[i:], ']'); k > 0 {
+		size += bytes.Count(data[i:i+k], []byte{','})
+	}
+	s = make([]T, 0, size)
+	for {
+		var v int64
+		if v, i, ok = scanInt(data, i); !ok || int64(T(v)) != v {
+			return nil, 0, false
+		}
+		s = append(s, T(v))
+		if i < len(data) && data[i] == ',' { // the compact form, without a skipSpace call
+			if i++; i < len(data) && isSpace(data[i]) {
+				i = skipSpace(data, i)
+			}
+			continue
+		}
+		if i = skipSpace(data, i); i == len(data) {
+			return nil, 0, false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case ']':
+			return s, i + 1, true
+		default:
+			return nil, 0, false
+		}
+	}
+}
+
+// scanInt reads a JSON integer at data[i:] in int64's range, as
+// strconv.ParseInt reads it: an optional minus sign, then 0 or a digit
+// string without a leading zero. Every caller requires a delimiter after
+// it, which declines a fraction or an exponent.
+func scanInt(data []byte, i int) (v int64, end int, ok bool) {
+	start := i
+	if i < len(data) && data[i] == '-' {
+		i++
+	}
+	digits := i
+	var u uint64
+	for ; i < len(data) && data[i]-'0' <= 9; i++ {
+		u = u*10 + uint64(data[i]-'0')
+	}
+	switch n := i - digits; {
+	case n == 0, n > 1 && data[digits] == '0':
+		return 0, 0, false
+	case n > 18: // u may have wrapped; ParseInt checks the range
+		v, err := strconv.ParseInt(string(data[start:i]), 10, 64)
+		return v, i, err == nil
+	case digits > start:
+		return -int64(u), i, true
+	default:
+		return int64(u), i, true
+	}
 }
 
 // appendInts appends s as a JSON array, or null for a nil slice, as
@@ -82,73 +212,37 @@ func appendInts[T int64 | int](b []byte, s []T) []byte {
 	return appendSlice(b, s, func(b []byte, x *T) []byte { return strconv.AppendInt(b, int64(*x), 10) })
 }
 
-// decodeInts decodes one JSON value, already checked to be well-formed by
-// encoding/json, into *dst exactly as encoding/json decodes it into a []T by
-// reflection: null sets nil, [] sets an empty non-nil slice, the existing
-// backing array is reused (a duplicate key decodes over the earlier value),
-// and a null element leaves its element as it was. A value that is not an
-// array, or an element that is not an integer in T's range, is the same
-// *json.UnmarshalTypeError encoding/json reports.
-func decodeInts[T int64 | int](dst *[]T, data []byte) error {
-	i := skipSpace(data, 0)
-	if i == len(data) {
-		return fmt.Errorf("core: empty JSON value")
-	}
-	switch data[i] {
-	case 'n':
-		*dst = nil
-		return nil
-	case '[':
-	default:
-		return &json.UnmarshalTypeError{Value: jsonKind(data[i]), Type: reflect.TypeFor[[]T]()}
-	}
-	s := *dst
-	if cap(s) == 0 {
-		s = make([]T, 0, bytes.Count(data, []byte{','})+1) // one allocation
-	}
-	n := 0
-	elem := reflect.TypeFor[T]()
-	for i = skipSpace(data, i+1); i < len(data) && data[i] != ']'; {
-		end := i
-		for end < len(data) && data[end] != ',' && data[end] != ']' && !isSpace(data[end]) {
-			end++
-		}
-		if n == len(s) {
-			if n < cap(s) {
-				s = s[:n+1] // reflection re-exposes the old backing array too
-			} else {
-				s = append(s, 0)
-			}
-		}
-		switch tok := data[i:end]; {
-		case len(tok) == 0:
-			return fmt.Errorf("core: malformed JSON array")
-		case tok[0] == 'n':
-			// null leaves an integer element as it was.
-		case tok[0] == '-' || '0' <= tok[0] && tok[0] <= '9':
-			v, ok := parseInt(tok)
-			if !ok || int64(T(v)) != v {
-				return &json.UnmarshalTypeError{Value: "number " + string(tok), Type: elem}
-			}
-			s[n] = T(v)
-		default:
-			return &json.UnmarshalTypeError{Value: jsonKind(tok[0]), Type: elem}
-		}
-		n++
-		if i = skipSpace(data, end); i < len(data) && data[i] == ',' {
-			i = skipSpace(data, i+1)
-		}
-	}
-	if n == 0 {
-		s = []T{}
-	}
-	*dst = s[:n]
-	return nil
+// ScheduleJSON is implemented by the four schedule types. An encoder that
+// splices schedules into a larger document (ccsched's Result.AppendJSON)
+// reads each one's exact length with ScheduleJSONLen, sizes its buffer once
+// and renders into it with AppendScheduleJSON.
+type ScheduleJSON interface {
+	jsonLen() int
+	appendJSON(b []byte) []byte
 }
 
+// ScheduleJSONLen returns the length of s's JSON encoding.
+func ScheduleJSONLen(s ScheduleJSON) int { return s.jsonLen() }
+
+// AppendScheduleJSON appends s's JSON encoding, as its MarshalJSON renders
+// it, to b.
+func AppendScheduleJSON(b []byte, s ScheduleJSON) []byte { return s.appendJSON(b) }
+
 // MarshalJSON encodes the schedule as encoding/json encodes its fields.
-func (s SplitSchedule) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+40*len(s.Pieces))
+func (s SplitSchedule) MarshalJSON() ([]byte, error) { return marshalSchedule(s), nil }
+
+// MarshalJSON encodes the schedule as encoding/json encodes its fields.
+func (s CompactSplitSchedule) MarshalJSON() ([]byte, error) { return marshalSchedule(s), nil }
+
+// MarshalJSON encodes the schedule as encoding/json encodes its fields.
+func (s PreemptiveSchedule) MarshalJSON() ([]byte, error) { return marshalSchedule(s), nil }
+
+// MarshalJSON encodes the schedule as encoding/json encodes its fields.
+func (s NonPreemptiveSchedule) MarshalJSON() ([]byte, error) { return marshalSchedule(s), nil }
+
+func marshalSchedule(s ScheduleJSON) []byte { return s.appendJSON(make([]byte, 0, s.jsonLen())) }
+
+func (s SplitSchedule) appendJSON(b []byte) []byte {
 	b = append(b, `{"pieces":`...)
 	b = appendSlice(b, s.Pieces, func(b []byte, pc *SplitPiece) []byte {
 		b = append(b, `{"job":`...)
@@ -159,12 +253,17 @@ func (s SplitSchedule) MarshalJSON() ([]byte, error) {
 		b = appendRat(b, pc.Size)
 		return append(b, '}')
 	})
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
-// MarshalJSON encodes the schedule as encoding/json encodes its fields.
-func (s CompactSplitSchedule) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+64*len(s.Groups))
+func (s SplitSchedule) jsonLen() int {
+	return len(`{"pieces":}`) + sliceLen(s.Pieces, func(pc *SplitPiece) int {
+		return len(`{"job":,"machine":,"size":""}`) + rat.DecimalLen(int64(pc.Job)) +
+			rat.DecimalLen(pc.Machine) + pc.Size.RatStringLen()
+	})
+}
+
+func (s CompactSplitSchedule) appendJSON(b []byte) []byte {
 	b = append(b, `{"groups":`...)
 	b = appendSlice(b, s.Groups, func(b []byte, g *MachineGroup) []byte {
 		b = append(b, `{"count":`...)
@@ -179,12 +278,18 @@ func (s CompactSplitSchedule) MarshalJSON() ([]byte, error) {
 		})
 		return append(b, '}')
 	})
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
-// MarshalJSON encodes the schedule as encoding/json encodes its fields.
-func (s PreemptiveSchedule) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+56*len(s.Pieces))
+func (s CompactSplitSchedule) jsonLen() int {
+	return len(`{"groups":}`) + sliceLen(s.Groups, func(g *MachineGroup) int {
+		return len(`{"count":,"pieces":}`) + rat.DecimalLen(g.Count) + sliceLen(g.Pieces, func(pc *GroupPiece) int {
+			return len(`{"job":,"size":""}`) + rat.DecimalLen(int64(pc.Job)) + pc.Size.RatStringLen()
+		})
+	})
+}
+
+func (s PreemptiveSchedule) appendJSON(b []byte) []byte {
 	b = append(b, `{"pieces":`...)
 	b = appendSlice(b, s.Pieces, func(b []byte, pc *PreemptivePiece) []byte {
 		b = append(b, `{"job":`...)
@@ -197,15 +302,37 @@ func (s PreemptiveSchedule) MarshalJSON() ([]byte, error) {
 		b = appendRat(b, pc.Size)
 		return append(b, '}')
 	})
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
-// MarshalJSON encodes the schedule as encoding/json encodes its fields.
-func (s NonPreemptiveSchedule) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 16+8*len(s.Assign))
+func (s PreemptiveSchedule) jsonLen() int {
+	return len(`{"pieces":}`) + sliceLen(s.Pieces, func(pc *PreemptivePiece) int {
+		return len(`{"job":,"machine":,"start":"","size":""}`) + rat.DecimalLen(int64(pc.Job)) +
+			rat.DecimalLen(pc.Machine) + pc.Start.RatStringLen() + pc.Size.RatStringLen()
+	})
+}
+
+func (s NonPreemptiveSchedule) appendJSON(b []byte) []byte {
 	b = append(b, `{"assign":`...)
 	b = appendInts(b, s.Assign)
-	return append(b, '}'), nil
+	return append(b, '}')
+}
+
+func (s NonPreemptiveSchedule) jsonLen() int {
+	return len(`{"assign":}`) + sliceLen(s.Assign, func(m *int64) int { return rat.DecimalLen(*m) })
+}
+
+// sliceLen returns the length of appendSlice's rendering of s, given each
+// element's.
+func sliceLen[E any](s []E, elem func(*E) int) int {
+	if s == nil {
+		return len("null")
+	}
+	n := len("[]") + max(len(s)-1, 0) // brackets and commas
+	for i := range s {
+		n += elem(&s[i])
+	}
+	return n
 }
 
 // appendSlice appends s as a JSON array of elem's renderings, or null for a
@@ -230,49 +357,6 @@ func appendRat(b []byte, r rat.R) []byte {
 	b = append(b, '"')
 	b = r.AppendRatString(b)
 	return append(b, '"')
-}
-
-// parseInt parses a JSON number token as strconv.ParseInt(tok, 10, 64)
-// does: an optional minus sign and decimal digits, in int64's range.
-// Fractions and exponents are rejected.
-func parseInt(tok []byte) (int64, bool) {
-	limit := uint64(math.MaxInt64)
-	neg := tok[0] == '-'
-	if neg {
-		tok, limit = tok[1:], limit+1
-	}
-	if len(tok) == 0 {
-		return 0, false
-	}
-	var u uint64
-	for _, c := range tok {
-		d := uint64(c - '0')
-		if d > 9 || u > (limit-d)/10 {
-			return 0, false
-		}
-		u = u*10 + d
-	}
-	if neg {
-		return -int64(u), true // also right for u = 2^63
-	}
-	return int64(u), true
-}
-
-// jsonKind names a JSON value by its first byte, as encoding/json's
-// UnmarshalTypeError does.
-func jsonKind(c byte) string {
-	switch c {
-	case '"':
-		return "string"
-	case 't', 'f':
-		return "bool"
-	case '[':
-		return "array"
-	case '{':
-		return "object"
-	default:
-		return "number"
-	}
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

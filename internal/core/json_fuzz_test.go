@@ -23,9 +23,11 @@ type reflectInstanceJSON struct {
 // This is the wire surface ccserved exposes to untrusted clients, so the
 // codec must never accept an instance the solvers cannot safely run.
 //
-// Every input is also decoded by reflection into reflectInstanceJSON: the
-// hand-written codec must accept and reject the same inputs and decode the
-// same values, and its encoding must be byte-identical to reflection's.
+// Every input is also decoded by reflection into reflectInstanceJSON:
+// Instance's codec must accept and reject the same inputs and decode the
+// same values, its encoding must be byte-identical to reflection's, and
+// whatever ScanInstanceJSON accepts, reflection must accept with the same
+// values.
 func FuzzInstanceJSON(f *testing.F) {
 	f.Add([]byte(`{"machines": 4, "slots": 2, "p": [5, 3, 8], "class": [0, 1, 0]}`))
 	f.Add([]byte(`{"machines": 1, "slots": 1, "p": [1], "class": [0]}`))
@@ -54,16 +56,28 @@ func FuzzInstanceJSON(f *testing.F) {
 	f.Add([]byte(`{"machines":1,"slots":1,"p":[1,2,3],"p":[4],"p":[null,null,null],"class":[0,0,0]}`))
 	f.Add([]byte(`{"machines":1,"slots":1,"p":[1,2],"p":[],"class":[0,0]}`))
 	f.Add([]byte(`{"Machines":2,"SLOTS":1,"P":[4,5],"Class":[1,0]}`))
+	// Edges of the strict reader: escaped keys, leading zeros, stray
+	// commas, a lone sign, a bare fraction point, 19-digit integers on both
+	// sides of int64's range, an empty object, trailing bytes.
+	f.Add([]byte(`{"m\u0061chines":1,"slots":1,"p":[1],"class":[0]}`))
+	f.Add([]byte(`{"machines":01,"slots":1,"p":[1],"class":[0]}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[1,],"class":[0]}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[-],"class":[0]}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[1.],"class":[0]}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[9223372036854775807,-9223372036854775808],"class":[0,0]}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[9999999999999999999],"class":[0]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[1],"class":[0]} x`))
+	f.Add([]byte(`{"machines":1,"slots":1,"p":[1],"class":[0],}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var ref reflectInstanceJSON
 		refErr := json.Unmarshal(data, &ref)
-		var w instanceJSON
-		if err := json.Unmarshal(data, &w); (err == nil) != (refErr == nil) {
-			t.Fatalf("array codec error %v, reflection error %v\ninput: %q", err, refErr, data)
-		} else if err == nil {
-			got := reflectInstanceJSON{Machines: w.Machines, Slots: w.Slots, P: w.P, Class: w.Class}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("array codec decoded %#v, reflection %#v\ninput: %q", got, ref, data)
+		if got, end, ok := ScanInstanceJSON(data); ok && skipSpace(data, end) == len(data) {
+			if refErr != nil {
+				t.Fatalf("strict reader accepted %q, reflection rejected it: %v", data, refErr)
+			}
+			if w := (reflectInstanceJSON{Machines: got.M, Slots: got.Slots, P: got.P, Class: got.Class}); !reflect.DeepEqual(w, ref) {
+				t.Fatalf("strict reader decoded %#v, reflection %#v\ninput: %q", w, ref, data)
 			}
 		}
 		want := Instance{P: ref.P, Class: ref.Class, M: ref.Machines, Slots: ref.Slots}

@@ -465,7 +465,7 @@ func (s *splitter) set(j int, v int64) {
 // bb span, which ends with the final ilp status, the summed counters and
 // the aggregation's group count and outcome.
 func (p *Problem) solveBranchBound(ctx context.Context, maxNodes int, firstFeasible, augment bool, o *Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(ctx); err != nil {
 		return nil, err
 	}
 	ag := p.aggregate()

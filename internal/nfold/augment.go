@@ -596,7 +596,7 @@ func (st *augState) pairStep() bool {
 // objective descent when Obj is nonzero). Cancellation is polled once per
 // descent step; a canceled context surfaces as ctx.Err().
 func (p *Problem) solveAugment(ctx context.Context, opts *AugmentOptions, tmpl *Template) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(ctx); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -25,10 +25,11 @@ import (
 // The matrix is emitted in sparse column form straight from the brick
 // blocks: a dense row would hold N*T floats, and on the large configuration
 // ILPs almost all of them are zero (a local row touches one brick's T
-// columns). The context is checked once per brick in each pass, so a
-// canceled solve stops flattening a large N-fold within one brick's work.
+// columns). The context is checked every pollColumns columns of a brick in
+// each pass, so a canceled solve stops flattening a large N-fold within
+// that much work, however wide its bricks.
 func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
-	if err := p.Validate(); err != nil {
+	if err := p.validate(ctx); err != nil {
 		return nil, nil, err
 	}
 	nv := p.N * p.T
@@ -42,30 +43,26 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
 	// local[i*S+k] is brick i's local row k in the flat order, or -1 when
 	// the row is dead.
 	local := make([]int32, p.N*p.S)
-	// Brick i's kept rows in increasing flat row order; the blocks are
-	// scanned row by row, which keeps the reads sequential.
-	brickRows := func(i int, visit func(row int32, coef []int64)) {
+	// visitRows visits brick i's kept rows, cut to the columns [lo, hi),
+	// in increasing flat row order (the blocks are scanned row by row,
+	// which keeps the reads sequential).
+	visitRows := func(i, lo, hi int, visit func(row int32, coef []int64)) {
 		for k, coef := range p.A[i] {
-			visit(int32(k), coef)
+			visit(int32(k), coef[lo:hi])
 		}
 		for k, coef := range p.B[i] {
 			if row := local[i*p.S+k]; row >= 0 {
-				visit(row, coef)
+				visit(row, coef[lo:hi])
 			}
 		}
 	}
 	// First pass: dead rows, then nonzeros per column, turned into each
-	// column's offset.
+	// column's offset. Both passes poll ctx before each window of
+	// pollColumns columns of a brick.
 	start := make([]int, nv+1)
 	for i := 0; i < p.N; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
-		}
-		for j := 0; j < p.T; j++ {
-			f := i*p.T + j
-			mp.Obj[f] = float64(p.Obj[i][j])
-			mp.Lower[f] = float64(p.Lower[i][j])
-			mp.Upper[f] = float64(p.Upper[i][j])
 		}
 		for k := range p.B[i] {
 			if p.deadLocalRow(i, k) {
@@ -76,13 +73,25 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
 			full = append(full, int32(p.R+i*p.S+k))
 			mp.B = append(mp.B, float64(p.LocalRHS[i][k]))
 		}
-		brickRows(i, func(_ int32, coef []int64) {
-			for j, v := range coef {
-				if v != 0 {
-					start[i*p.T+j+1]++
-				}
+		for lo := 0; lo < p.T; lo += pollColumns {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
 			}
-		})
+			hi := min(lo+pollColumns, p.T)
+			for j := lo; j < hi; j++ {
+				f := i*p.T + j
+				mp.Obj[f] = float64(p.Obj[i][j])
+				mp.Lower[f] = float64(p.Lower[i][j])
+				mp.Upper[f] = float64(p.Upper[i][j])
+			}
+			visitRows(i, lo, hi, func(_ int32, coef []int64) {
+				for j, v := range coef {
+					if v != 0 {
+						start[i*p.T+lo+j+1]++
+					}
+				}
+			})
+		}
 	}
 	mp.Rel = make([]lp.Relation, len(mp.B))
 	for k := range mp.Rel {
@@ -97,18 +106,20 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
 	vals := make([]float64, start[nv])
 	next := append([]int(nil), start[:nv]...)
 	for i := 0; i < p.N; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		brickRows(i, func(row int32, coef []int64) {
-			for j, v := range coef {
-				if v != 0 {
-					f := i*p.T + j
-					rows[next[f]], vals[next[f]] = row, float64(v)
-					next[f]++
-				}
+		for lo := 0; lo < p.T; lo += pollColumns {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
 			}
-		})
+			visitRows(i, lo, min(lo+pollColumns, p.T), func(row int32, coef []int64) {
+				for j, v := range coef {
+					if v != 0 {
+						f := i*p.T + lo + j
+						rows[next[f]], vals[next[f]] = row, float64(v)
+						next[f]++
+					}
+				}
+			})
+		}
 	}
 	for f := range mp.Cols {
 		a, b := start[f], start[f+1]
@@ -116,6 +127,10 @@ func (p *Problem) Flatten(ctx context.Context) (*ilp.Problem, []int32, error) {
 	}
 	return mp, full, nil
 }
+
+// pollColumns is how many columns of a brick Flatten handles between two
+// polls of the context.
+const pollColumns = 1024
 
 // deadLocalRow reports whether brick i's local row k touches only fixed
 // columns and their fixed values meet its right-hand side. The sum is exact

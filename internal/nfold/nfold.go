@@ -29,6 +29,7 @@
 package nfold
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -78,7 +79,10 @@ func NewUniform(n int, a, b [][]int64) *Problem {
 }
 
 // Validate checks the dimensional invariants.
-func (p *Problem) Validate() error {
+func (p *Problem) Validate() error { return p.validate(context.Background()) }
+
+// validate is Validate polling ctx once per brick.
+func (p *Problem) validate(ctx context.Context) error {
 	if p.N < 0 || p.R < 0 || p.S < 0 || p.T < 0 {
 		return fmt.Errorf("nfold: negative dimension")
 	}
@@ -90,6 +94,9 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("nfold: global rhs has %d entries, want %d", len(p.GlobalRHS), p.R)
 	}
 	for i := 0; i < p.N; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if len(p.A[i]) != p.R {
 			return fmt.Errorf("nfold: brick %d A block has %d rows, want %d", i, len(p.A[i]), p.R)
 		}

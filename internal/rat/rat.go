@@ -459,6 +459,37 @@ func (r R) AppendRatString(b []byte) []byte {
 	return r.appendFrac(b, false)
 }
 
+// RatStringLen returns the length of the RatString form of r.
+func (r R) RatStringLen() int {
+	if r.wide != nil {
+		return len(r.wide.RatString())
+	}
+	n := DecimalLen(r.num)
+	if d := r.d(); d != 1 {
+		n += 1 + DecimalLen(d)
+	}
+	return n
+}
+
+// DecimalLen returns the length of x in base 10, as strconv.AppendInt(b,
+// x, 10) renders it.
+func DecimalLen(x int64) int {
+	n, u := 0, uint64(x)
+	if x < 0 {
+		n, u = 1, -u
+	}
+	// u has t or t+1 digits, t = ⌊bits·log₁₀2⌋ (1233/4096 ≈ log₁₀2).
+	t := bits.Len64(u|1) * 1233 >> 12
+	if u|1 >= pow10[t] {
+		t++
+	}
+	return n + t
+}
+
+// pow10[k] is 10^k, up to the first power above every |int64|.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
 // MarshalText implements encoding.TextMarshaler: the value is rendered in
 // RatString form ("3/2", or "7" for integers), so R fields serialize as
 // exact JSON strings via encoding/json.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -202,5 +203,32 @@ func TestZeroValue(t *testing.T) {
 	}
 	if z.RatString() != "0" {
 		t.Errorf("zero RatString = %q", z.RatString())
+	}
+}
+
+// TestDecimalLen checks DecimalLen and RatStringLen against the rendered
+// text on both sides of every power of ten, both signs, the int64 extremes
+// and random values.
+func TestDecimalLen(t *testing.T) {
+	xs := []int64{0, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for p := int64(1); p <= math.MaxInt64/10; p *= 10 {
+		xs = append(xs, p-1, p, p+1, 10*p-1)
+	}
+	rng := rand.New(rand.NewSource(30))
+	for k := 0; k < 1000; k++ {
+		xs = append(xs, rng.Int63()>>rng.Intn(63))
+	}
+	for _, x := range xs {
+		for _, v := range []int64{x, -x} {
+			if got, want := DecimalLen(v), len(strconv.FormatInt(v, 10)); got != want {
+				t.Fatalf("DecimalLen(%d) = %d, want %d", v, got, want)
+			}
+			if d := x%1000 + 1; d > 0 {
+				r := Frac(v, d)
+				if got, want := r.RatStringLen(), len(r.RatString()); got != want {
+					t.Fatalf("RatStringLen(%s) = %d, want %d", r.RatString(), got, want)
+				}
+			}
+		}
 	}
 }

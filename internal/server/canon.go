@@ -83,22 +83,71 @@ func canonicalize(in *ccsched.Instance) canonical {
 
 // sortedJobs returns the job indices sorted by (class, p, index), which
 // groups each class into a run ordered by processing time, equal times by
-// index.
+// index. Dense labels (all in [0, 4n+64), the bound core uses for its
+// machine-indexed slices) are counting-sorted into runs in index order,
+// each then sorted by p, stably; other labels take one comparison sort.
 func sortedJobs(in *ccsched.Instance) []int {
-	perm := make([]int, in.N())
-	for j := range perm {
-		perm[j] = j
+	n := in.N()
+	perm := make([]int, n)
+	maxLabel, dense := -1, true
+	for _, c := range in.Class {
+		if c < 0 || c >= 4*n+64 {
+			dense = false
+			break
+		}
+		maxLabel = max(maxLabel, c)
 	}
-	slices.SortFunc(perm, func(a, b int) int {
-		if c := cmp.Compare(in.Class[a], in.Class[b]); c != 0 {
-			return c
+	if !dense {
+		for j := range perm {
+			perm[j] = j
 		}
-		if c := cmp.Compare(in.P[a], in.P[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+		slices.SortFunc(perm, func(a, b int) int {
+			if c := cmp.Compare(in.Class[a], in.Class[b]); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(in.P[a], in.P[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return perm
+	}
+	// end[c] starts as the first slot of class c's run and ends one past
+	// its last.
+	end := make([]int, maxLabel+2)
+	for _, c := range in.Class {
+		end[c+1]++
+	}
+	for c := 1; c < len(end); c++ {
+		end[c] += end[c-1]
+	}
+	for j, c := range in.Class {
+		perm[end[c]] = j
+		end[c]++
+	}
+	lo := 0
+	for _, hi := range end[:maxLabel+1] {
+		sortRunByP(in.P, perm[lo:hi])
+		lo = hi
+	}
 	return perm
+}
+
+// sortRunByP stably sorts a run of job indices by processing time: by
+// insertion up to 16 jobs, as core's per-class lists are sorted.
+func sortRunByP(p []int64, run []int) {
+	if len(run) > 16 {
+		slices.SortStableFunc(run, func(a, b int) int { return cmp.Compare(p[a], p[b]) })
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		j, pj := run[i], p[run[i]]
+		k := i
+		for ; k > 0 && p[run[k-1]] > pj; k-- {
+			run[k] = run[k-1]
+		}
+		run[k] = j
+	}
 }
 
 // key identifies one unit of solver work: a canonical instance plus every
@@ -112,10 +161,16 @@ type key [sha256.Size]byte
 // requests share one entry.
 func requestKey(canon *ccsched.Instance, opts ccsched.Options) key {
 	h := sha256.New()
-	var buf [8]byte
+	// Values are written as 8-byte little-endian words, a block of them
+	// per Write.
+	var block [64 * 8]byte
+	buf := block[:0]
 	put := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		if len(buf) == len(block) {
+			h.Write(buf)
+			buf = block[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	put(canon.M)
 	put(int64(canon.Slots))
@@ -155,6 +210,7 @@ func requestKey(canon *ccsched.Instance, opts ccsched.Options) key {
 	if opts.FallbackTier == ccsched.TierApprox {
 		put(3)
 	}
+	h.Write(buf)
 	var k key
 	h.Sum(k[:0])
 	return k

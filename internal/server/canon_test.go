@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -133,7 +136,9 @@ func canonicalizeOracle(in *ccsched.Instance) canonical {
 // canonical instance and permutation — tie-breaks included — on instances
 // built to stress them: interchangeable classes (identical processing-time
 // lists under different labels), prefix-related lists, sparse huge labels,
-// a single job, all-equal processing times and generator families.
+// labels on both sides of the counting sort's density bound, runs longer
+// than 16 jobs, a single job, all-equal processing times and generator
+// families.
 func TestCanonicalizeMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	var cases []*ccsched.Instance
@@ -180,6 +185,23 @@ func TestCanonicalizeMatchesOracle(t *testing.T) {
 		cases = append(cases, in, shuffled)
 	}
 	cases = append(cases, &ccsched.Instance{P: []int64{7}, Class: []int{1 << 40}, M: 3, Slots: 2})
+	// The two sides of the counting sort's density bound (a label at 4n+63
+	// is counting-sorted, one at 4n+64 is not), with runs longer than 16
+	// jobs and with all-equal processing times.
+	for _, pmax := range []int64{1, 3, 1000} {
+		for _, top := range []int{63, 64} {
+			for _, runLen := range []int{5, 17, 40} {
+				n := 3 * runLen
+				in := &ccsched.Instance{M: 4, Slots: 2}
+				for j := 0; j < n; j++ {
+					in.P = append(in.P, 1+rng.Int63n(pmax))
+					in.Class = append(in.Class, []int{2, 0, 4*n + top}[rng.Intn(3)])
+				}
+				in.Class[n/2] = 4*n + top
+				cases = append(cases, in)
+			}
+		}
+	}
 	for _, family := range ccsched.GeneratorFamilies() {
 		cases = append(cases, genInstance(t, family, 200, 20, 10, 3, 5))
 	}
@@ -251,6 +273,76 @@ func TestRemapResultValidates(t *testing.T) {
 		}
 		if mapped.Makespan.Cmp(res.Makespan) != 0 {
 			t.Fatalf("%v: remap changed the makespan", variant)
+		}
+	}
+}
+
+// requestKeyOracle is requestKey with one 8-byte Write per value, kept as
+// the reference for the block-buffered digest.
+func requestKeyOracle(canon *ccsched.Instance, opts ccsched.Options) key {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	put(canon.M)
+	put(int64(canon.Slots))
+	put(int64(canon.N()))
+	for _, p := range canon.P {
+		put(p)
+	}
+	for _, c := range canon.Class {
+		put(int64(c))
+	}
+	tier := opts.Tier
+	if tier == ccsched.TierAuto {
+		tier = ccsched.TierPTAS
+	}
+	eps := opts.Epsilon
+	if tier != ccsched.TierPTAS && tier != ccsched.TierAnytime {
+		eps = 0
+	} else if eps == 0 {
+		eps = 0.5
+	}
+	put(int64(opts.Variant))
+	put(int64(tier))
+	put(int64(math.Float64bits(eps)))
+	put(int64(opts.MaxNodes))
+	put(int64(opts.MaxConfigs))
+	put(opts.HugeMThreshold)
+	put(opts.ExplicitMachineLimit)
+	if opts.Trace {
+		put(2)
+	}
+	if opts.FallbackTier == ccsched.TierApprox {
+		put(3)
+	}
+	var k key
+	h.Sum(k[:0])
+	return k
+}
+
+// TestRequestKeyMatchesOracle checks the block-buffered requestKey gives
+// the per-value digest on every generator family, at sizes whose value
+// count falls on, just before and just after a block boundary, under
+// option sets that write extra values.
+func TestRequestKeyMatchesOracle(t *testing.T) {
+	optSets := []ccsched.Options{
+		{Variant: ccsched.Splittable, Tier: ccsched.TierApprox},
+		{Variant: ccsched.Preemptive, Tier: ccsched.TierPTAS, Epsilon: 0.25, MaxNodes: 9, Trace: true},
+		{Variant: ccsched.NonPreemptive, Tier: ccsched.TierAuto, HugeMThreshold: 1 << 40, FallbackTier: ccsched.TierApprox},
+	}
+	for _, family := range ccsched.GeneratorFamilies() {
+		// 3 + 2n values: n = 30 and 31 straddle one 64-value block, and
+		// n = 2000 is the serve-mix size.
+		for _, n := range []int{1, 2, 29, 30, 31, 32, 61, 62, 2000} {
+			in := canonicalize(genInstance(t, family, n, max(1, n/10), 4, 2, int64(n))).in
+			for i, opts := range optSets {
+				if got, want := requestKey(in, opts), requestKeyOracle(in, opts); got != want {
+					t.Fatalf("%s n=%d options %d: key %x, oracle %x", family, n, i, got, want)
+				}
+			}
 		}
 	}
 }

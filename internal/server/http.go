@@ -111,7 +111,7 @@ func (s *Server) writeSolveResponse(w http.ResponseWriter, status int, r SolveRe
 		if err == nil {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(status)
-			_, _ = w.Write(append(b, '\n'))
+			_, _ = w.Write(append(b, '\n')) // within b's capacity
 			return
 		}
 		s.logger.Error("solve response: spliced encoding failed; using encoding/json", "err", err)
@@ -123,7 +123,8 @@ func (s *Server) writeSolveResponse(w http.ResponseWriter, status int, r SolveRe
 // newline, with its result rendered by Result.AppendJSON. The result
 // follows id and status, so it goes right after their rendering at the
 // head of the envelope's encoding/json output; every later field is
-// omitempty.
+// omitempty. The result and the rest of the envelope go into b with one
+// growth, which leaves room for the newline.
 func appendSolveResponse(b []byte, r *SolveResponse) ([]byte, error) {
 	env := *r
 	env.Result = nil
@@ -136,10 +137,10 @@ func appendSolveResponse(b []byte, r *SolveResponse) ([]byte, error) {
 	at := len(`{"id":`) + len(id) + len(`,"status":`) + len(status)
 	b = append(b, envJSON[:at]...)
 	b = append(b, `,"result":`...)
-	if b, err = r.Result.AppendJSON(b); err != nil {
+	if b, err = r.Result.AppendJSON(b, append(envJSON[at:], '\n')...); err != nil {
 		return b, err
 	}
-	return append(b, envJSON[at:]...), nil
+	return b[:len(b)-1], nil
 }
 
 // writeError writes an ErrorResponse.
@@ -198,9 +199,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := s.decodeSolveRequest(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -57,3 +57,23 @@ func TestSolveResponseWireBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveResponseRoomForNewline checks that appendSolveResponse leaves
+// room for the newline writeSolveResponse adds, so the body is written from
+// the buffer its one growth sized.
+func TestSolveResponseRoomForNewline(t *testing.T) {
+	in := genInstance(t, "uniform", 30, 4, 3, 2, 5)
+	for _, variant := range []ccsched.Variant{ccsched.Splittable, ccsched.Preemptive, ccsched.NonPreemptive} {
+		res, err := ccsched.Solve(context.Background(), in, ccsched.Options{Variant: variant, Tier: ccsched.TierApprox})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := appendSolveResponse(nil, &SolveResponse{ID: "j-1", Status: StatusDone, Result: res, RequestID: "r-1"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(b) == len(b) {
+			t.Fatalf("%v: no room for the newline after %d bytes", variant, len(b))
+		}
+	}
+}
